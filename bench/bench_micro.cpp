@@ -128,9 +128,9 @@ void BM_ScanPageFlat(benchmark::State& state) {
   std::uint64_t p = 0;
   for (auto _ : state) {
     odg.device().read((p % odg.num_pages()) * kPageSize, page);
-    std::uint64_t edges = format::scan_page(
+    std::uint64_t edges = format::for_each_edge(
         odg.index(), odg.page_map(), p % odg.num_pages(), page.data(),
-        [](vertex_t) { return true; },
+        kPageSize, [](vertex_t) { return true; },
         [](vertex_t, vertex_t dst) { benchmark::DoNotOptimize(dst); });
     benchmark::DoNotOptimize(edges);
     state.SetItemsProcessed(state.items_processed() +
@@ -149,13 +149,10 @@ void BM_ScanPageDvarint(benchmark::State& state) {
   std::uint64_t p = 0;
   for (auto _ : state) {
     odg.device().read((p % odg.num_pages()) * kPageSize, page);
-    std::uint64_t edges = format::scan_page_dvarint(
+    std::uint64_t edges = format::for_each_edge(
         odg.index(), odg.page_map(), p % odg.num_pages(), page.data(),
-        [](vertex_t) { return true; },
-        [](vertex_t, vertex_t dst) {
-          benchmark::DoNotOptimize(dst);
-          return true;
-        });
+        kPageSize, [](vertex_t) { return true; },
+        [](vertex_t, vertex_t dst) { benchmark::DoNotOptimize(dst); });
     benchmark::DoNotOptimize(edges);
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(edges));

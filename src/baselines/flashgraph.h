@@ -160,9 +160,9 @@ class FlashGraphEngine {
           }
         }
         const io::BufferMeta& meta = io_pool_.meta(*buf);
-        format::scan_page(
+        format::for_each_edge(
             g_.index(), g_.page_map(), meta.first_page, io_pool_.data(*buf),
-            [&](vertex_t v) { return frontier.contains(v); },
+            kPageSize, [&](vertex_t v) { return frontier.contains(v); },
             [&](vertex_t src, vertex_t dst) {
               if (!prog.cond(dst)) return;
               const value_type val = prog.scatter(src, dst);

@@ -9,9 +9,11 @@
 //      into buffers from the free MPMC queue (merging up to 4 contiguous
 //      pages per request) and pushes filled buffers to the handle's filled
 //      queue.
-//   3. Scatter threads pop filled buffers, locate the frontier vertices
-//      inside each page via the page-to-vertex map, evaluate cond() and
-//      scatter() per edge, and stage (dst, value) records into the bins.
+//   3. Scatter threads drain the handle with io::ReadHandle::consume(); on
+//      each page, format::for_each_edge() locates the frontier vertices via
+//      the page-to-vertex map and decodes their edges, whatever the
+//      encoding, and the workers evaluate cond() and scatter() per edge and
+//      stage (dst, value) records into the bins.
 //   4. Gather threads drain full bins and apply gather() to the
 //      algorithm's vertex data — without synchronization, thanks to the
 //      bins' per-destination exclusivity — setting output-frontier bits.
@@ -19,6 +21,7 @@
 // A Program provides:
 //   using value_type = <trivially copyable, 4 bytes>;
 //   value_type scatter(vertex_t src, vertex_t dst);
+//     (or scatter(src, dst, float weight) to run on weighted graphs)
 //   bool cond(vertex_t dst);                      // pre-scatter filter
 //   bool gather(vertex_t dst, value_type v);      // no atomics needed
 //   bool gather_atomic(vertex_t dst, value_type v); // sync-variant (CAS)
@@ -65,17 +68,6 @@ struct EdgeMapOptions {
 };
 
 namespace detail {
-
-/// A program that consumes stored edge weights declares
-/// scatter(src, dst, weight); the engine dispatches on the graph's
-/// on-disk record size and checks program/graph compatibility at runtime.
-template <typename Program>
-concept WeightedScatter =
-    requires(Program p, vertex_t v, float w) { p.scatter(v, v, w); };
-
-template <typename Program>
-concept UnweightedScatter =
-    requires(Program p, vertex_t v) { p.scatter(v, v); };
 
 /// Unwraps RAID-0 into its member devices so the engine can run one IO
 /// thread per physical device (paper: "Blaze uses one thread for each SSD
@@ -162,38 +154,8 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
     m->iterations->inc();
     m->frontier->set(static_cast<double>(frontier.count()));
   }
-  // Program/graph record-format compatibility, checked before any pipeline
-  // work starts.
-  const bool weighted_records =
-      g.index().record_bytes() == sizeof(format::WeightedEdgeRecord);
-  const bool dvarint =
-      g.index().encoding() == format::AdjacencyEncoding::kDeltaVarint;
-  if (weighted_records) {
-    BLAZE_CHECK(detail::WeightedScatter<Program>,
-                "weighted graph requires scatter(src, dst, weight)");
-  } else {
-    BLAZE_CHECK(detail::UnweightedScatter<Program>,
-                "unweighted graph requires scatter(src, dst)");
-  }
-  if (frontier.empty()) return out;
-
-  // ---- Step 1: vertex frontier -> page frontier --------------------------
-  auto batches = detail::page_frontier_batches(
-      qc, g, frontier, [](vertex_t) { return true; });
-  const std::size_t num_devices = batches.size();
-
-  // ---- Step 2: hand the page frontier to the persistent IO pipeline ------
-  io::IoBufferPool& io_pool = qc.io_pool();
-  auto io = qc.io_pipeline().submit(io_pool, std::move(batches),
-                                    cfg.max_inflight_io);
-
-  std::atomic<std::uint64_t> edges_scattered{0};
-  std::atomic<std::uint64_t> records_binned{0};
-  std::atomic<std::uint64_t> io_wait_ns{0};
-
   const bool sync_mode = cfg.sync_mode;
-  BinSet* bins = sync_mode ? nullptr : &qc.acquire_bins();
-  if (!sync_mode) qc.scatter_buffer(0);  // materialize before workers race
+  BinSet* bins = nullptr;  // acquired below, once there is work to bin
   const std::size_t scatter_threads =
       sync_mode ? cfg.compute_workers : cfg.scatter_threads();
 
@@ -227,7 +189,7 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
     }
   };
 
-  // ---- Scatter over one filled buffer -------------------------------------
+  // ---- Scatter: the per-edge step -----------------------------------------
   auto apply_update = [&](ScatterBuffer* sbuf, std::uint64_t* local_records,
                           vertex_t dst, value_type val) {
     if (sync_mode) {
@@ -239,54 +201,46 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
       ++*local_records;
     }
   };
-  auto scatter_buffer = [&](std::uint32_t buf_id, ScatterBuffer* sbuf,
-                            std::uint64_t* local_edges,
-                            std::uint64_t* local_records) {
-    const io::BufferMeta& meta = io_pool.meta(buf_id);
-    const std::byte* data = io_pool.data(buf_id);
-    auto active = [&](vertex_t v) { return frontier.contains(v); };
-    for (std::uint32_t j = 0; j < meta.num_pages; ++j) {
-      const std::uint64_t logical_page =
-          (meta.first_page + j) * num_devices + meta.device;
-      const std::byte* page = data + static_cast<std::size_t>(j) * kPageSize;
-      if constexpr (detail::WeightedScatter<Program>) {
-        if (weighted_records) {
-          *local_edges += format::scan_page_weighted(
-              g.index(), g.page_map(), logical_page, page, active,
-              [&](vertex_t src, vertex_t dst, float w) {
-                if (!prog.cond(dst)) return;
-                apply_update(sbuf, local_records, dst,
-                             prog.scatter(src, dst, w));
-              });
-          continue;
-        }
+  // One scatter worker's edge callback. It takes a weight exactly when the
+  // program's scatter() does, which is what for_each_edge checks against
+  // the graph's records. Forced inline: the kernel calls it from each
+  // encoding's loop, and GCC then kept it out of line, a call per edge that
+  // cost ~10% of a dense iteration (mem-flat PageRank).
+  auto scatter_edge = [&](ScatterBuffer* sbuf, std::uint64_t* local_records) {
+    return [&, sbuf, local_records]<typename... W>(
+               vertex_t src, vertex_t dst,
+               W... weight) __attribute__((always_inline))
+               requires requires { prog.scatter(src, dst, weight...); }
+    {
+      if (prog.cond(dst)) {
+        apply_update(sbuf, local_records, dst,
+                     prog.scatter(src, dst, weight...));
       }
-      if constexpr (detail::UnweightedScatter<Program>) {
-        if (dvarint) {
-          // Decode fused into the scan: gaps stream straight into the
-          // program with no intermediate decompressed neighbor buffer.
-          *local_edges += format::scan_page_dvarint(
-              g.index(), g.page_map(), logical_page, page, active,
-              [&](vertex_t src, vertex_t dst) {
-                if (prog.cond(dst)) {
-                  apply_update(sbuf, local_records, dst,
-                               prog.scatter(src, dst));
-                }
-                return true;  // push mode never early-exits a list
-              });
-        } else {
-          *local_edges += format::scan_page(
-              g.index(), g.page_map(), logical_page, page, active,
-              [&](vertex_t src, vertex_t dst) {
-                if (!prog.cond(dst)) return;
-                apply_update(sbuf, local_records, dst,
-                             prog.scatter(src, dst));
-              });
-        }
-      }
-    }
-    io_pool.release(buf_id);
+    };
   };
+  // Program/graph record-format compatibility, checked before any pipeline
+  // work starts.
+  format::check_edge_fn<decltype(scatter_edge(nullptr, nullptr))>(g.index());
+  if (frontier.empty()) return out;
+
+  // ---- Step 1: vertex frontier -> page frontier --------------------------
+  auto batches = detail::page_frontier_batches(
+      qc, g, frontier, [](vertex_t) { return true; });
+  const std::size_t num_devices = batches.size();
+
+  // ---- Step 2: hand the page frontier to the persistent IO pipeline ------
+  io::IoBufferPool& io_pool = qc.io_pool();
+  auto io = qc.io_pipeline().submit(io_pool, std::move(batches),
+                                    cfg.max_inflight_io);
+
+  std::atomic<std::uint64_t> edges_scattered{0};
+  std::atomic<std::uint64_t> records_binned{0};
+  std::atomic<std::uint64_t> io_wait_ns{0};
+
+  if (!sync_mode) {
+    bins = &qc.acquire_bins();
+    qc.scatter_buffer(0);  // materialize before workers race
+  }
 
   // ---- Compute workers (paper steps 5-9) ----------------------------------
   qc.pool().run_on_all([&](std::size_t worker) {
@@ -298,30 +252,21 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
     if (is_scatter) {
       trace::Span scatter_span(trace::Name::kScatter, worker);
       ScatterBuffer* sbuf = sync_mode ? nullptr : &qc.scatter_buffer(worker);
-      Backoff backoff;
-      for (;;) {
-        auto buf = io->pop_filled();
-        if (!buf) {
-          if (io->io_done()) {
-            buf = io->pop_filled();  // re-check after the release fence
-            if (!buf) break;
-          } else {
-            if (!sync_mode && bins->pop_full_hint()) {
-              help_gather_once();
-            } else {
-              // Genuine IO starvation: no filled buffer and no gather work
-              // to steal. Timed so prof::StallBreakdown can attribute the
-              // query's wall clock (clock reads cost only on the idle path).
-              const std::uint64_t t0 = Timer::now_ns();
-              backoff.pause();
-              local_io_wait += Timer::now_ns() - t0;
-            }
-            continue;
-          }
-        }
-        backoff.reset();
-        scatter_buffer(*buf, sbuf, &local_edges, &local_records);
-      }
+      auto on_edge = scatter_edge(sbuf, &local_records);
+      local_io_wait = io->consume(
+          io_pool, num_devices,
+          [&](std::uint64_t logical_page, const std::byte* page,
+              std::uint64_t page_valid) {
+            local_edges += format::for_each_edge(
+                g.index(), g.page_map(), logical_page, page, page_valid,
+                [&](vertex_t v) { return frontier.contains(v); }, on_edge);
+          },
+          // No filled buffer: steal gather work before idling on IO.
+          [&] {
+            if (sync_mode || !bins->pop_full_hint()) return false;
+            help_gather_once();
+            return true;
+          });
       if (!sync_mode) {
         sbuf->flush_all(*bins, help_gather_once);
         if (bins->scatter_done(scatter_threads)) bins->seal(help_gather_once);
@@ -341,10 +286,11 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
   io->wait();
 
   if (auto err = io->error()) {
-    // A device failed mid-pipeline. The reader has already reclaimed every
-    // buffer it acquired and the workers above drained the filled queue, so
-    // the pool is back at full occupancy and the arenas stay valid — the
-    // Runtime remains usable for the next query. Just surface the failure.
+    // A device failed mid-pipeline, or a page failed to decode. The reader
+    // has already reclaimed every buffer it acquired and the workers above
+    // drained the filled queue, so the pool is back at full occupancy and
+    // the arenas stay valid — the Runtime remains usable for the next
+    // query. Just surface the failure.
     std::rethrow_exception(err);
   }
 

@@ -10,10 +10,14 @@
 // volume exceeds the candidates' in-edge volume (classic BFS mid-rounds).
 //
 // Pull needs no bins: each destination accumulates locally while its page
-// is scanned. One subtlety is out-of-core-specific: a destination whose
-// in-adjacency spans a page boundary can be processed by two scatter
-// workers concurrently, so pull applies updates through gather_atomic()
-// (for BFS-style claims that is one CAS per *successful* update — rare).
+// is scanned. Pages arrive through the same io::ReadHandle::consume() loop
+// and decode through the same format::for_each_edge() kernel as push; the
+// edge callback returns false to stop scanning a destination's list the
+// moment cond() turns false (the early exit). One subtlety is
+// out-of-core-specific: a destination whose in-adjacency spans a page
+// boundary can be processed by two scatter workers concurrently, so pull
+// applies updates through gather_atomic() (for BFS-style claims that is one
+// CAS per *successful* update — rare).
 #pragma once
 
 #include "core/edge_map.h"
@@ -68,102 +72,40 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
   std::atomic<std::uint64_t> edges_scanned{0};
   std::atomic<std::uint64_t> io_wait_ns{0};
 
-  const format::GraphIndex& index = in_g.index();
-  const format::PageVertexMap& pvmap = in_g.page_map();
-  const bool dvarint =
-      index.encoding() == format::AdjacencyEncoding::kDeltaVarint;
   qc.pool().run_on_all([&](std::size_t worker) {
     trace::ScopedQuery worker_scope(qc.trace_id());
     // Pull workers scan and gather in place (no bins): one scatter-side
     // span covers each worker's whole page-consumption loop.
     trace::Span scatter_span(trace::Name::kScatter, worker);
-    std::uint64_t local_edges = 0, local_io_wait = 0;
-    Backoff backoff;
-    for (;;) {
-      auto buf = io->pop_filled();
-      if (!buf) {
-        if (io->io_done()) {
-          buf = io->pop_filled();  // re-check after the release fence
-          if (!buf) break;
-        } else {
-          // IO starvation, timed for prof::StallBreakdown (pull workers
-          // have no gather bins to steal from — an empty queue is always
-          // the device's fault).
-          const std::uint64_t t0 = Timer::now_ns();
-          backoff.pause();
-          local_io_wait += Timer::now_ns() - t0;
-          continue;
-        }
-      }
-      backoff.reset();
-      const io::BufferMeta& meta = io_pool.meta(*buf);
-      const std::byte* data = io_pool.data(*buf);
-      for (std::uint32_t j = 0; j < meta.num_pages; ++j) {
-        const std::uint64_t logical_page =
-            (meta.first_page + j) * num_devices + meta.device;
-        const std::uint64_t page_base = logical_page * kPageSize;
-        // The final page of a tail-clamped request is partial; never scan
-        // past the bytes the device actually filled.
-        const std::uint64_t page_valid = std::min<std::uint64_t>(
-            kPageSize, meta.valid_bytes - std::uint64_t{j} * kPageSize);
-        const std::byte* page =
-            data + static_cast<std::size_t>(j) * kPageSize;
-        if (dvarint) {
-          // Fused decode: in-neighbors stream out of the varint bytes
-          // straight into the gather, and returning false from the edge
-          // callback keeps the early exit (stop scanning d's list the
-          // moment cond(d) turns false).
-          local_edges += format::scan_page_dvarint(
-              index, pvmap, logical_page, page,
+    std::uint64_t local_edges = 0;
+    const std::uint64_t local_io_wait = io->consume(
+        io_pool, num_devices,
+        [&](std::uint64_t logical_page, const std::byte* page,
+            std::uint64_t page_valid) {
+          local_edges += format::for_each_edge(
+              in_g.index(), in_g.page_map(), logical_page, page, page_valid,
               [&](vertex_t d) {
                 return candidates.contains(d) && prog.cond(d);
               },
               [&](vertex_t d, vertex_t s) {
-                if (frontier.contains(s)) {
-                  const value_type val = prog.scatter(s, d);
-                  if (prog.gather_atomic(d, val) && opts.output) out.add(d);
-                }
-                return prog.cond(d);  // false: destination satisfied
-              },
-              page_valid);
-          continue;
-        }
-        const auto range = pvmap.range(logical_page);
-        std::uint64_t off = index.byte_offset(range.begin);
-        for (vertex_t d = range.begin; d < range.end; ++d) {
-          const std::uint64_t len =
-              static_cast<std::uint64_t>(index.degree(d)) *
-              sizeof(vertex_t);
-          const std::uint64_t vb = off;
-          off += len;
-          if (len == 0 || !candidates.contains(d)) continue;
-          if (!prog.cond(d)) continue;  // claimed meanwhile: early skip
-          const std::uint64_t ob = std::max(vb, page_base);
-          const std::uint64_t oe = std::min(vb + len, page_base + page_valid);
-          if (ob >= oe) continue;
-          const auto* srcs = reinterpret_cast<const vertex_t*>(
-              page + (ob - page_base));
-          const std::size_t cnt = (oe - ob) / sizeof(vertex_t);
-          for (std::size_t k = 0; k < cnt; ++k) {
-            ++local_edges;
-            const vertex_t s = srcs[k];
-            if (!frontier.contains(s)) continue;
-            const value_type val = prog.scatter(s, d);
-            if (prog.gather_atomic(d, val) && opts.output) out.add(d);
-            if (!prog.cond(d)) break;  // destination satisfied: early exit
-          }
-        }
-      }
-      io_pool.release(*buf);
-    }
+                if (!frontier.contains(s)) return true;
+                const value_type val = prog.scatter(s, d);
+                if (prog.gather_atomic(d, val) && opts.output) out.add(d);
+                return prog.cond(d);  // false: d satisfied, early exit
+              });
+        },
+        // Pull workers have no gather bins to steal from: an empty queue
+        // is always the device's fault.
+        [] { return false; });
     edges_scanned.fetch_add(local_edges, std::memory_order_relaxed);
     io_wait_ns.fetch_add(local_io_wait, std::memory_order_relaxed);
   });
   io->wait();
 
   if (auto err = io->error()) {
-    // The reader reclaimed its buffers and the workers drained the filled
-    // queue: the pool is whole, the Runtime stays reusable. Surface it.
+    // A device fault or a corrupt page. The reader reclaimed its buffers
+    // and the workers drained the filled queue: the pool is whole, the
+    // Runtime stays reusable. Surface it.
     std::rethrow_exception(err);
   }
   if (const auto* m = detail::core_metrics()) {

@@ -42,7 +42,7 @@ DvarintAdjacency encode_dvarint(const graph::Csr& g);
 GraphIndex make_dvarint_index(const graph::Csr& g, DvarintAdjacency& enc);
 
 /// Reference decoder for one vertex's complete encoded run (tests and
-/// transcoding; the hot path decodes per page via scan_page_dvarint).
+/// transcoding; the hot path decodes per page via format::for_each_edge).
 std::vector<vertex_t> decode_dvarint_list(const std::byte* data,
                                           std::uint32_t enc_length,
                                           std::uint32_t degree);

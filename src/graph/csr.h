@@ -26,11 +26,11 @@ class Csr {
       : offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {
     BLAZE_CHECK(!offsets_.empty(), "CSR offsets empty");
     BLAZE_CHECK(offsets_.front() == 0, "CSR offsets must start at 0");
-    // degree() (and every consumer downstream: GraphIndex, scan_page)
-    // carries per-vertex degrees as u32; a vertex whose offset span
-    // exceeds 32 bits would silently scan a truncated list. Fail loudly
-    // here instead. Checked before the total-size consistency check so
-    // an oversized vertex is reported as such.
+    // degree() (and every consumer downstream: GraphIndex,
+    // format::for_each_edge) carries per-vertex degrees as u32; a vertex
+    // whose offset span exceeds 32 bits would silently scan a truncated
+    // list. Fail loudly here instead. Checked before the total-size
+    // consistency check so an oversized vertex is reported as such.
     for (std::size_t v = 0; v + 1 < offsets_.size(); ++v) {
       BLAZE_CHECK(offsets_[v + 1] >= offsets_[v],
                   "CSR offsets must be non-decreasing");

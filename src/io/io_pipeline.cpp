@@ -173,8 +173,7 @@ void IoPipeline::execute(Job& job) {
   } catch (...) {
     // run_reads has already reclaimed every buffer it acquired (the pool is
     // whole again); all that is left is surfacing the failure.
-    std::lock_guard lock(handle.mu_);
-    if (!handle.error_) handle.error_ = std::current_exception();
+    handle.fail(std::current_exception());
   }
   // Thread the device layer's accounting through: the batch's share of
   // modeled/measured service time (approximate if another job touches the

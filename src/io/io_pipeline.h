@@ -11,9 +11,10 @@
 //     owning core::Runtime. Each is fed read batches through its own MPMC
 //     work queue and parks with exponential backoff, then a condition
 //     variable, when idle — so an idle Runtime costs nothing.
-//   * submit() posts one batch per device and returns a ReadHandle the
-//     consumer drains: a filled-buffer queue plus completion/error state
-//     and the batch's unified PipelineStats.
+//   * submit() posts one batch per device and returns a ReadHandle: a
+//     filled-buffer queue plus completion/error state and the batch's
+//     unified PipelineStats. Consumers drain it with ReadHandle::consume(),
+//     the one page-consumer loop (push, pull and fused EdgeMap all use it).
 //   * prefetch() posts discard-mode batches behind any queued demand work
 //     (FIFO per reader): the pages are read and the buffers immediately
 //     recycled, warming device-level caches for the *next* iteration while
@@ -24,6 +25,7 @@
 // pool-starvation stalls.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -42,8 +44,10 @@
 #include "io/pipeline_stats.h"
 #include "metrics/metrics.h"
 #include "trace/tracer.h"
+#include "util/backoff.h"
 #include "util/mpmc_queue.h"
 #include "util/spinlock.h"
+#include "util/timer.h"
 
 namespace blaze::io {
 
@@ -61,12 +65,9 @@ struct ReadBatch {
 /// consumer draining it. Obtained from IoPipeline::submit()/prefetch().
 class ReadHandle {
  public:
-  /// Pops one filled buffer ID, or nullopt if none is ready right now.
-  std::optional<std::uint32_t> pop_filled() { return filled_.pop(); }
-
   /// True once every batch of this submit has been fully read and pushed.
-  /// Filled buffers may still be waiting in the queue; consumers must
-  /// re-check pop_filled() after observing io_done().
+  /// Filled buffers may still be waiting in the queue (consume() drains
+  /// them).
   bool io_done() const {
     return remaining_.load(std::memory_order_acquire) == 0;
   }
@@ -77,8 +78,61 @@ class ReadHandle {
   /// Unified accounting of this submit. Stable only after io_done().
   const PipelineStats& stats() const { return stats_; }
 
-  /// First device failure, if any. Stable only after io_done().
+  /// First failure, if any: a device fault or an exception thrown by a
+  /// consume() page callback. Stable only after io_done() and once every
+  /// consumer has returned.
   std::exception_ptr error() const { return error_; }
+
+  /// The consumer loop of every EdgeMap path; any number of threads may run
+  /// it on one handle. Calls `on_page(logical_page, page, page_valid)` for
+  /// each page of each filled buffer (RAID-0: page j of a buffer is logical
+  /// page (first_page + j) * stripe_width + device), then releases the
+  /// buffer. On an empty queue it runs `other_work()` and backs off when
+  /// that returns false; returns the back-off nanoseconds (IO starvation)
+  /// once the queue is drained and io_done(). An exception from `on_page`
+  /// becomes the handle's error; every consumer then releases the remaining
+  /// buffers unprocessed, so the pool is whole as after a device fault.
+  template <typename OnPage, typename OtherWork>
+  std::uint64_t consume(IoBufferPool& pool, std::size_t stripe_width,
+                        OnPage&& on_page, OtherWork&& other_work) {
+    std::uint64_t io_wait_ns = 0;
+    Backoff backoff;
+    for (;;) {
+      auto buf = filled_.pop();
+      if (!buf) {
+        if (!io_done()) {
+          if (!other_work()) {
+            // Genuine IO starvation, timed for prof::StallBreakdown (clock
+            // reads cost only on the idle path).
+            const std::uint64_t t0 = Timer::now_ns();
+            backoff.pause();
+            io_wait_ns += Timer::now_ns() - t0;
+          }
+          continue;
+        }
+        buf = filled_.pop();  // re-check after the release fence
+        if (!buf) break;
+      }
+      backoff.reset();
+      if (!failed_.load(std::memory_order_acquire)) {
+        try {
+          const BufferMeta& meta = pool.meta(*buf);
+          const std::byte* data = pool.data(*buf);
+          for (std::uint32_t j = 0; j < meta.num_pages; ++j) {
+            on_page((meta.first_page + j) * stripe_width + meta.device,
+                    data + static_cast<std::size_t>(j) * kPageSize,
+                    std::min<std::uint64_t>(
+                        kPageSize,
+                        meta.valid_bytes - std::uint64_t{j} * kPageSize));
+          }
+        } catch (...) {
+          fail(std::current_exception());
+        }
+      }
+      pool.release(*buf);
+    }
+    return io_wait_ns;
+  }
 
  private:
   friend class IoPipeline;
@@ -86,10 +140,18 @@ class ReadHandle {
              bool discard)
       : filled_(queue_capacity), remaining_(num_batches), discard_(discard) {}
 
+  /// Records `err` unless an earlier failure already did.
+  void fail(std::exception_ptr err) {
+    std::lock_guard lock(mu_);
+    if (!error_) error_ = std::move(err);
+    failed_.store(true, std::memory_order_release);
+  }
+
   MpmcQueue<std::uint32_t> filled_;
   std::atomic<std::size_t> remaining_;
   const bool discard_;  ///< prefetch mode: recycle buffers, keep no data
-  Spinlock mu_;         ///< guards stats_/error_ while batches complete
+  std::atomic<bool> failed_{false};  ///< error_ is set: stop processing
+  Spinlock mu_;  ///< guards stats_/error_ while batches complete
   PipelineStats stats_;
   std::exception_ptr error_;
 };

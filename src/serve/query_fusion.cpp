@@ -1,7 +1,6 @@
 #include "serve/query_fusion.h"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -41,8 +40,6 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
                                    core::QueryStats* stats) {
   BLAZE_CHECK(g.index().record_bytes() == sizeof(std::uint32_t),
               "fused execution supports unweighted 4-byte records only");
-  const bool dvarint =
-      g.index().encoding() == format::AdjacencyEncoding::kDeltaVarint;
   const vertex_t n = g.num_vertices();
   Timer timer;
   trace::ScopedQuery trace_scope(qc.trace_id());
@@ -131,49 +128,29 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
     trace::instant(trace::Name::kFusedRound, canonical.size());
 
     // Apply one page to every participant, in member order.
-    auto process_page = [&](std::uint64_t logical_page,
-                            const std::byte* page) {
+    auto process_page = [&](std::uint64_t logical_page, const std::byte* page,
+                            std::uint64_t page_valid) {
       for (MemberState* m : round) {
+        auto scan = [&](auto&& is_active, auto&& visit) {
+          m->edges += format::for_each_edge(g.index(), g.page_map(),
+                                            logical_page, page, page_valid,
+                                            is_active, visit);
+        };
         if (m->spec.kind == FusedQuerySpec::Kind::kBfs) {
-          const core::VertexSubset& f = *m->frontier;
-          auto is_active = [&](vertex_t v) { return f.contains(v); };
-          auto visit = [&](vertex_t, vertex_t dst) {
-            ++m->edges;
-            if (m->dist[dst] == kBfsUnreached) {
-              m->dist[dst] = m->depth + 1;
-              m->next->add(dst);
-            }
-          };
-          if (dvarint) {
-            format::scan_page_dvarint(g.index(), g.page_map(), logical_page,
-                                      page, is_active,
-                                      [&](vertex_t s, vertex_t d) {
-                                        visit(s, d);
-                                        return true;
-                                      });
-          } else {
-            format::scan_page(g.index(), g.page_map(), logical_page, page,
-                              is_active, visit);
-          }
+          scan([&](vertex_t v) { return m->frontier->contains(v); },
+               [&](vertex_t, vertex_t dst) {
+                 if (m->dist[dst] == kBfsUnreached) {
+                   m->dist[dst] = m->depth + 1;
+                   m->next->add(dst);
+                 }
+               });
         } else {
-          auto is_active = [&](vertex_t v) {
-            return g.degree(v) != 0;  // every source streams every round
-          };
-          auto visit = [&](vertex_t src, vertex_t dst) {
-            ++m->edges;
-            m->next_rank[dst] += m->contrib[src];
-          };
-          if (dvarint) {
-            format::scan_page_dvarint(g.index(), g.page_map(), logical_page,
-                                      page, is_active,
-                                      [&](vertex_t s, vertex_t d) {
-                                        visit(s, d);
-                                        return true;
-                                      });
-          } else {
-            format::scan_page(g.index(), g.page_map(), logical_page, page,
-                              is_active, visit);
-          }
+          scan([&](vertex_t v) {
+                 return g.degree(v) != 0;  // every source, every round
+               },
+               [&](vertex_t src, vertex_t dst) {
+                 m->next_rank[dst] += m->contrib[src];
+               });
         }
       }
     };
@@ -185,51 +162,34 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
                                         qc.config().max_inflight_io);
       std::unordered_map<std::uint64_t, std::vector<std::byte>> holdback;
       std::size_t next_idx = 0;
-      std::uint64_t io_wait_ns = 0;
       auto drain_holdback = [&] {
         while (next_idx < canonical.size()) {
           auto it = holdback.find(canonical[next_idx]);
           if (it == holdback.end()) break;
-          process_page(canonical[next_idx], it->second.data());
+          process_page(canonical[next_idx], it->second.data(),
+                       it->second.size());
           holdback.erase(it);
           ++next_idx;
         }
       };
-      for (;;) {
-        auto buf = io->pop_filled();
-        if (!buf) {
-          if (io->io_done()) {
-            buf = io->pop_filled();  // re-check after the release fence
-            if (!buf) break;
-          } else {
-            // The fused consumer is single-threaded: an empty queue is
-            // pure IO starvation. Timed for prof::StallBreakdown.
-            const std::uint64_t t0 = Timer::now_ns();
-            std::this_thread::yield();
-            io_wait_ns += Timer::now_ns() - t0;
-            continue;
-          }
-        }
-        const io::BufferMeta& meta = io_pool.meta(*buf);
-        const std::byte* data = io_pool.data(*buf);
-        for (std::uint32_t j = 0; j < meta.num_pages; ++j) {
-          const std::uint64_t lp =
-              (meta.first_page + j) * num_devices + meta.device;
-          const std::byte* page =
-              data + static_cast<std::size_t>(j) * kPageSize;
-          if (next_idx < canonical.size() && lp == canonical[next_idx]) {
-            process_page(lp, page);
-            ++next_idx;
-            drain_holdback();
-          } else {
-            // Ahead of the canonical cursor: stage a copy so the pipeline
-            // buffer recycles immediately.
-            holdback.emplace(
-                lp, std::vector<std::byte>(page, page + kPageSize));
-          }
-        }
-        io_pool.release(*buf);
-      }
+      // The fused consumer is single-threaded: an empty queue is pure IO
+      // starvation.
+      const std::uint64_t io_wait_ns = io->consume(
+          io_pool, num_devices,
+          [&](std::uint64_t lp, const std::byte* page,
+              std::uint64_t page_valid) {
+            if (next_idx < canonical.size() && lp == canonical[next_idx]) {
+              process_page(lp, page, page_valid);
+              ++next_idx;
+              drain_holdback();
+            } else {
+              // Ahead of the canonical cursor: stage a copy so the pipeline
+              // buffer recycles immediately.
+              holdback.emplace(
+                  lp, std::vector<std::byte>(page, page + page_valid));
+            }
+          },
+          [] { return false; });
       io->wait();
       if (auto err = io->error()) std::rethrow_exception(err);
       BLAZE_CHECK(next_idx == canonical.size() && holdback.empty(),

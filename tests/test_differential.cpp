@@ -105,10 +105,14 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnBfsWccSpmv) {
     check_spmv(s.y, sync ? "blaze-sync" : "blaze");
   }
 
-  // --- FlashGraph-like ------------------------------------------------------
-  {
-    auto out_g = format::make_mem_graph(g);
-    auto in_g = format::make_mem_graph(gt);
+  // --- FlashGraph-like, both adjacency encodings ---------------------------
+  for (auto encoding : {format::AdjacencyEncoding::kFlat,
+                        format::AdjacencyEncoding::kDeltaVarint}) {
+    const char* who = encoding == format::AdjacencyEncoding::kFlat
+                          ? "flashgraph-flat"
+                          : "flashgraph-dvarint";
+    auto out_g = format::make_mem_graph(g, 1, encoding);
+    auto in_g = format::make_mem_graph(gt, 1, encoding);
     baseline::FlashGraphConfig cfg;
     cfg.compute_workers = 3;
     cfg.cache_bytes = 1 << 20;
@@ -116,9 +120,9 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnBfsWccSpmv) {
     baseline::FlashGraphEngine out_eng(out_g, cfg);
     baseline::FlashGraphEngine in_eng(in_g, cfg);
     EXPECT_EQ(visited_of(baseline::run_bfs(out_eng, source)), want_visited)
-        << "flashgraph";
-    EXPECT_EQ(baseline::run_wcc(out_eng, in_eng), want_wcc) << "flashgraph";
-    check_spmv(baseline::run_spmv(out_eng, x), "flashgraph");
+        << who;
+    EXPECT_EQ(baseline::run_wcc(out_eng, in_eng), want_wcc) << who;
+    check_spmv(baseline::run_spmv(out_eng, x), who);
   }
 
   // --- Graphene-like --------------------------------------------------------

@@ -1,12 +1,14 @@
 // End-to-end failure handling: the io::IoError taxonomy, bounded retry of
-// transient faults, checksum-based corruption detection, and the buffer
-// reclamation invariant — after ANY propagated failure the IoBufferPool is
-// back at full occupancy and the Runtime runs the next query normally.
+// transient faults, checksum-based corruption detection, corrupt page bytes
+// rejected by the page-scan kernel, and the buffer reclamation invariant —
+// after ANY propagated failure the IoBufferPool is back at full occupancy
+// and the Runtime runs the next query normally.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "io/io_error.h"
 #include "io/io_pipeline.h"
 #include "io/page_verify.h"
+#include "serve/query_fusion.h"
 #include "test_helpers.h"
 
 namespace blaze {
@@ -50,24 +53,14 @@ std::vector<std::uint64_t> iota_pages(std::uint64_t count) {
   return pages;
 }
 
-/// Pops every filled buffer until the handle completes; returns the number
-/// of pages delivered.
+/// Consumes every filled buffer until the handle completes; returns the
+/// number of pages delivered.
 std::uint64_t drain(io::ReadHandle& handle, io::IoBufferPool& pool) {
   std::uint64_t pages = 0;
-  for (;;) {
-    auto id = handle.pop_filled();
-    if (!id) {
-      if (handle.io_done()) {
-        id = handle.pop_filled();  // re-check after the release fence
-        if (!id) break;
-      } else {
-        std::this_thread::yield();
-        continue;
-      }
-    }
-    pages += pool.meta(*id).num_pages;
-    pool.release(*id);
-  }
+  handle.consume(
+      pool, 1,
+      [&](std::uint64_t, const std::byte*, std::uint64_t) { ++pages; },
+      [] { return false; });
   return pages;
 }
 
@@ -418,6 +411,119 @@ TEST(FaultTolerance, BackToBackFaultedQueriesDoNotWedgeTheRuntime) {
   auto dist = testutil::reference_bfs_dist(g, 0);
   for (vertex_t v = 0; v < n; ++v) {
     EXPECT_EQ(result.parent[v] == kInvalidVertex, dist[v] == ~0u) << v;
+  }
+}
+
+// ------------------------------------------------------ corrupt page bytes
+
+enum class Corruption { kFlatDstOutOfRange, kOverlongVarint, kTamperedCarry };
+
+const char* name_of(Corruption how) {
+  switch (how) {
+    case Corruption::kFlatDstOutOfRange: return "flat dst 0xFFFFFFFF";
+    case Corruption::kOverlongVarint: return "six continuation bytes";
+    case Corruption::kTamperedCarry: return "tampered carry";
+  }
+  return "?";
+}
+
+std::span<std::byte> adjacency_bytes(const format::OnDiskGraph& odg) {
+  return dynamic_cast<device::MemDevice&>(odg.device()).raw();
+}
+
+/// Lays `g` out in memory, then corrupts the bytes (or the dvarint page
+/// carry) that every full scan of it decodes.
+format::OnDiskGraph corrupt_graph(const graph::Csr& g, Corruption how) {
+  if (how == Corruption::kFlatDstOutOfRange) {
+    auto odg = format::make_mem_graph(g);
+    // The first record of page 0 is the first edge of the first non-sink.
+    std::fill_n(adjacency_bytes(odg).begin(), sizeof(vertex_t),
+                std::byte{0xff});
+    return odg;
+  }
+  auto odg =
+      format::make_mem_graph(g, 1, format::AdjacencyEncoding::kDeltaVarint);
+  const format::GraphIndex& index = odg.index();
+  if (how == Corruption::kOverlongVarint) {
+    // Six continuation bytes at the start of a list that holds them, on
+    // the page the list starts on.
+    for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+      const std::uint64_t off = index.byte_offset(v);
+      if (index.encoded_length(v) >= 6 && off % kPageSize + 6 <= kPageSize) {
+        std::fill_n(adjacency_bytes(odg).begin() + off, 6, std::byte{0x80});
+        return odg;
+      }
+    }
+    ADD_FAILURE() << "no list of 6+ encoded bytes";
+    return odg;
+  }
+  // A page whose first list straddles in claims a split varint of 35 bits.
+  std::vector<format::PageCarry> carries(index.carries().begin(),
+                                         index.carries().end());
+  bool tampered = false;
+  for (std::uint64_t p = 1; p < odg.num_pages() && !tampered; ++p) {
+    if (index.byte_offset(odg.page_map().range(p).begin) < p * kPageSize) {
+      carries[p].partial_shift = 35;
+      tampered = true;
+    }
+  }
+  EXPECT_TRUE(tampered) << "no list straddles a page boundary";
+  std::vector<std::uint32_t> lengths(index.encoded_lengths().begin(),
+                                     index.encoded_lengths().end());
+  return format::OnDiskGraph(
+      format::GraphIndex(index.degrees(), std::move(lengths),
+                         std::move(carries)),
+      odg.device_ptr());
+}
+
+/// `run` must raise IoError{kCorruption}; afterwards the pool is whole and
+/// the same Runtime answers a clean BFS correctly.
+void expect_corruption_then_clean_bfs(Runtime& rt, const graph::Csr& g,
+                                      const std::function<void()>& run,
+                                      const std::string& what) {
+  try {
+    run();
+    ADD_FAILURE() << what << ": no error raised";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.kind(), io::ErrorKind::kCorruption)
+        << what << ": " << e.what();
+  }
+  rt.io_pipeline().quiesce();
+  EXPECT_EQ(rt.io_pool().available(), rt.io_pool().num_buffers()) << what;
+
+  auto clean = format::make_mem_graph(g);
+  auto result = algorithms::bfs(rt, clean, 0);
+  auto dist = testutil::reference_bfs_dist(g, 0);
+  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(result.parent[v] == kInvalidVertex, dist[v] == ~0u)
+        << what << ": vertex " << v;
+  }
+}
+
+TEST(FaultTolerance, CorruptPageRaisesCorruptionOnEveryPath) {
+  graph::Csr g = graph::generate_rmat(11, 16, 816);
+  const vertex_t n = g.num_vertices();
+  const auto all = VertexSubset::all(n);
+  Runtime rt(testutil::test_config());
+  for (Corruption how : {Corruption::kFlatDstOutOfRange,
+                         Corruption::kOverlongVarint,
+                         Corruption::kTamperedCarry}) {
+    auto bad = corrupt_graph(g, how);
+    std::vector<std::uint32_t> acc(n, 0);
+    CountProgram prog{acc};
+    const std::string what = name_of(how);
+    expect_corruption_then_clean_bfs(
+        rt, g, [&] { core::edge_map(rt, bad, all, prog, {}); },
+        what + ", push");
+    expect_corruption_then_clean_bfs(
+        rt, g, [&] { core::edge_map_pull(rt, bad, all, all, prog, {}); },
+        what + ", pull");
+    // PageRank streams every page each round; BFS rides along.
+    std::vector<serve::FusedQuerySpec> specs(2);
+    specs[1].kind = serve::FusedQuerySpec::Kind::kPageRank;
+    expect_corruption_then_clean_bfs(
+        rt, g, [&] { serve::run_fused(rt.default_context(), bad, specs); },
+        what + ", fused");
   }
 }
 

@@ -302,10 +302,10 @@ TEST(PageScan, VisitsExactlyFrontierEdges) {
   std::vector<std::byte> page(kPageSize);
   for (std::uint64_t p = 0; p < odg.num_pages(); ++p) {
     odg.device().read(p * kPageSize, page);
-    got_edges += scan_page(odg.index(), odg.page_map(), p, page.data(),
-                           active, [&](vertex_t s, vertex_t d) {
-                             ++got[{s, d}];
-                           });
+    got_edges += for_each_edge(odg.index(), odg.page_map(), p, page.data(),
+                               kPageSize, active, [&](vertex_t s, vertex_t d) {
+                                 ++got[{s, d}];
+                               });
   }
   EXPECT_EQ(got_edges, want_edges);
   EXPECT_EQ(got, want);

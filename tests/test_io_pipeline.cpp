@@ -74,20 +74,11 @@ TEST(IoPipeline, SubmitDeliversAllPagesAndReusesReaders) {
     batches[0].pages = iota_pages(64);
     auto handle = pipeline.submit(pool, std::move(batches), 16);
     std::uint64_t pages_seen = 0;
-    for (;;) {
-      auto id = handle->pop_filled();
-      if (!id) {
-        if (handle->io_done()) {
-          id = handle->pop_filled();  // re-check after the release fence
-          if (!id) break;
-        } else {
-          std::this_thread::yield();
-          continue;
-        }
-      }
-      pages_seen += pool.meta(*id).num_pages;
-      pool.release(*id);
-    }
+    handle->consume(
+        pool, 1, [&](std::uint64_t, const std::byte*, std::uint64_t) {
+          ++pages_seen;
+        },
+        [] { return false; });
     EXPECT_EQ(pages_seen, 64u);
     EXPECT_EQ(handle->stats().pages_read, 64u);
     EXPECT_EQ(handle->error(), nullptr);
@@ -135,20 +126,10 @@ TEST(IoPipeline, PrefetchWarmsDeviceCacheAndRecyclesBuffers) {
   demand[0].pages = iota_pages(32);
   auto h2 = pipeline.submit(pool, std::move(demand), 16);
   std::uint64_t pages_seen = 0;
-  for (;;) {
-    auto id = h2->pop_filled();
-    if (!id) {
-      if (h2->io_done()) {
-        id = h2->pop_filled();  // re-check after the release fence
-        if (!id) break;
-      } else {
-        std::this_thread::yield();
-        continue;
-      }
-    }
-    pages_seen += pool.meta(*id).num_pages;
-    pool.release(*id);
-  }
+  h2->consume(
+      pool, 1,
+      [&](std::uint64_t, const std::byte*, std::uint64_t) { ++pages_seen; },
+      [] { return false; });
   EXPECT_EQ(pages_seen, 32u);
   EXPECT_EQ(cached->misses(), 32u);  // demand pass is fully warmed
   EXPECT_EQ(cached->hits(), 32u);    // every page served from cache

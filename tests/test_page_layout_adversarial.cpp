@@ -31,28 +31,51 @@ graph::Csr from_degrees(const std::vector<std::uint32_t>& degrees) {
   return graph::build_csr(n, edges);
 }
 
-std::uint64_t scan_all(const OnDiskGraph& odg,
-                       std::map<vertex_t, std::uint64_t>* per_src) {
+/// Scans every page of `odg` through for_each_edge, in the order `pages`
+/// (any permutation must work: workers pop pages in arbitrary order, and
+/// dvarint pages resume from their per-page carries), and returns the
+/// multiset of destinations per source. *total gets the kernel's count.
+std::map<vertex_t, std::multiset<vertex_t>> scan_pages(
+    const OnDiskGraph& odg, const std::vector<std::uint64_t>& pages,
+    std::uint64_t* total) {
+  std::map<vertex_t, std::multiset<vertex_t>> got;
   std::vector<std::byte> page(kPageSize);
-  std::uint64_t total = 0;
-  for (std::uint64_t p = 0; p < odg.num_pages(); ++p) {
+  *total = 0;
+  for (std::uint64_t p : pages) {
     odg.device().read(p * kPageSize, page);
-    total += scan_page(odg.index(), odg.page_map(), p, page.data(),
-                       [](vertex_t) { return true; },
-                       [&](vertex_t s, vertex_t) { ++(*per_src)[s]; });
+    *total += for_each_edge(odg.index(), odg.page_map(), p, page.data(),
+                            kPageSize, [](vertex_t) { return true; },
+                            [&](vertex_t s, vertex_t d) { got[s].insert(d); });
   }
-  return total;
+  return got;
+}
+
+/// Lays `g` out flat and delta+varint and checks the scan reproduces every
+/// list exactly (as a multiset: dvarint sorts each list), in forward and in
+/// reverse page order.
+void expect_exact(const graph::Csr& g) {
+  for (auto encoding :
+       {AdjacencyEncoding::kFlat, AdjacencyEncoding::kDeltaVarint}) {
+    auto odg = make_mem_graph(g, 1, encoding);
+    std::vector<std::uint64_t> fwd(odg.num_pages());
+    for (std::uint64_t p = 0; p < fwd.size(); ++p) fwd[p] = p;
+    std::vector<std::uint64_t> rev(fwd.rbegin(), fwd.rend());
+    for (const auto& order : {fwd, rev}) {
+      std::uint64_t total = 0;
+      auto got = scan_pages(odg, order, &total);
+      EXPECT_EQ(total, g.num_edges());
+      std::map<vertex_t, std::multiset<vertex_t>> want;
+      for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+        auto nb = g.neighbors(v);
+        if (!nb.empty()) want[v].insert(nb.begin(), nb.end());
+      }
+      EXPECT_EQ(got, want) << "encoding " << static_cast<int>(encoding);
+    }
+  }
 }
 
 void expect_exact_cover(const std::vector<std::uint32_t>& degrees) {
-  graph::Csr g = from_degrees(degrees);
-  auto odg = make_mem_graph(g);
-  std::map<vertex_t, std::uint64_t> per_src;
-  std::uint64_t total = scan_all(odg, &per_src);
-  EXPECT_EQ(total, g.num_edges());
-  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(per_src[v], degrees[v]) << "vertex " << v;
-  }
+  expect_exact(from_degrees(degrees));
 }
 
 TEST(PageLayoutAdversarial, ListExactlyOnePage) {
@@ -89,66 +112,57 @@ TEST(PageLayoutAdversarial, TrailingZeroDegreeVertices) {
   expect_exact_cover(degrees);
 }
 
-// ---- Compressed (delta+varint) adversarial layouts ------------------------
-
-/// Decodes every page of a dvarint graph through the fused scanner, pages
-/// visited in the order `pages` (any permutation must work — workers decode
-/// pages independently via the per-page carries), and returns the multiset
-/// of destinations per source.
-std::map<vertex_t, std::multiset<vertex_t>> dvarint_scan_pages(
-    const OnDiskGraph& odg, const std::vector<std::uint64_t>& pages,
-    std::uint64_t* total) {
-  std::map<vertex_t, std::multiset<vertex_t>> got;
-  std::vector<std::byte> page(kPageSize);
-  *total = 0;
-  for (std::uint64_t p : pages) {
-    odg.device().read(p * kPageSize, page);
-    *total += scan_page_dvarint(
-        odg.index(), odg.page_map(), p, page.data(),
-        [](vertex_t) { return true; },
+/// A bool callback that returns false mid-list stops that list only: the
+/// kernel visits exactly the list's prefix, then carries on with the next
+/// vertex, and counts what it visited.
+TEST(PageLayoutAdversarial, EarlyExitVisitsExactlyThePrefix) {
+  constexpr std::uint32_t kStopAfter = 10;
+  std::vector<std::uint32_t> degrees{100, 5, 3 * kPerPage + 17};
+  degrees.resize(400, 0);  // distinct targets (v * 31 + k) % n for v = 0
+  graph::Csr g = from_degrees(degrees);
+  for (auto encoding :
+       {AdjacencyEncoding::kFlat, AdjacencyEncoding::kDeltaVarint}) {
+    auto odg = make_mem_graph(g, 1, encoding);
+    std::vector<std::byte> page(kPageSize);
+    odg.device().read(0, page);
+    std::map<vertex_t, std::vector<vertex_t>> got;
+    const std::uint64_t visited = for_each_edge(
+        odg.index(), odg.page_map(), 0, page.data(), kPageSize,
+        [](vertex_t v) { return v < 2; },
         [&](vertex_t s, vertex_t d) {
-          got[s].insert(d);
-          return true;
+          got[s].push_back(d);
+          return got[s].size() < kStopAfter;
         });
-  }
-  return got;
-}
-
-/// Builds the dvarint layout of `g` and checks the fused scan reproduces
-/// every list exactly (as a multiset — the encoding sorts each list), in
-/// forward and in reverse page order.
-void expect_dvarint_exact(const graph::Csr& g) {
-  auto odg = make_mem_graph(g, 1, AdjacencyEncoding::kDeltaVarint);
-  std::vector<std::uint64_t> fwd(odg.num_pages());
-  for (std::uint64_t p = 0; p < fwd.size(); ++p) fwd[p] = p;
-  std::vector<std::uint64_t> rev(fwd.rbegin(), fwd.rend());
-  for (const auto& order : {fwd, rev}) {
-    std::uint64_t total = 0;
-    auto got = dvarint_scan_pages(odg, order, &total);
-    EXPECT_EQ(total, g.num_edges());
-    for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-      auto nb = g.neighbors(v);
-      std::multiset<vertex_t> want(nb.begin(), nb.end());
-      EXPECT_EQ(got[v], want) << "vertex " << v;
-    }
+    auto nb0 = g.neighbors(0);  // build_csr sorts, as dvarint does
+    EXPECT_EQ(got[0],
+              std::vector<vertex_t>(nb0.begin(), nb0.begin() + kStopAfter));
+    auto nb1 = g.neighbors(1);
+    EXPECT_EQ(got[1], std::vector<vertex_t>(nb1.begin(), nb1.end()));
+    EXPECT_EQ(got.count(2), 0u);  // inactive
+    EXPECT_EQ(visited, kStopAfter + 5);
   }
 }
 
 TEST(PageLayoutAdversarial, DvarintSmallLists) {
-  expect_dvarint_exact(from_degrees({5, 0, 3, 1, 0, 7}));
+  expect_exact(from_degrees({5, 0, 3, 1, 0, 7}));
 }
 
 TEST(PageLayoutAdversarial, DvarintVarintSplitsPageBoundary) {
-  // Gaps of 16384 need 3-byte varints; 4096 % 3 != 0, so inside a long run
-  // some varint must straddle every page boundary. The carry must snapshot
-  // the split accumulator (partial_shift != 0) for the decode to resume.
-  constexpr std::uint32_t kDeg = 6000;  // ~18 kB encoded, 5 pages
-  std::vector<vertex_t> neighbors(kDeg);
+  // Vertex 0's single one-byte varint shifts vertex 1's list to odd byte
+  // offsets, and vertex 1's gaps of 128 are 2-byte varints, so one of them
+  // straddles every page boundary. The carry must snapshot the split
+  // accumulator (partial_shift != 0) for the decode to resume. The graph
+  // has enough vertices for every target to be in range.
+  constexpr std::uint32_t kDeg = 5000;  // ~10 kB encoded, 3 pages
+  std::vector<vertex_t> neighbors{0};
   for (std::uint32_t k = 0; k < kDeg; ++k) {
-    neighbors[k] = (k + 1) * 16384u;
+    neighbors.push_back((k + 1) * 128u);
   }
-  graph::Csr g({0, kDeg}, neighbors);
-  expect_dvarint_exact(g);
+  std::vector<std::uint64_t> offsets(kDeg * 128u + 2, kDeg + 1);
+  offsets[0] = 0;
+  offsets[1] = 1;
+  graph::Csr g(std::move(offsets), std::move(neighbors));
+  expect_exact(g);
 
   auto odg = make_mem_graph(g, 1, AdjacencyEncoding::kDeltaVarint);
   bool saw_split_varint = false;
@@ -168,7 +182,7 @@ TEST(PageLayoutAdversarial, DvarintVertexSpansManyPages) {
   graph::Csr g = from_degrees(degrees);
   auto odg = make_mem_graph(g, 1, AdjacencyEncoding::kDeltaVarint);
   EXPECT_GE(odg.num_pages(), 3u);
-  expect_dvarint_exact(g);
+  expect_exact(g);
 }
 
 TEST(PageLayoutAdversarial, DvarintEmptyListsBetweenHuge) {
@@ -180,7 +194,7 @@ TEST(PageLayoutAdversarial, DvarintEmptyListsBetweenHuge) {
     degrees.push_back(0);
     degrees.push_back(1);
   }
-  expect_dvarint_exact(from_degrees(degrees));
+  expect_exact(from_degrees(degrees));
 }
 
 TEST(PageLayoutAdversarial, DvarintDuplicateEdgesGapZero) {
@@ -190,7 +204,7 @@ TEST(PageLayoutAdversarial, DvarintDuplicateEdgesGapZero) {
   for (int k = 0; k < 300; ++k) edges.emplace_back(0, 7);
   edges.emplace_back(0, 3);
   edges.emplace_back(1, 0);
-  expect_dvarint_exact(graph::build_csr(10, edges));
+  expect_exact(graph::build_csr(10, edges));
 }
 
 /// The engine must scatter exactly |E| edges from a dvarint graph too —

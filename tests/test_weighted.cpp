@@ -85,8 +85,8 @@ TEST(WeightedFormat, ScanPageWeightedVisitsAllRecords) {
   std::vector<std::byte> page(kPageSize);
   for (std::uint64_t p = 0; p < odg.num_pages(); ++p) {
     odg.device().read(p * kPageSize, page);
-    edges += format::scan_page_weighted(
-        odg.index(), odg.page_map(), p, page.data(),
+    edges += format::for_each_edge(
+        odg.index(), odg.page_map(), p, page.data(), kPageSize,
         [](vertex_t) { return true; },
         [&](vertex_t s, vertex_t d, float w) { got[{s, d}] = w; });
   }
