@@ -49,11 +49,7 @@ int main() {
                       (1 << 20)
                 : static_cast<double>(g.device().stats().total_bytes()) /
                       (1 << 20);
-      double hit_rate =
-          cache && cache->hits() + cache->misses() > 0
-              ? static_cast<double>(cache->hits()) /
-                    static_cast<double>(cache->hits() + cache->misses())
-              : 0.0;
+      const double hit_rate = cache ? cache->cache_counters().hit_rate() : 0.0;
       std::printf("%s,%s,%.3f,%.1f,%.2f\n", gname.c_str(), policy.c_str(),
                   seconds, inner_mib, hit_rate);
       std::fflush(stdout);

@@ -160,7 +160,7 @@ int main() {
       // shard's mutex, so it is the serial resource sharding multiplies.
       double t_lock_ns = 0;
       {
-        const std::uint64_t base = pool->register_device("calib");
+        const std::uint64_t base = pool->register_device("calib").base;
         std::vector<std::byte> buf(kPageSize);
         if (pool->acquire_page_sync(base, buf.data()) ==
             device::SyncAcquire::kOwned) {
@@ -232,7 +232,7 @@ int main() {
           "\"evictions\":%llu,\"corrupt_reads\":%llu}\n",
           pname.c_str(), pool->shard_count(), threads,
           static_cast<unsigned long long>(total_ops), wall_s, mops,
-          t_op_ns, t_lock_ns, model_cores, modeled_mops, pool->hit_rate(),
+          t_op_ns, t_lock_ns, model_cores, modeled_mops, c.hit_rate(),
           static_cast<unsigned long long>(c.dedup_hits),
           static_cast<unsigned long long>(c.ghost_hits),
           static_cast<unsigned long long>(c.evictions),

@@ -119,7 +119,7 @@ int main() {
             static_cast<unsigned long long>(budget), r.seconds,
             static_cast<unsigned long long>(r.stats.edges_scattered), eps,
             static_cast<unsigned long long>(r.stats.bytes_read),
-            pool->hit_rate());
+            pool->cache_counters().hit_rate());
         std::fflush(stdout);
       }
     }

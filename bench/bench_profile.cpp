@@ -152,7 +152,7 @@ double pool_hit_ns(std::size_t lookups, int reps,
   popts.name = "bench_profile";
   popts.capacity_bytes = std::size_t{1024} * kPageSize;
   auto pool = std::make_shared<device::ShardedPageCache>(popts);
-  const std::uint64_t ns_base = pool->register_device("bench_profile_dev");
+  const std::uint64_t ns_base = pool->register_device("bench_profile_dev").base;
   if (profiler != nullptr) profiler->attach(pool);
 
   constexpr std::size_t kResident = 512;

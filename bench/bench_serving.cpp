@@ -501,8 +501,9 @@ int main() {
                              in_base.device_ptr());
     core::Runtime rt(bench_config(out_g));
     make_query(kind, out_g, in_g, ref, mismatch)(rt.default_context());
-    iso_hits += cache->hits();
-    iso_misses += cache->misses();
+    const device::CacheCounters c = cache->cache_counters();
+    iso_hits += c.hits;
+    iso_misses += c.misses;
   }
   const double iso_rate = rate(iso_hits, iso_misses);
 
@@ -559,10 +560,8 @@ int main() {
       serve_cfg.metrics_sample_ms = static_cast<std::uint32_t>(
           env_long("BLAZE_BENCH_METRICS_MS", 10));
       serve::QueryEngine engine(serve_cfg, opts);
-      engine.observe_cache(cache.get());
-      if (last_config && serve_cfg.metrics_enabled) {
-        cache->bind_metrics();  // per-device + per-shard series
-      }
+      engine.observe_cache(pool.get());
+      if (last_config && serve_cfg.metrics_enabled) pool->bind_metrics();
       if (engine.metrics_port() != 0) {
         std::fprintf(stderr,
                      "metrics endpoint: http://localhost:%u/metrics\n",
@@ -604,7 +603,7 @@ int main() {
       // smaller than the working set, the shared cache can lose to the
       // isolated baseline (which gives one query the whole budget). The
       // baseline gate decides whether to require it.
-      const bool cache_wins = stats.cache_hit_rate > iso_rate;
+      const bool cache_wins = stats.cache.hit_rate() > iso_rate;
 
       bool trace_written = false;
       std::string metrics_json_path, metrics_prom_path;
@@ -653,7 +652,6 @@ int main() {
           "\"cache_dedup_hits\":%llu,\"cache_ghost_hits\":%llu,"
           "\"isolated_hit_rate\":%.4f,"
           "\"io_retries\":%llu,\"io_gave_up\":%llu,"
-          "\"trace_events\":%llu,\"trace_dropped\":%llu,"
           "\"trace_path\":\"%s\","
           "\"metrics_path\":\"%s\",\"metrics_prom_path\":\"%s\","
           "\"sampler_points\":%llu,"
@@ -668,14 +666,12 @@ int main() {
           static_cast<unsigned long long>(stats.expired),
           static_cast<unsigned long long>(overload_retries.load()), wall_s,
           wall_s > 0 ? static_cast<double>(stats.completed) / wall_s : 0.0,
-          stats.p50_ms(), stats.p95_ms(), stats.cache_hit_rate,
-          static_cast<unsigned long long>(stats.cache_dedup_hits),
-          static_cast<unsigned long long>(stats.cache_ghost_hits),
+          stats.p50_ms(), stats.p95_ms(), stats.cache.hit_rate(),
+          static_cast<unsigned long long>(stats.cache.dedup_hits),
+          static_cast<unsigned long long>(stats.cache.ghost_hits),
           iso_rate,
           static_cast<unsigned long long>(stats.aggregate.retries),
           static_cast<unsigned long long>(stats.aggregate.gave_up),
-          static_cast<unsigned long long>(stats.trace_counters.events),
-          static_cast<unsigned long long>(stats.trace_counters.dropped),
           trace_written ? trace_path.c_str() : "",
           metrics_json_path.c_str(), metrics_prom_path.c_str(),
           static_cast<unsigned long long>(sampler_points),

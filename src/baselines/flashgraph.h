@@ -10,17 +10,18 @@
 // of hub-heavy ranges become stragglers, and the SSD sits idle while they
 // finish — the "skewed computation" root cause behind Figure 2.
 //
-// An LRU page cache in front of the device (page_cache.h) replicates the
-// FlashGraph behaviour that beats Blaze on high-locality graphs (sk2005).
+// An LRU page cache in front of the device — a device::CachedDevice over a
+// private single-shard LRU pool — replicates the FlashGraph behaviour that
+// beats Blaze on high-locality graphs (sk2005).
 #pragma once
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "baselines/page_cache.h"
 #include "core/stats.h"
 #include "core/vertex_subset.h"
+#include "device/cached_device.h"
 #include "format/on_disk_graph.h"
 #include "format/page_scan.h"
 #include "io/buffer_pool.h"
@@ -34,7 +35,7 @@ namespace blaze::baseline {
 
 struct FlashGraphConfig {
   std::size_t compute_workers = 4;
-  std::size_t cache_bytes = 16ull << 20;      ///< LRU page cache
+  std::size_t cache_bytes = 16ull << 20;      ///< LRU page cache (min 4 pages)
   std::size_t io_buffer_bytes = 16ull << 20;  ///< in-flight page buffers
   std::size_t max_inflight_io = 64;
 
@@ -58,13 +59,13 @@ class FlashGraphEngine {
   FlashGraphEngine(const format::OnDiskGraph& g, FlashGraphConfig cfg)
       : g_(g),
         cfg_(cfg),
-        cache_(cfg.cache_bytes),
+        cache_(g.device_ptr(), cfg.cache_bytes, device::EvictionPolicy::kLru),
         pool_(cfg.compute_workers),
         io_pool_(cfg.io_buffer_bytes) {}
 
   vertex_t num_vertices() const { return g_.num_vertices(); }
   const format::OnDiskGraph& graph() const { return g_; }
-  LruPageCache& cache() { return cache_; }
+  device::CachedDevice& cache() { return cache_; }
   ThreadPool& pool() { return pool_; }
 
   /// Runs one message-passing iteration of `prog` over `frontier`.
@@ -117,7 +118,7 @@ class FlashGraphEngine {
         for (std::uint64_t user : done) {
           auto id = static_cast<std::uint32_t>(user);
           const io::BufferMeta& meta = io_pool_.meta(id);
-          cache_.insert(meta.first_page, io_pool_.data(id));
+          cache_.fill(meta.first_page, io_pool_.data(id));
           while (!filled.push(id)) std::this_thread::yield();
         }
       };
@@ -236,7 +237,7 @@ class FlashGraphEngine {
  private:
   const format::OnDiskGraph& g_;
   FlashGraphConfig cfg_;
-  LruPageCache cache_;
+  device::CachedDevice cache_;
   ThreadPool pool_;
   io::IoBufferPool io_pool_;
 };

@@ -22,9 +22,18 @@ PageCacheOptions private_pool_options(const std::string& name,
   return opts;
 }
 
+/// Counts a resolved run into `c`; kDeferred counts nothing until the run
+/// resolves on a retry.
+RunState counted(NamespaceCounters& c, RunState s, std::uint32_t num_pages,
+                 bool deferred_retry) {
+  if (s == RunState::kHit) c.add_hits(num_pages, deferred_retry);
+  if (s == RunState::kOwned) c.add_misses(num_pages);
+  return s;
+}
+
 }  // namespace
 
-// Member declaration order (name_, inner_, pool_, base_) lets each ctor
+// Member declaration order (name_, inner_, pool_, ns_) lets each ctor
 // read inner->name() before the move and name_ when building the pool.
 
 CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
@@ -33,7 +42,7 @@ CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
       inner_(std::move(inner)),
       pool_(std::make_shared<ShardedPageCache>(
           private_pool_options(name_, capacity_bytes, policy))),
-      base_(pool_->register_device(inner_->name())),
+      ns_(pool_->register_device(inner_->name())),
       stats_(0) {}
 
 CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
@@ -41,7 +50,7 @@ CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
     : name_(inner->name() + "+cache"),
       inner_(std::move(inner)),
       pool_(std::make_shared<ShardedPageCache>(std::move(opts))),
-      base_(pool_->register_device(inner_->name())),
+      ns_(pool_->register_device(inner_->name())),
       stats_(0) {}
 
 CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
@@ -49,7 +58,7 @@ CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
     : name_(inner->name() + "+cache"),
       inner_(std::move(inner)),
       pool_(std::move(pool)),
-      base_(pool_->register_device(inner_->name())),
+      ns_(pool_->register_device(inner_->name())),
       stats_(0) {}
 
 CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
@@ -58,48 +67,8 @@ CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
     : name_(namespace_name + "+cache"),
       inner_(std::move(inner)),
       pool_(std::move(pool)),
-      base_(pool_->register_device(namespace_name)),
+      ns_(pool_->register_device(namespace_name)),
       stats_(0) {}
-
-void CachedDevice::bind_metrics() {
-  if (!metrics_bindings_.empty()) return;
-  metrics::Registry& reg = metrics::Registry::instance();
-  const metrics::Labels labels{{"cache", name_}};
-  using metrics::Kind;
-  metrics_bindings_.add(reg.callback(
-      "blaze_cache_hits_total", labels, Kind::kCounter,
-      [this] { return static_cast<double>(hits()); }));
-  metrics_bindings_.add(reg.callback(
-      "blaze_cache_misses_total", labels, Kind::kCounter,
-      [this] { return static_cast<double>(misses()); }));
-  metrics_bindings_.add(reg.callback(
-      "blaze_cache_dedup_hits_total", labels, Kind::kCounter,
-      [this] { return static_cast<double>(dedup_hits()); }));
-  metrics_bindings_.add(reg.callback(
-      "blaze_cache_ghost_hits_total", labels, Kind::kCounter,
-      [this] { return static_cast<double>(ghost_hits()); }));
-  metrics_bindings_.add(reg.callback("blaze_cache_hit_rate", labels,
-                                     Kind::kGauge,
-                                     [this] { return hit_rate(); }));
-  pool_->bind_metrics();  // per-shard + pool aggregate series
-}
-
-void CachedDevice::count_run(RunState s, std::uint32_t num_pages,
-                             bool deferred_retry) {
-  switch (s) {
-    case RunState::kHit:
-      hits_.fetch_add(num_pages, std::memory_order_relaxed);
-      if (deferred_retry) {
-        dedup_hits_.fetch_add(num_pages, std::memory_order_relaxed);
-      }
-      break;
-    case RunState::kOwned:
-      misses_.fetch_add(num_pages, std::memory_order_relaxed);
-      break;
-    case RunState::kDeferred:
-      break;  // nothing counted until the run resolves
-  }
-}
 
 bool CachedDevice::lookup(std::uint64_t page, std::byte* out) {
   return lookup_run(page, 1, out);
@@ -107,19 +76,17 @@ bool CachedDevice::lookup(std::uint64_t page, std::byte* out) {
 
 bool CachedDevice::lookup_run(std::uint64_t first_page,
                               std::uint32_t num_pages, std::byte* out) {
-  if (pool_->lookup_run(key(first_page), num_pages, out)) {
-    hits_.fetch_add(num_pages, std::memory_order_relaxed);
-    return true;
-  }
-  misses_.fetch_add(num_pages, std::memory_order_relaxed);
-  return false;
+  const bool hit = pool_->lookup_run(key(first_page), num_pages, out);
+  if (hit) ns_.counters->add_hits(num_pages, /*dedup=*/false);
+  else ns_.counters->add_misses(num_pages);
+  return hit;
 }
 
 void CachedDevice::record_unaligned_miss(std::uint64_t offset,
                                          std::uint64_t length) {
   const std::uint64_t first = offset / kPageSize;
   const std::uint64_t last = (offset + length + kPageSize - 1) / kPageSize;
-  misses_.fetch_add(last - first, std::memory_order_relaxed);
+  ns_.counters->add_misses(last - first);
   // Unattributed instant (shard 0-sentinel): this traffic never reaches
   // the pool, but the trace timeline should still show it missing.
   trace::instant(trace::Name::kCacheMiss,
@@ -129,18 +96,17 @@ void CachedDevice::record_unaligned_miss(std::uint64_t offset,
 RunState CachedDevice::try_start_run(std::uint64_t first_page,
                                      std::uint32_t num_pages,
                                      std::byte* out) {
-  const RunState s = pool_->try_start_run(key(first_page), num_pages, out);
-  count_run(s, num_pages, /*deferred_retry=*/false);
-  return s;
+  return counted(*ns_.counters,
+                 pool_->try_start_run(key(first_page), num_pages, out),
+                 num_pages, /*deferred_retry=*/false);
 }
 
 RunState CachedDevice::retry_deferred_run(std::uint64_t first_page,
                                           std::uint32_t num_pages,
                                           std::byte* out) {
-  const RunState s =
-      pool_->retry_deferred_run(key(first_page), num_pages, out);
-  count_run(s, num_pages, /*deferred_retry=*/true);
-  return s;
+  return counted(*ns_.counters,
+                 pool_->retry_deferred_run(key(first_page), num_pages, out),
+                 num_pages, /*deferred_retry=*/true);
 }
 
 void CachedDevice::end_run(std::uint64_t first_page,
@@ -150,23 +116,17 @@ void CachedDevice::end_run(std::uint64_t first_page,
 
 void CachedDevice::fill(std::uint64_t page, const std::byte* data) {
   if (pool_->fill(key(page), data)) {
-    ghost_hits_.fetch_add(1, std::memory_order_relaxed);
+    ns_.counters->ghost_hits.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void CachedDevice::read_page_sync(std::uint64_t page, std::byte* dst) {
-  switch (pool_->acquire_page_sync(key(page), dst)) {
-    case SyncAcquire::kHit:
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    case SyncAcquire::kDedupHit:
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    case SyncAcquire::kOwned:
-      break;
+  const SyncAcquire a = pool_->acquire_page_sync(key(page), dst);
+  if (a != SyncAcquire::kOwned) {
+    ns_.counters->add_hits(1, a == SyncAcquire::kDedupHit);
+    return;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ns_.counters->add_misses(1);
   try {
     inner_->read(page * kPageSize, std::span<std::byte>(dst, kPageSize));
   } catch (...) {

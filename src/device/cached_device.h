@@ -6,20 +6,19 @@
 // advanced eviction policies as future work". This decorator implements
 // that future work as a thin BlockDevice adapter over the sharded
 // device::PageCache subsystem (page_cache.h): the storage, eviction
-// policies, and miss-dedup registry all live in ShardedPageCache /
-// CacheShard; CachedDevice translates device pages into pool keys, keeps
-// the per-device view of the counters, and provides the sync/async read
-// facades. Several CachedDevices can share one pool under a single byte
-// budget (Runtime::page_cache()), or a device can own a private pool via
-// the legacy constructor.
+// policies, miss-dedup registry and counter blocks all live in
+// ShardedPageCache / CacheShard. CachedDevice translates device pages into
+// pool keys, counts each access's outcome once into its namespace's
+// pool-owned block, and provides the sync/async read facades. Several
+// CachedDevices can share one pool under a single byte budget
+// (Runtime::page_cache()), or a device can own a private pool via the
+// capacity/options constructors.
 #pragma once
 
-#include <atomic>
 #include <memory>
 
 #include "device/block_device.h"
 #include "device/page_cache.h"
-#include "metrics/metrics.h"
 
 namespace blaze::device {
 
@@ -29,10 +28,11 @@ namespace blaze::device {
 /// the same page are deduplicated so two queries faulting the same CSR page
 /// issue one inner-device read (the second waits — or defers, on the async
 /// path — and is served from the cache when the first one fills it).
-class CachedDevice : public BlockDevice, public CacheStatsSource {
+class CachedDevice : public BlockDevice {
  public:
   /// Private single-shard pool (exact pre-pool semantics: one lock, one
-  /// eviction domain). Kept for the ablation benches and the policy tests.
+  /// eviction domain). Kept for the ablation benches, the policy tests and
+  /// the FlashGraph baseline's LRU cache.
   CachedDevice(std::shared_ptr<BlockDevice> inner,
                std::size_t capacity_bytes, EvictionPolicy policy);
 
@@ -70,55 +70,15 @@ class CachedDevice : public BlockDevice, public CacheStatsSource {
   /// The pool backing this device (shared or private).
   const std::shared_ptr<ShardedPageCache>& pool() const { return pool_; }
 
-  /// This device's pool key-namespace base (register_device() return
-  /// value): pool key = namespace_base() + device page number. The catalog
+  /// This device's pool key-namespace base (the register_device() base):
+  /// pool key = namespace_base() + device page number. The catalog
   /// uses it to join profiler curves and occupancy/caps to graphs.
-  std::uint64_t namespace_base() const { return base_; }
+  std::uint64_t namespace_base() const { return ns_.base; }
 
-  // --- Per-device counter view. A shared pool mixes several devices'
-  // --- traffic, so the adapter counts its own outcomes; the pool/shard
-  // --- counters aggregate across devices.
-  std::uint64_t hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  /// Subset of hits() served by waiting out another caller's in-flight read
-  /// of the same page instead of issuing a duplicate inner-device read.
-  std::uint64_t dedup_hits() const {
-    return dedup_hits_.load(std::memory_order_relaxed);
-  }
-  /// Fills of pages the pool remembered evicting recently (S3-FIFO ghost
-  /// queue promotions; always 0 under LRU/random).
-  std::uint64_t ghost_hits() const {
-    return ghost_hits_.load(std::memory_order_relaxed);
-  }
-  /// Hit fraction in [0,1]; 0 when no traffic has been recorded.
-  double hit_rate() const {
-    const double h = static_cast<double>(hits());
-    const double m = static_cast<double>(misses());
-    return h + m == 0 ? 0.0 : h / (h + m);
-  }
-
-  /// This device's counter view (CacheStatsSource). Evictions are a pool
-  /// property, reported as 0 here; observe the pool for them.
-  CacheCounters cache_counters() const override {
-    CacheCounters c;
-    c.hits = hits();
-    c.misses = misses();
-    c.dedup_hits = dedup_hits();
-    c.ghost_hits = ghost_hits();
-    return c;
-  }
-
-  /// Publishes the per-device counters into the metric registry as polled
-  /// series (blaze_cache_{hits,misses,dedup_hits,ghost_hits}_total and
-  /// blaze_cache_hit_rate, labeled by cache=name()), and the pool's
-  /// per-shard series (ShardedPageCache::bind_metrics). Zero hot-path cost
-  /// — the callbacks read the existing relaxed atomics at sample time —
-  /// and the bindings unregister when the device dies. Idempotent.
-  void bind_metrics();
+  /// This device's namespace counters (its pool-owned block; evictions
+  /// are a pool property and read 0 here). Unaligned pass-through reads
+  /// count as misses here too.
+  CacheCounters cache_counters() const { return ns_.counters->load(); }
 
   /// Fills `out` (kPageSize bytes) for page `page`; returns true on a
   /// cache hit. On miss the caller must read from the inner device and
@@ -127,9 +87,9 @@ class CachedDevice : public BlockDevice, public CacheStatsSource {
 
   /// All-or-nothing lookup of `num_pages` consecutive pages starting at
   /// `first_page`. Copies into `out` and counts num_pages hits only when
-  /// EVERY page is cached; otherwise copies nothing and counts num_pages
-  /// misses (the whole request will be re-read from the inner device, so
-  /// pages that happened to be cached must not inflate the hit rate).
+  /// EVERY page is cached; otherwise counts num_pages misses (the whole
+  /// request will be re-read from the inner device, so pages that happened
+  /// to be cached must not inflate the hit rate).
   bool lookup_run(std::uint64_t first_page, std::uint32_t num_pages,
                   std::byte* out);
 
@@ -138,7 +98,7 @@ class CachedDevice : public BlockDevice, public CacheStatsSource {
   /// vanish from the hit-rate statistics.
   void record_unaligned_miss(std::uint64_t offset, std::uint64_t length);
 
-  /// Inserts a page, evicting per policy when full.
+  /// Inserts (or overwrites) a page, evicting per policy when full.
   void fill(std::uint64_t page, const std::byte* data);
 
   // --- Miss-dedup protocol (async channels; the sync read() path uses the
@@ -171,17 +131,10 @@ class CachedDevice : public BlockDevice, public CacheStatsSource {
   std::string name_;
   std::shared_ptr<BlockDevice> inner_;
   std::shared_ptr<ShardedPageCache> pool_;
-  std::uint64_t base_ = 0;  ///< pool key = base_ + device page number
+  CacheNamespace ns_;  ///< pool key = ns_.base + device page number
   IoStats stats_;
 
-  /// Adapter-level outcome counters (see class comment on views).
-  std::atomic<std::uint64_t> hits_{0}, misses_{0}, dedup_hits_{0};
-  std::atomic<std::uint64_t> ghost_hits_{0};
-
-  metrics::BindingSet metrics_bindings_;  ///< unregisters before counters die
-
-  std::uint64_t key(std::uint64_t page) const { return base_ + page; }
-  void count_run(RunState s, std::uint32_t num_pages, bool deferred_retry);
+  std::uint64_t key(std::uint64_t page) const { return ns_.base + page; }
   /// Blocking per-page miss path for the sync read() API: waits out a
   /// foreign in-flight read or claims ownership and reads the inner device.
   void read_page_sync(std::uint64_t page, std::byte* dst);

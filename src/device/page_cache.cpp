@@ -11,16 +11,6 @@ namespace blaze::device {
 
 namespace {
 
-// Hit/miss instants feed the trace timeline with shard attribution (arg =
-// trace::cache_arg(pages, shard+1)); the shard's atomic counters stay the
-// source of truth for hit rates.
-inline void note_hit_instant(std::uint64_t pages, std::uint32_t shard) {
-  trace::instant(trace::Name::kCacheHit, trace::cache_arg(pages, shard + 1));
-}
-inline void note_miss_instant(std::uint64_t pages, std::uint32_t shard) {
-  trace::instant(trace::Name::kCacheMiss, trace::cache_arg(pages, shard + 1));
-}
-
 /// splitmix64 finalizer: decorrelates shard choice from the page number so
 /// striped/sequential workloads spread across shards instead of marching
 /// through them in lockstep.
@@ -266,17 +256,6 @@ CacheShard::CacheShard(std::uint32_t index, std::size_t capacity_pages,
   map_.reserve(capacity_pages_ * 2);
 }
 
-void CacheShard::note_hits(std::uint32_t num_pages, bool dedup) {
-  hits_.fetch_add(num_pages, std::memory_order_relaxed);
-  if (dedup) dedup_hits_.fetch_add(num_pages, std::memory_order_relaxed);
-  note_hit_instant(num_pages, index_);
-}
-
-void CacheShard::note_misses(std::uint32_t num_pages) {
-  misses_.fetch_add(num_pages, std::memory_order_relaxed);
-  note_miss_instant(num_pages, index_);
-}
-
 bool CacheShard::copy_run_locked(std::uint64_t first_key,
                                  std::uint32_t num_pages, std::byte* out) {
   for (std::uint32_t j = 0; j < num_pages; ++j) {
@@ -314,31 +293,17 @@ void CacheShard::claim_locked(std::uint64_t first_key,
   for (std::uint32_t j = 0; j < num_pages; ++j) ++inflight_[first_key + j];
 }
 
-bool CacheShard::lookup_run(std::uint64_t first_key, std::uint32_t num_pages,
-                            std::byte* out) {
-  std::lock_guard lock(mu_);
-  if (!copy_run_locked(first_key, num_pages, out)) {
-    note_misses(num_pages);
-    return false;
-  }
-  note_hits(num_pages, /*dedup=*/false);
-  return true;
-}
-
 RunState CacheShard::start_run(std::uint64_t first_key,
-                               std::uint32_t num_pages, std::byte* out,
-                               bool deferred_retry) {
+                               std::uint32_t num_pages, std::byte* out) {
   std::lock_guard lock(mu_);
   switch (classify_locked(first_key, num_pages, out)) {
     case Probe::kHit:
-      note_hits(num_pages, deferred_retry);
       return RunState::kHit;
     case Probe::kDeferred:
       return RunState::kDeferred;
     case Probe::kClaimable:
       break;
   }
-  note_misses(num_pages);
   claim_locked(first_key, num_pages);
   return RunState::kOwned;
 }
@@ -350,20 +315,9 @@ CacheShard::Probe CacheShard::peek_run(std::uint64_t first_key,
   return classify_locked(first_key, num_pages, out);
 }
 
-void CacheShard::count_hits(std::uint32_t num_pages, bool dedup) {
-  note_hits(num_pages, dedup);
-}
-
-void CacheShard::count_misses(std::uint32_t num_pages) {
-  note_misses(num_pages);
-}
-
 void CacheShard::claim_run(std::uint64_t first_key, std::uint32_t num_pages) {
-  {
-    std::lock_guard lock(mu_);
-    claim_locked(first_key, num_pages);
-  }
-  note_misses(num_pages);
+  std::lock_guard lock(mu_);
+  claim_locked(first_key, num_pages);
 }
 
 void CacheShard::end_run(std::uint64_t first_key, std::uint32_t num_pages) {
@@ -416,7 +370,6 @@ bool CacheShard::fill_locked(std::uint64_t key, const std::byte* data) {
     map_[key] = slot;
     ++ns_resident_[key >> kNamespaceShift];
     ghost_hit = policy_->inserted(slot, key);
-    if (ghost_hit) ghost_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   std::memcpy(storage_.data() + slot * kPageSize, data, kPageSize);
   return ghost_hit;
@@ -432,7 +385,6 @@ SyncAcquire CacheShard::acquire_page_sync(std::uint64_t key, std::byte* dst) {
   bool waited = false;
   while (true) {
     if (copy_run_locked(key, 1, dst)) {
-      note_hits(1, waited);
       return waited ? SyncAcquire::kDedupHit : SyncAcquire::kHit;
     }
     if (!inflight_.contains(key)) break;  // claim the read ourselves
@@ -442,19 +394,8 @@ SyncAcquire CacheShard::acquire_page_sync(std::uint64_t key, std::byte* dst) {
     waited = true;
     inflight_cv_.wait_for(lock, std::chrono::microseconds(200));
   }
-  note_misses(1);
   ++inflight_[key];
   return SyncAcquire::kOwned;
-}
-
-CacheCounters CacheShard::counters() const {
-  CacheCounters c;
-  c.hits = hits_.load(std::memory_order_relaxed);
-  c.misses = misses_.load(std::memory_order_relaxed);
-  c.dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
-  c.ghost_hits = ghost_hits_.load(std::memory_order_relaxed);
-  c.evictions = evictions_.load(std::memory_order_relaxed);
-  return c;
 }
 
 void CacheShard::add_resident_by_namespace(
@@ -504,13 +445,19 @@ ShardedPageCache::ShardedPageCache(PageCacheOptions opts)
   capacity_pages_ = per_shard * n;
 }
 
-std::uint64_t ShardedPageCache::register_device(
+CacheNamespace ShardedPageCache::register_device(
     const std::string& device_name) {
-  std::lock_guard lock(devices_mu_);
-  // 2^48 pages = 1 EiB per device: namespaces can never overlap in
-  // practice, and the group/shard hash sees distinct high bits per device.
-  device_names_.push_back(device_name);
-  return (next_device_++) << kNamespaceShift;
+  CacheNamespace ns;
+  {
+    std::lock_guard lock(devices_mu_);
+    // 2^48 pages = 1 EiB per device: namespaces can never overlap in
+    // practice, and the group/shard hash sees distinct high bits per
+    // device.
+    ns.base = std::uint64_t{namespaces_.size()} << kNamespaceShift;
+    ns.counters = &namespaces_.emplace_back(device_name).counters;
+  }
+  bind_new_namespaces();
+  return ns;
 }
 
 std::vector<ShardedPageCache::NamespaceUsage>
@@ -519,12 +466,13 @@ ShardedPageCache::namespace_usage() const {
   for (const auto& s : shards_) s->add_resident_by_namespace(acc);
   std::vector<NamespaceUsage> out;
   std::lock_guard lock(devices_mu_);
-  out.reserve(device_names_.size());
-  for (std::uint64_t id = 0; id < next_device_; ++id) {
+  out.reserve(namespaces_.size());
+  for (std::uint64_t id = 0; id < namespaces_.size(); ++id) {
     NamespaceUsage u;
     u.base = id << kNamespaceShift;
-    u.name = device_names_[id];
+    u.name = namespaces_[id].name;
     if (auto it = acc.find(id); it != acc.end()) u.resident_pages = it->second;
+    u.cache = namespaces_[id].counters.load();
     out.push_back(std::move(u));
   }
   return out;
@@ -551,60 +499,68 @@ void ShardedPageCache::for_each_segment(std::uint64_t first_key,
   }
 }
 
+void ShardedPageCache::trace_outcome(std::uint64_t first_key,
+                                     std::uint32_t num_pages, bool hit) {
+  if (!trace::enabled()) return;
+  const trace::Name name = hit ? trace::Name::kCacheHit
+                               : trace::Name::kCacheMiss;
+  for_each_segment(first_key, num_pages,
+                   [&](CacheShard& s, std::uint64_t, std::uint32_t p) {
+                     trace::instant(name, trace::cache_arg(p, s.index() + 1));
+                   });
+}
+
 RunState ShardedPageCache::start_run(std::uint64_t first_key,
-                                     std::uint32_t num_pages, std::byte* out,
-                                     bool deferred_retry) {
-  // Fast path: the run lives in one shard-group (the common case — groups
-  // are sized to the read engine's merge bound), where the shard runs the
-  // exact single-lock protocol.
+                                     std::uint32_t num_pages,
+                                     std::byte* out) {
+  RunState state = RunState::kDeferred;
   if (first_key / kShardGroupPages ==
       (first_key + num_pages - 1) / kShardGroupPages) {
-    return shards_[shard_of(first_key)]->start_run(first_key, num_pages, out,
-                                                   deferred_retry);
-  }
-  // Run spans two shards: peek every segment first, then count/claim once
-  // the combined outcome is known, preserving run-level all-or-nothing
-  // accounting. The protocol tolerates state changing between the passes:
-  // a stale kHit segment inside an owned run is merely re-read, a stale
-  // kDeferred resolves on the caller's next retry.
-  struct Seg {
-    CacheShard* shard;
-    std::uint64_t first;
-    std::uint32_t pages;
-    CacheShard::Probe probe;
-  };
-  Seg segs[2];
-  std::size_t n = 0;
-  std::byte* cursor = out;
-  for_each_segment(first_key, num_pages,
-                   [&](CacheShard& s, std::uint64_t k, std::uint32_t p) {
-                     segs[n].shard = &s;
-                     segs[n].first = k;
-                     segs[n].pages = p;
-                     segs[n].probe = s.peek_run(k, p, cursor);
-                     cursor += std::size_t{p} * kPageSize;
-                     ++n;
-                   });
-  bool all_hit = true, any_claimable = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    all_hit = all_hit && segs[i].probe == CacheShard::Probe::kHit;
-    any_claimable =
-        any_claimable || segs[i].probe == CacheShard::Probe::kClaimable;
-  }
-  if (all_hit) {
-    for (std::size_t i = 0; i < n; ++i) {
-      segs[i].shard->count_hits(segs[i].pages, deferred_retry);
+    // Fast path: the run lives in one shard-group (the common case —
+    // groups are sized to the read engine's merge bound), where the shard
+    // runs the whole protocol under one lock.
+    state = shards_[shard_of(first_key)]->start_run(first_key, num_pages,
+                                                    out);
+  } else {
+    // Run spans two shards: peek every segment first, then claim once the
+    // combined outcome is known, keeping the run all-or-nothing. The
+    // protocol tolerates state changing between the passes: a stale kHit
+    // segment inside an owned run is merely re-read, a stale kDeferred
+    // resolves on the caller's next retry.
+    struct Seg {
+      CacheShard* shard;
+      std::uint64_t first;
+      std::uint32_t pages;
+    };
+    Seg segs[2];
+    std::size_t n = 0;
+    bool all_hit = true, any_claimable = false;
+    std::byte* cursor = out;
+    for_each_segment(first_key, num_pages,
+                     [&](CacheShard& s, std::uint64_t k, std::uint32_t p) {
+                       const CacheShard::Probe probe = s.peek_run(k, p, cursor);
+                       all_hit = all_hit && probe == CacheShard::Probe::kHit;
+                       any_claimable = any_claimable ||
+                                       probe == CacheShard::Probe::kClaimable;
+                       segs[n++] = {&s, k, p};
+                       cursor += std::size_t{p} * kPageSize;
+                     });
+    if (all_hit) {
+      state = RunState::kHit;
+    } else if (any_claimable) {
+      // Partially covered: claim the WHOLE run (hit/in-flight segments
+      // too) — the device read re-fetches everything, exactly like the
+      // single-shard protocol's partially covered case.
+      for (std::size_t i = 0; i < n; ++i) {
+        segs[i].shard->claim_run(segs[i].first, segs[i].pages);
+      }
+      state = RunState::kOwned;
     }
-    return RunState::kHit;
   }
-  if (!any_claimable) return RunState::kDeferred;
-  // Partially covered: claim the WHOLE run (hit/in-flight segments too) —
-  // the device read re-fetches everything, exactly like the single-shard
-  // protocol's partially covered case.
-  for (std::size_t i = 0; i < n; ++i) {
-    segs[i].shard->claim_run(segs[i].first, segs[i].pages);
+  if (state != RunState::kDeferred) {
+    trace_outcome(first_key, num_pages, state == RunState::kHit);
   }
-  return RunState::kOwned;
+  return state;
 }
 
 RunState ShardedPageCache::try_start_run(std::uint64_t first_key,
@@ -613,13 +569,13 @@ RunState ShardedPageCache::try_start_run(std::uint64_t first_key,
   // One logical access — a later retry_deferred_run() of the same run is
   // the same access and is not re-reported.
   notify_access(first_key, num_pages);
-  return start_run(first_key, num_pages, out, /*deferred_retry=*/false);
+  return start_run(first_key, num_pages, out);
 }
 
 RunState ShardedPageCache::retry_deferred_run(std::uint64_t first_key,
                                               std::uint32_t num_pages,
                                               std::byte* out) {
-  return start_run(first_key, num_pages, out, /*deferred_retry=*/true);
+  return start_run(first_key, num_pages, out);
 }
 
 void ShardedPageCache::end_run(std::uint64_t first_key,
@@ -637,43 +593,27 @@ bool ShardedPageCache::fill(std::uint64_t key, const std::byte* data) {
 bool ShardedPageCache::lookup_run(std::uint64_t first_key,
                                   std::uint32_t num_pages, std::byte* out) {
   notify_access(first_key, num_pages);
-  if (first_key / kShardGroupPages ==
-      (first_key + num_pages - 1) / kShardGroupPages) {
-    return shards_[shard_of(first_key)]->lookup_run(first_key, num_pages,
-                                                    out);
-  }
-  // All-or-nothing across shards: peek both, then count.
-  struct Seg {
-    CacheShard* shard;
-    std::uint32_t pages;
-    CacheShard::Probe probe;
-  };
-  Seg segs[2];
-  std::size_t n = 0;
+  // Peek every segment (each touches its pages when fully resident), then
+  // decide for the whole run.
+  bool all_hit = true;
   std::byte* cursor = out;
   for_each_segment(first_key, num_pages,
                    [&](CacheShard& s, std::uint64_t k, std::uint32_t p) {
-                     segs[n].shard = &s;
-                     segs[n].pages = p;
-                     segs[n].probe = s.peek_run(k, p, cursor);
+                     all_hit = s.peek_run(k, p, cursor) ==
+                                   CacheShard::Probe::kHit &&
+                               all_hit;
                      cursor += std::size_t{p} * kPageSize;
-                     ++n;
                    });
-  bool all_hit = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    all_hit = all_hit && segs[i].probe == CacheShard::Probe::kHit;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (all_hit) segs[i].shard->count_hits(segs[i].pages, false);
-    else segs[i].shard->count_misses(segs[i].pages);
-  }
+  trace_outcome(first_key, num_pages, all_hit);
   return all_hit;
 }
 
 SyncAcquire ShardedPageCache::acquire_page_sync(std::uint64_t key,
                                                 std::byte* dst) {
   notify_access(key, 1);
-  return shards_[shard_of(key)]->acquire_page_sync(key, dst);
+  const SyncAcquire a = shards_[shard_of(key)]->acquire_page_sync(key, dst);
+  trace_outcome(key, 1, a != SyncAcquire::kOwned);
+  return a;
 }
 
 void ShardedPageCache::set_namespace_cap(std::uint64_t ns_base,
@@ -690,48 +630,78 @@ void ShardedPageCache::set_namespace_cap(std::uint64_t ns_base,
 
 CacheCounters ShardedPageCache::cache_counters() const {
   CacheCounters total;
-  for (const auto& s : shards_) {
-    const CacheCounters c = s->counters();
-    total.hits += c.hits;
-    total.misses += c.misses;
-    total.dedup_hits += c.dedup_hits;
-    total.ghost_hits += c.ghost_hits;
-    total.evictions += c.evictions;
+  {
+    std::lock_guard lock(devices_mu_);
+    for (const Namespace& ns : namespaces_) {
+      const CacheCounters c = ns.counters.load();
+      total.hits += c.hits;
+      total.misses += c.misses;
+      total.dedup_hits += c.dedup_hits;
+      total.ghost_hits += c.ghost_hits;
+    }
   }
+  for (const auto& s : shards_) total.evictions += s->evictions();
   return total;
 }
 
 void ShardedPageCache::bind_metrics() {
-  if (!metrics_bindings_.empty()) return;
+  {
+    std::lock_guard lock(bind_mu_);
+    if (metrics_bound_) return;
+    metrics_bound_ = true;
+    metrics::Registry& reg = metrics::Registry::instance();
+    using metrics::Kind;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const CacheShard* s = shards_[i].get();
+      metrics_bindings_.add(reg.callback(
+          "blaze_cache_evictions_total",
+          {{"cache", opts_.name}, {"shard", std::to_string(i)}},
+          Kind::kCounter,
+          [s] { return static_cast<double>(s->evictions()); }));
+    }
+    const metrics::Labels pool_labels{{"cache", opts_.name}};
+    metrics_bindings_.add(reg.callback(
+        "blaze_cache_hit_rate", pool_labels, Kind::kGauge,
+        [this] { return cache_counters().hit_rate(); }));
+    metrics_bindings_.add(
+        reg.callback("blaze_cache_shards", pool_labels, Kind::kGauge,
+                     [this] { return static_cast<double>(shard_count()); }));
+  }
+  bind_new_namespaces();
+}
+
+void ShardedPageCache::bind_new_namespaces() {
+  std::lock_guard lock(bind_mu_);
+  if (!metrics_bound_) return;
+  // Collect the new blocks under devices_mu_, register outside it.
+  std::vector<const Namespace*> fresh;
+  {
+    std::lock_guard devices(devices_mu_);
+    for (std::size_t i = bound_namespaces_; i < namespaces_.size(); ++i) {
+      fresh.push_back(&namespaces_[i]);
+    }
+    bound_namespaces_ = namespaces_.size();
+  }
   metrics::Registry& reg = metrics::Registry::instance();
   using metrics::Kind;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    CacheShard* s = shards_[i].get();
-    const metrics::Labels labels{{"cache", opts_.name},
-                                 {"shard", std::to_string(i)}};
-    metrics_bindings_.add(reg.callback(
-        "blaze_cache_hits_total", labels, Kind::kCounter,
-        [s] { return static_cast<double>(s->counters().hits); }));
-    metrics_bindings_.add(reg.callback(
-        "blaze_cache_misses_total", labels, Kind::kCounter,
-        [s] { return static_cast<double>(s->counters().misses); }));
-    metrics_bindings_.add(reg.callback(
-        "blaze_cache_dedup_hits_total", labels, Kind::kCounter,
-        [s] { return static_cast<double>(s->counters().dedup_hits); }));
-    metrics_bindings_.add(reg.callback(
-        "blaze_cache_ghost_hits_total", labels, Kind::kCounter,
-        [s] { return static_cast<double>(s->counters().ghost_hits); }));
-    metrics_bindings_.add(reg.callback(
-        "blaze_cache_evictions_total", labels, Kind::kCounter,
-        [s] { return static_cast<double>(s->counters().evictions); }));
+  using Field = std::atomic<std::uint64_t> NamespaceCounters::*;
+  constexpr std::pair<const char*, Field> kSeries[] = {
+      {"blaze_cache_hits_total", &NamespaceCounters::hits},
+      {"blaze_cache_misses_total", &NamespaceCounters::misses},
+      {"blaze_cache_dedup_hits_total", &NamespaceCounters::dedup_hits},
+      {"blaze_cache_ghost_hits_total", &NamespaceCounters::ghost_hits},
+  };
+  for (const Namespace* ns : fresh) {
+    const metrics::Labels labels{{"cache", opts_.name}, {"ns", ns->name}};
+    for (const auto& [series, field] : kSeries) {
+      const std::atomic<std::uint64_t>* value = &(ns->counters.*field);
+      metrics_bindings_.add(reg.callback(
+          series, labels, Kind::kCounter, [value] {
+            return static_cast<double>(
+                value->load(std::memory_order_relaxed));
+          }));
+    }
   }
-  const metrics::Labels pool_labels{{"cache", opts_.name}};
-  metrics_bindings_.add(reg.callback("blaze_cache_hit_rate", pool_labels,
-                                     Kind::kGauge,
-                                     [this] { return hit_rate(); }));
-  metrics_bindings_.add(
-      reg.callback("blaze_cache_shards", pool_labels, Kind::kGauge,
-                   [this] { return static_cast<double>(shard_count()); }));
 }
 
 }  // namespace blaze::device

@@ -4,9 +4,10 @@
 // serving; this subsystem pulls the storage/eviction core out of it into a
 // layered pool so hundreds of sessions stop colliding on one lock:
 //
-//   ShardedPageCache            pool: byte budget, key namespace, metrics
+//   ShardedPageCache            pool: byte budget, key namespaces, one
+//     │                         counter block per namespace, metrics
 //     └── CacheShard × N        each: own mutex + cv, page table, slots,
-//           └── CachePolicy     in-flight dedup registry, counters
+//           └── CachePolicy     in-flight dedup registry, evictions
 //                               pluggable eviction (LRU / random / S3-FIFO)
 //
 // Keys are (device, page) pairs packed into 64 bits, so one pool can back
@@ -27,6 +28,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -55,14 +57,16 @@ enum class SyncAcquire {
   kOwned,     ///< caller claimed the read (fill() + end_run() required)
 };
 
-/// One consistent view of the cache counters (adapter-, shard-, or
-/// pool-level); serve::EngineStats snapshots these.
+/// One snapshot of the cache counters: one namespace's block
+/// (CachedDevice, NamespaceUsage) or the pool total (sum of every block
+/// plus the shards' evictions). serve::EngineStats and the catalog carry
+/// these.
 struct CacheCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t dedup_hits = 0;   ///< hits served by waiting out a peer read
   std::uint64_t ghost_hits = 0;   ///< re-faults promoted via the ghost queue
-  std::uint64_t evictions = 0;
+  std::uint64_t evictions = 0;    ///< pool-wide only; 0 in a namespace view
 
   double hit_rate() const {
     const double h = static_cast<double>(hits);
@@ -71,13 +75,29 @@ struct CacheCounters {
   }
 };
 
-/// Anything that can report cache counters (CachedDevice reports its
-/// per-device view, ShardedPageCache the pool aggregate); QueryEngine
-/// observes either.
-class CacheStatsSource {
- public:
-  virtual ~CacheStatsSource() = default;
-  virtual CacheCounters cache_counters() const = 0;
+/// The one counter block of a pool namespace. The pool owns it for its
+/// whole lifetime (a closed catalog graph keeps its history); the adapter
+/// that registered the namespace counts each logical access into it once,
+/// where the run-level outcome is decided, and every reader loads it.
+/// Relaxed atomics: sessions count while monitoring threads read.
+struct NamespaceCounters {
+  std::atomic<std::uint64_t> hits{0}, misses{0}, dedup_hits{0}, ghost_hits{0};
+
+  void add_hits(std::uint64_t pages, bool dedup) {
+    hits.fetch_add(pages, std::memory_order_relaxed);
+    if (dedup) dedup_hits.fetch_add(pages, std::memory_order_relaxed);
+  }
+  void add_misses(std::uint64_t pages) {
+    misses.fetch_add(pages, std::memory_order_relaxed);
+  }
+  CacheCounters load() const {
+    CacheCounters c;
+    c.hits = hits.load(std::memory_order_relaxed);
+    c.misses = misses.load(std::memory_order_relaxed);
+    c.dedup_hits = dedup_hits.load(std::memory_order_relaxed);
+    c.ghost_hits = ghost_hits.load(std::memory_order_relaxed);
+    return c;
+  }
 };
 
 /// Hook for profiling layers that want to see the cache access stream
@@ -132,9 +152,11 @@ inline constexpr std::uint64_t kShardGroupPages = 4;
 inline constexpr unsigned kNamespaceShift = 48;
 
 /// One cache shard: storage slots, page table, in-flight dedup registry,
-/// eviction policy, and counters, all guarded by one shard-local mutex.
-/// Exposed (rather than buried in ShardedPageCache) so the policy unit
-/// tests can drive a single shard deterministically.
+/// eviction policy and eviction counter, all guarded by one shard-local
+/// mutex. It reports outcomes and counts nothing else: hits and misses
+/// are counted by the namespace's adapter (NamespaceCounters). Exposed
+/// (rather than buried in ShardedPageCache) so the policy unit tests can
+/// drive a single shard deterministically.
 class CacheShard {
  public:
   CacheShard(std::uint32_t index, std::size_t capacity_pages,
@@ -144,44 +166,34 @@ class CacheShard {
   CacheShard(const CacheShard&) = delete;
   CacheShard& operator=(const CacheShard&) = delete;
 
-  /// All-or-nothing lookup of `num_pages` consecutive keys under one lock
-  /// acquisition; counts num_pages hits or num_pages misses.
-  bool lookup_run(std::uint64_t first_key, std::uint32_t num_pages,
-                  std::byte* out);
-
   /// Full miss-dedup protocol for a run living entirely in this shard
-  /// (one lock acquisition; exact pre-pool CachedDevice semantics):
-  ///   kHit      -> copied + counted as hits (+dedup when deferred_retry)
-  ///   kDeferred -> every missing page in flight elsewhere; nothing counted
-  ///   kOwned    -> counted as misses, pages marked in flight
+  /// (one lock acquisition):
+  ///   kHit      -> every page copied into `out`
+  ///   kDeferred -> every missing page in flight elsewhere
+  ///   kOwned    -> pages marked in flight; caller reads, fill()s, end_run()s
   RunState start_run(std::uint64_t first_key, std::uint32_t num_pages,
-                     std::byte* out, bool deferred_retry);
+                     std::byte* out);
 
   // --- Split protocol for runs spanning two shards: the pool peeks every
-  // --- segment first, then counts/claims once the combined outcome is
-  // --- known, so run-level all-or-nothing accounting survives sharding.
+  // --- segment first, then claims once the combined outcome is known, so
+  // --- the run stays all-or-nothing across shards.
 
-  /// Non-counting probe: copies (and policy-touches) when every page is
-  /// resident (kHit), reports kDeferred when every missing page is in
-  /// flight, else kClaimable.
+  /// Probe: copies (and policy-touches) when every page is resident
+  /// (kHit), reports kDeferred when every missing page is in flight, else
+  /// kClaimable.
   enum class Probe { kHit, kDeferred, kClaimable };
   Probe peek_run(std::uint64_t first_key, std::uint32_t num_pages,
                  std::byte* out);
 
-  /// Counters only: num_pages hits (+num_pages dedup hits when `dedup`).
-  void count_hits(std::uint32_t num_pages, bool dedup);
-
-  /// Counters only: num_pages misses (non-claiming lookup paths).
-  void count_misses(std::uint32_t num_pages);
-
-  /// Marks num_pages keys in flight and counts them as misses.
+  /// Marks num_pages keys in flight.
   void claim_run(std::uint64_t first_key, std::uint32_t num_pages);
 
   /// Releases in-flight marks and wakes sync waiters.
   void end_run(std::uint64_t first_key, std::uint32_t num_pages);
 
-  /// Inserts one page, evicting per policy when full. Returns true on a
-  /// ghost hit (see CachePolicy::inserted).
+  /// Inserts one page, evicting per policy when full; a fill of a resident
+  /// key overwrites its bytes. Returns true on a ghost hit (see
+  /// CachePolicy::inserted).
   bool fill(std::uint64_t key, const std::byte* data);
 
   /// Blocking single-page acquisition for the sync read path: hit, hit
@@ -192,8 +204,10 @@ class CacheShard {
   std::uint32_t index() const { return index_; }
   std::size_t capacity_pages() const { return capacity_pages_; }
 
-  /// Relaxed snapshot of this shard's counters.
-  CacheCounters counters() const;
+  /// Pages this shard has evicted (relaxed read).
+  std::uint64_t evictions() const {
+    return evictions_.load(std::memory_order_relaxed);
+  }
 
   /// Resident pages right now (test/diagnostic; takes the shard lock).
   std::size_t resident_pages() const;
@@ -217,15 +231,13 @@ class CacheShard {
   static constexpr std::size_t kNil = ~std::size_t{0};
 
   /// Copies a fully resident run into `out` with policy touch; false if
-  /// any page is absent. No counting. Caller holds mu_.
+  /// any page is absent. Caller holds mu_.
   bool copy_run_locked(std::uint64_t first_key, std::uint32_t num_pages,
                        std::byte* out);
   Probe classify_locked(std::uint64_t first_key, std::uint32_t num_pages,
                         std::byte* out);
   void claim_locked(std::uint64_t first_key, std::uint32_t num_pages);
   bool fill_locked(std::uint64_t key, const std::byte* data);
-  void note_hits(std::uint32_t num_pages, bool dedup);
-  void note_misses(std::uint32_t num_pages);
 
   const std::uint32_t index_;
   const std::size_t capacity_pages_;
@@ -245,10 +257,8 @@ class CacheShard {
   /// Admission caps per namespace (absent = uncapped); see set_ns_cap().
   std::unordered_map<std::uint64_t, std::uint64_t> ns_cap_pages_;
 
-  // Counters are atomic (relaxed): monitoring threads read them while
-  // sessions update under mu_, and TSan must stay clean.
-  std::atomic<std::uint64_t> hits_{0}, misses_{0}, dedup_hits_{0};
-  std::atomic<std::uint64_t> ghost_hits_{0}, evictions_{0};
+  /// Written under mu_, read by monitoring threads without it.
+  std::atomic<std::uint64_t> evictions_{0};
 };
 
 /// Pool configuration (Config::cache_* maps onto this 1:1).
@@ -260,29 +270,40 @@ struct PageCacheOptions {
   std::uint64_t seed = 0xCACE;      ///< policy RNG seed (random eviction)
 };
 
+/// One registered namespace: the key base its adapter adds to device
+/// page numbers, and the counter block it counts into.
+struct CacheNamespace {
+  std::uint64_t base = 0;
+  NamespaceCounters* counters = nullptr;  ///< pool-owned, pool lifetime
+};
+
 /// The pool: N shards behind one key namespace. Thread-safe — every
 /// operation resolves to one or two shard-local critical sections.
-class ShardedPageCache : public CacheStatsSource {
+class ShardedPageCache {
  public:
   explicit ShardedPageCache(PageCacheOptions opts);
 
-  /// Registers a device with the pool and returns its key namespace base:
-  /// callers add it to device-local page numbers to form pool keys. Pages
-  /// of different registered devices can never collide.
-  std::uint64_t register_device(const std::string& device_name);
+  /// Registers a device with the pool and returns its key namespace base
+  /// (callers add it to device-local page numbers to form pool keys; pages
+  /// of different registered devices never collide) and its counter
+  /// block. Once bind_metrics() ran, the namespace's series are published
+  /// here too.
+  CacheNamespace register_device(const std::string& device_name);
 
-  /// One registered namespace's current footprint in the pool.
+  /// One registered namespace's current footprint and counters.
   struct NamespaceUsage {
-    std::uint64_t base = 0;  ///< register_device() return value
+    std::uint64_t base = 0;  ///< register_device() base
     std::string name;        ///< the name it registered under
     std::uint64_t resident_pages = 0;
+    CacheCounters cache;     ///< its counter block (evictions = 0)
     std::uint64_t resident_bytes() const { return resident_pages * kPageSize; }
   };
 
-  /// Per-namespace occupancy right now, registration order (walks every
-  /// shard under its lock; monitoring-path cost, not hot-path). Namespaces
-  /// whose pages were all evicted report 0, not absence — the catalog's
-  /// occupancy reconciliation depends on seeing every registrant.
+  /// Per-namespace occupancy and counters right now, registration order
+  /// (walks every shard under its lock; monitoring-path cost, not
+  /// hot-path). Namespaces whose pages were all evicted report 0, not
+  /// absence — the catalog's occupancy reconciliation depends on seeing
+  /// every registrant.
   std::vector<NamespaceUsage> namespace_usage() const;
 
   /// Installs (or clears, with nullptr) the access-stream observer. The
@@ -296,16 +317,18 @@ class ShardedPageCache : public CacheStatsSource {
     return observer_.load(std::memory_order_relaxed);
   }
 
-  /// Caps the namespace rooted at `ns_base` (a register_device() return
-  /// value) at `cap_bytes` of residency, spread evenly across shards
-  /// (rounded up, so the effective cap is within one page per shard of
-  /// the request); 0 removes the cap. See CacheShard::set_ns_cap.
+  /// Caps the namespace rooted at `ns_base` (a register_device() base) at
+  /// `cap_bytes` of residency, spread evenly across shards (rounded up, so
+  /// the effective cap is within one page per shard of the request); 0
+  /// removes the cap. See CacheShard::set_ns_cap.
   void set_namespace_cap(std::uint64_t ns_base, std::uint64_t cap_bytes);
 
   // --- Miss-dedup protocol over pool keys (run = consecutive keys; at
-  // --- most kMaxMergePages, so at most two shards are involved).
+  // --- most kMaxMergePages, so at most two shards are involved). These
+  // --- report outcomes; the caller counts them into its namespace block.
   RunState try_start_run(std::uint64_t first_key, std::uint32_t num_pages,
                          std::byte* out);
+  /// Re-polls a deferred run; not re-reported to the access observer.
   RunState retry_deferred_run(std::uint64_t first_key,
                               std::uint32_t num_pages, std::byte* out);
   void end_run(std::uint64_t first_key, std::uint32_t num_pages);
@@ -313,7 +336,8 @@ class ShardedPageCache : public CacheStatsSource {
   /// Inserts one page; true on a ghost hit.
   bool fill(std::uint64_t key, const std::byte* data);
 
-  /// All-or-nothing counting lookup (sync fast path, tests).
+  /// All-or-nothing lookup: copies and returns true only when every page
+  /// is resident.
   bool lookup_run(std::uint64_t first_key, std::uint32_t num_pages,
                   std::byte* out);
 
@@ -330,16 +354,16 @@ class ShardedPageCache : public CacheStatsSource {
   const CacheShard& shard(std::size_t i) const { return *shards_[i]; }
   std::uint32_t shard_of(std::uint64_t key) const;
 
-  /// Pool aggregate = sum of the shard counters.
-  CacheCounters cache_counters() const override;
-  double hit_rate() const { return cache_counters().hit_rate(); }
+  /// Pool total: the sum of every namespace block plus the shards'
+  /// evictions.
+  CacheCounters cache_counters() const;
 
-  /// Publishes per-shard and aggregate series into the metric registry:
-  /// blaze_cache_{hits,misses,dedup_hits,ghost_hits,evictions}_total
-  /// labeled {cache=name, shard=i}, plus pool-level blaze_cache_hit_rate
-  /// and blaze_cache_shards{cache=name}. Zero hot-path cost (callbacks
-  /// read the relaxed shard atomics at sample time); idempotent; bindings
-  /// unregister when the pool dies.
+  /// Publishes blaze_cache_{hits,misses,dedup_hits,ghost_hits}_total
+  /// labeled {cache=name, ns=<namespace>} for every namespace (present
+  /// and future), blaze_cache_evictions_total{cache, shard=i}, and
+  /// pool-level blaze_cache_hit_rate and blaze_cache_shards{cache}. Zero
+  /// hot-path cost (callbacks read the relaxed atomics at sample time);
+  /// idempotent; bindings unregister when the pool dies.
   void bind_metrics();
 
   /// Picks the shard count for a budget when PageCacheOptions::shards == 0:
@@ -349,15 +373,28 @@ class ShardedPageCache : public CacheStatsSource {
   static std::size_t auto_shards(std::size_t capacity_pages);
 
  private:
+  struct Namespace {
+    explicit Namespace(std::string n) : name(std::move(n)) {}
+    const std::string name;
+    NamespaceCounters counters;
+  };
+
   PageCacheOptions opts_;
   std::size_t capacity_pages_ = 0;
   std::vector<std::unique_ptr<CacheShard>> shards_;
 
+  /// Registration order; a deque so blocks never move. Guarded by
+  /// devices_mu_ (the blocks themselves are atomics, read without it).
   mutable std::mutex devices_mu_;
-  std::uint64_t next_device_ = 0;            ///< guarded by devices_mu_
-  std::vector<std::string> device_names_;    ///< guarded by devices_mu_
+  std::deque<Namespace> namespaces_;
 
-  metrics::BindingSet metrics_bindings_;
+  /// Guards the bindings. Never held together with devices_mu_ while
+  /// calling into the registry: the hit-rate callback takes devices_mu_
+  /// under the registry lock.
+  std::mutex bind_mu_;
+  bool metrics_bound_ = false;       ///< guarded by bind_mu_
+  std::size_t bound_namespaces_ = 0; ///< guarded by bind_mu_
+  metrics::BindingSet metrics_bindings_;  ///< after the state it reads
 
   std::atomic<CacheAccessObserver*> observer_{nullptr};
 
@@ -368,6 +405,15 @@ class ShardedPageCache : public CacheStatsSource {
     }
   }
 
+  /// Publishes the series of namespaces registered since the last call
+  /// (no-op before bind_metrics()).
+  void bind_new_namespaces();
+
+  /// Emits one cache_hit/cache_miss trace instant per shard segment of a
+  /// resolved run (shard-attributed, see trace::cache_arg).
+  void trace_outcome(std::uint64_t first_key, std::uint32_t num_pages,
+                     bool hit);
+
   /// Splits [first, first+n) at shard-group boundaries and invokes
   /// fn(shard, first_key, num_pages) per segment (1 or 2 calls).
   template <typename Fn>
@@ -375,7 +421,7 @@ class ShardedPageCache : public CacheStatsSource {
                         Fn&& fn);
 
   RunState start_run(std::uint64_t first_key, std::uint32_t num_pages,
-                     std::byte* out, bool deferred_retry);
+                     std::byte* out);
 };
 
 }  // namespace blaze::device

@@ -248,8 +248,9 @@ void GraphCatalog::rebalance_locked() {
   }
 
   // Realized pool hit rate over the window since the previous rebalance —
-  // what the last apportionment actually bought. counters() reads relaxed
-  // atomics, no shard locks, so holding mu_ here is fine.
+  // what the last apportionment actually bought. cache_counters() reads
+  // relaxed atomics under the pool's registration lock, no shard locks, so
+  // holding mu_ here is fine.
   std::uint32_t realized_pm = trace::kCatalogNoRate;
   const auto& pool = rt_->page_cache();
   if (pool) {
@@ -341,11 +342,11 @@ std::vector<CatalogEntryInfo> GraphCatalog::snapshot() const {
     info.queries = e.queries;
     info.recent_queries = e.recent;
     info.metadata_bytes = e.graph ? e.graph->metadata_bytes() : 0;
-    if (e.cached) info.cache = e.cached->cache_counters();
     info.closing = e.closing;
     for (const auto& u : usage) {
-      if (u.name == "graph/" + e.name) {
+      if (e.cached && u.base == e.cached->namespace_base()) {
         info.resident_bytes = u.resident_bytes();
+        info.cache = u.cache;
         break;
       }
     }

@@ -55,9 +55,9 @@ struct CatalogEntryInfo {
   std::uint64_t queries = 0;             ///< note_query() lifetime count
   std::uint64_t recent_queries = 0;      ///< since the last rebalance
   std::uint64_t metadata_bytes = 0;      ///< DRAM index + page map
-  /// This graph's adapter-level cache outcomes (hits/misses/dedup/ghost) —
-  /// the per-namespace view a shared pool cannot give from its aggregate
-  /// shard counters. Zero when the graph is uncached.
+  /// This graph's namespace counters (hits/misses/dedup/ghost), read
+  /// from the pool's block for its namespace — the same row
+  /// namespace_usage() reports. Zero when the graph is uncached.
   device::CacheCounters cache;
   bool closing = false;  ///< unlisted, waiting for in-flight handles
 };
@@ -138,8 +138,8 @@ class GraphCatalog {
     std::string name;
     std::shared_ptr<const format::OnDiskGraph> graph;
     /// The pool adapter wrapped around this graph's device at open(), kept
-    /// for the per-graph counter view and the pool key namespace. Null
-    /// when the graph is uncached (no pool / no device).
+    /// for the pool key namespace. Null when the graph is uncached (no
+    /// pool / no device).
     std::shared_ptr<device::CachedDevice> cached;
     std::uint64_t cache_budget = 0;
     std::uint64_t arena_budget = 0;

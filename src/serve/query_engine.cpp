@@ -384,17 +384,7 @@ EngineStats QueryEngine::stats() const {
     std::lock_guard lock(mu_);
     out.tenants = sched_.stats();
   }
-  if (cache_ != nullptr) {
-    const device::CacheCounters c = cache_->cache_counters();
-    out.cache_hits = c.hits;
-    out.cache_misses = c.misses;
-    out.cache_dedup_hits = c.dedup_hits;
-    out.cache_ghost_hits = c.ghost_hits;
-    out.cache_hit_rate = c.hit_rate();
-  }
-  if (trace::enabled()) {
-    out.trace_counters = trace::make_counters(trace::collect());
-  }
+  if (cache_ != nullptr) out.cache = cache_->cache_counters();
   return out;
 }
 

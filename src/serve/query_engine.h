@@ -261,21 +261,13 @@ struct EngineStats {
     return static_cast<double>(latency_us.percentile(0.95)) / 1000.0;
   }
 
-  /// Shared page-cache counters at snapshot time (zero unless the engine
-  /// was given a cache to observe; see QueryEngine::observe_cache).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_dedup_hits = 0;
-  std::uint64_t cache_ghost_hits = 0;  ///< S3-FIFO ghost-queue promotions
-  double cache_hit_rate = 0;
+  /// The observed pool's counters at snapshot time (zero unless the
+  /// engine was given a pool to observe; see QueryEngine::observe_cache).
+  device::CacheCounters cache;
 
   /// Terminal queries at or past slow_query_threshold_s, oldest first
   /// (the most recent QueryEngine::kMaxSlowQueries are kept).
   std::vector<SlowQuery> slow_queries;
-
-  /// Per-name span/instant counters over every event traced so far;
-  /// empty rows when tracing is disabled.
-  trace::CountersSnapshot trace_counters;
 
   /// Per-tenant queue/fairness counters (registration order; includes
   /// the auto-registered default tenant once it has submitted).
@@ -331,14 +323,10 @@ class QueryEngine {
   /// destructor if the owner did not.
   void drain();
 
-  /// Points the engine at the cache its graphs read through — a
-  /// CachedDevice (per-device view) or a ShardedPageCache (pool aggregate
-  /// across devices) — so stats() can report hit rates. Optional; the
-  /// engine never creates the cache (the graph/device stack is the
-  /// caller's).
-  void observe_cache(const device::CacheStatsSource* cache) {
-    cache_ = cache;
-  }
+  /// Points the engine at the page-cache pool its graphs read through, so
+  /// stats() can report its counters. Optional; the engine never creates
+  /// the pool (the graph/device stack is the caller's).
+  void observe_cache(const device::ShardedPageCache* pool) { cache_ = pool; }
 
   /// Snapshot of the aggregate statistics.
   EngineStats stats() const;
@@ -446,7 +434,7 @@ class QueryEngine {
   mutable std::mutex stats_mu_;
   EngineStats stats_;
 
-  const device::CacheStatsSource* cache_ = nullptr;
+  const device::ShardedPageCache* cache_ = nullptr;
 
   ServeMetrics metrics_;
   /// Queue-depth/running callback gauges (they take mu_, so nothing may

@@ -134,14 +134,6 @@ make_live_reporter() {
   };
 }
 
-/// One pool namespace's row for --stats-json: realized occupancy joined
-/// with the owning adapter's outcome counters (hits/misses/ghost).
-struct NamespaceStatsRow {
-  std::string name;
-  std::uint64_t resident_bytes = 0;
-  blaze::device::CacheCounters cache;
-};
-
 /// --stats-json: one query's machine-readable record — the full unified
 /// QueryStats (device -> io -> core), the stall attribution, per-namespace
 /// cache occupancy + ghost-hit counters, and the Figure-12 DRAM breakdown.
@@ -149,7 +141,9 @@ bool write_stats_json(const std::string& path, const std::string& query,
                       double wall_s, const blaze::core::QueryStats& s,
                       const blaze::core::MemoryFootprint& fp,
                       const blaze::prof::StallBreakdown& stall,
-                      const std::vector<NamespaceStatsRow>& namespaces) {
+                      const std::vector<
+                          blaze::device::ShardedPageCache::NamespaceUsage>&
+                          namespaces) {
   std::string out = "{\n";
   char buf[256];
   auto add_u64 = [&](const char* k, unsigned long long v, bool comma = true) {
@@ -197,12 +191,12 @@ bool write_stats_json(const std::string& path, const std::string& query,
   out += buf;
   out += "  \"cache_namespaces\": [";
   for (std::size_t i = 0; i < namespaces.size(); ++i) {
-    const NamespaceStatsRow& ns = namespaces[i];
+    const auto& ns = namespaces[i];
     std::snprintf(buf, sizeof(buf),
                   "%s\n    {\"name\": \"%s\", \"resident_bytes\": %llu, "
                   "\"hits\": %llu, \"misses\": %llu, \"ghost_hits\": %llu}",
                   i == 0 ? "" : ",", ns.name.c_str(),
-                  static_cast<unsigned long long>(ns.resident_bytes),
+                  static_cast<unsigned long long>(ns.resident_bytes()),
                   static_cast<unsigned long long>(ns.cache.hits),
                   static_cast<unsigned long long>(ns.cache.misses),
                   static_cast<unsigned long long>(ns.cache.ghost_hits));
@@ -673,11 +667,11 @@ int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
     std::printf("  %-18s %.1f%% (%llu hits, %llu misses, %llu dedup, "
                 "%llu ghost) [%s x%zu]\n",
                 "cache",
-                100.0 * s.cache_hit_rate,
-                static_cast<unsigned long long>(s.cache_hits),
-                static_cast<unsigned long long>(s.cache_misses),
-                static_cast<unsigned long long>(s.cache_dedup_hits),
-                static_cast<unsigned long long>(s.cache_ghost_hits),
+                100.0 * s.cache.hit_rate(),
+                static_cast<unsigned long long>(s.cache.hits),
+                static_cast<unsigned long long>(s.cache.misses),
+                static_cast<unsigned long long>(s.cache.dedup_hits),
+                static_cast<unsigned long long>(s.cache.ghost_hits),
                 device::to_string(pool->policy()), pool->shard_count());
   }
   std::printf("  %-18s %.1f MiB in %llu requests, %llu retries, "
@@ -748,16 +742,6 @@ int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
     } else {
       std::fprintf(stderr, "profile: failed to write %s\n",
                    profile_path.c_str());
-    }
-  }
-  if (!s.trace_counters.rows.empty()) {
-    std::printf("  trace counters (%llu events, %llu dropped)\n",
-                static_cast<unsigned long long>(s.trace_counters.events),
-                static_cast<unsigned long long>(s.trace_counters.dropped));
-    for (const auto& row : s.trace_counters.rows) {
-      std::printf("    %-16s %8llu x %10.3f ms\n", trace::to_string(row.name),
-                  static_cast<unsigned long long>(row.count),
-                  static_cast<double>(row.total_ns) / 1e6);
     }
   }
   return s.failed == 0 ? 0 : 1;
@@ -1126,30 +1110,9 @@ int main(int argc, char** argv) {
       run_stats, static_cast<std::uint64_t>(run_stats.seconds * 1e9), 0,
       static_cast<unsigned>(cfg.compute_workers));
 
-  // Per-namespace occupancy + adapter counters (ghost hits live on the
-  // CachedDevice, not the pool's aggregate shard counters).
-  std::vector<NamespaceStatsRow> ns_rows;
-  if (const auto& pool = rt.page_cache()) {
-    std::vector<const device::CachedDevice*> adapters;
-    for (const format::OnDiskGraph* graph : {&g, &gt}) {
-      if (auto* cd = dynamic_cast<const device::CachedDevice*>(
-              graph->device_ptr().get())) {
-        adapters.push_back(cd);
-      }
-    }
-    for (const auto& u : pool->namespace_usage()) {
-      NamespaceStatsRow row;
-      row.name = u.name;
-      row.resident_bytes = u.resident_bytes();
-      for (const device::CachedDevice* cd : adapters) {
-        if (cd->namespace_base() == u.base) {
-          row.cache = cd->cache_counters();
-          break;
-        }
-      }
-      ns_rows.push_back(std::move(row));
-    }
-  }
+  // Per-namespace occupancy and counters, straight from the pool.
+  std::vector<device::ShardedPageCache::NamespaceUsage> ns_rows;
+  if (const auto& pool = rt.page_cache()) ns_rows = pool->namespace_usage();
 
   int rc = 0;
   if (!stats_json.empty()) {

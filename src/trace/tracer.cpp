@@ -218,57 +218,4 @@ std::vector<QueryTrace> build_span_trees(const std::vector<Event>& events) {
   return out;
 }
 
-CountersSnapshot make_counters(const std::vector<Event>& events) {
-  CountersSnapshot snap;
-  snap.events = events.size();
-  snap.dropped = dropped_events();
-  std::uint64_t count[kNumNames] = {};
-  std::uint64_t total_ns[kNumNames] = {};
-  // Inclusive time per name from B/E pairing per thread; complete spans
-  // carry their duration directly.
-  struct Open {
-    std::uint32_t tid;
-    Name name;
-    std::uint64_t ts;
-  };
-  std::vector<Event> sorted = events;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Event& a, const Event& b) {
-                     if (a.tid != b.tid) return a.tid < b.tid;
-                     return a.ts_ns < b.ts_ns;
-                   });
-  std::vector<Open> open;
-  for (const Event& e : sorted) {
-    const auto idx = static_cast<std::size_t>(e.name);
-    if (idx >= kNumNames) continue;
-    switch (e.phase) {
-      case Phase::kBegin:
-        ++count[idx];
-        open.push_back({e.tid, e.name, e.ts_ns});
-        break;
-      case Phase::kEnd:
-        for (auto it = open.rbegin(); it != open.rend(); ++it) {
-          if (it->tid == e.tid && it->name == e.name) {
-            total_ns[idx] += e.ts_ns - it->ts;
-            open.erase(std::next(it).base());
-            break;
-          }
-        }
-        break;
-      case Phase::kComplete:
-        ++count[idx];
-        total_ns[idx] += e.dur_ns;
-        break;
-      case Phase::kInstant:
-        ++count[idx];
-        break;
-    }
-  }
-  for (std::size_t i = 0; i < kNumNames; ++i) {
-    if (count[i] == 0) continue;
-    snap.rows.push_back({static_cast<Name>(i), count[i], total_ns[i]});
-  }
-  return snap;
-}
-
 }  // namespace blaze::trace

@@ -172,20 +172,4 @@ struct QueryTrace {
 /// that dropped its end marker still yields a tree). Sorted by QueryId.
 std::vector<QueryTrace> build_span_trees(const std::vector<Event>& events);
 
-/// Aggregate per-name counters over an event stream (spans contribute
-/// count + inclusive time; instants contribute count).
-struct CounterRow {
-  Name name = Name::kNumNames;
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-};
-
-struct CountersSnapshot {
-  std::vector<CounterRow> rows;  ///< only names that occurred, enum order
-  std::uint64_t events = 0;      ///< raw events summarized
-  std::uint64_t dropped = 0;     ///< ring drops at snapshot time
-};
-
-CountersSnapshot make_counters(const std::vector<Event>& events);
-
 }  // namespace blaze::trace

@@ -1,7 +1,7 @@
 // Baseline engine correctness: FlashGraph-like and Graphene-like engines
 // must produce the same answers as the oracles (they are only supposed to
-// be slower/skewed, never wrong), plus behavioural tests for the LRU cache
-// and the skew accounting the figures rely on.
+// be slower/skewed, never wrong), plus behavioural tests for the cache and
+// the skew accounting the figures rely on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "baselines/flashgraph.h"
 #include "baselines/graphene.h"
 #include "baselines/inmem.h"
-#include "baselines/page_cache.h"
 #include "baselines/queries.h"
 #include "format/on_disk_graph.h"
 #include "format/partitioner.h"
@@ -26,48 +25,6 @@ FlashGraphConfig small_fg_config() {
   cfg.cache_bytes = 1 << 20;
   cfg.io_buffer_bytes = 1 << 20;
   return cfg;
-}
-
-// ------------------------------------------------------------- LruPageCache
-
-TEST(LruPageCache, HitAfterInsert) {
-  LruPageCache cache(16 * kPageSize);
-  std::vector<std::byte> page(kPageSize, std::byte{42});
-  std::vector<std::byte> out(kPageSize);
-  EXPECT_FALSE(cache.lookup(7, out.data()));
-  cache.insert(7, page.data());
-  EXPECT_TRUE(cache.lookup(7, out.data()));
-  EXPECT_EQ(out[0], std::byte{42});
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(LruPageCache, EvictsLeastRecentlyUsed) {
-  LruPageCache cache(8 * kPageSize);  // exactly 8 slots
-  std::vector<std::byte> page(kPageSize);
-  std::vector<std::byte> out(kPageSize);
-  for (std::uint64_t p = 0; p < 8; ++p) {
-    page[0] = static_cast<std::byte>(p);
-    cache.insert(p, page.data());
-  }
-  // Touch page 0 so page 1 becomes the LRU victim.
-  EXPECT_TRUE(cache.lookup(0, out.data()));
-  page[0] = std::byte{99};
-  cache.insert(100, page.data());
-  EXPECT_FALSE(cache.lookup(1, out.data()));  // evicted
-  EXPECT_TRUE(cache.lookup(0, out.data()));   // survived
-  EXPECT_TRUE(cache.lookup(100, out.data()));
-}
-
-TEST(LruPageCache, ReinsertRefreshesContent) {
-  LruPageCache cache(8 * kPageSize);
-  std::vector<std::byte> a(kPageSize, std::byte{1});
-  std::vector<std::byte> b(kPageSize, std::byte{2});
-  std::vector<std::byte> out(kPageSize);
-  cache.insert(3, a.data());
-  cache.insert(3, b.data());
-  EXPECT_TRUE(cache.lookup(3, out.data()));
-  EXPECT_EQ(out[0], std::byte{2});
 }
 
 // --------------------------------------------------------- FlashGraphEngine
@@ -150,7 +107,8 @@ TEST(FlashGraph, CacheCutsDeviceTrafficAcrossIterations) {
   // iterations (+1 page slack for the frontier's partial pages).
   EXPECT_LE(odg.device().stats().total_bytes(),
             odg.num_pages() * kPageSize + kPageSize);
-  EXPECT_GT(eng.cache().hits() + eng.cache().misses(), 0u);
+  const device::CacheCounters c = eng.cache().cache_counters();
+  EXPECT_GT(c.hits + c.misses, 0u);
 }
 
 // ----------------------------------------------------------- GrapheneEngine

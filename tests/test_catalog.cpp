@@ -1,8 +1,8 @@
 // serve::GraphCatalog tests: resident-graph lifecycle, the exact
 // budget-sum invariant through every open/close/rebalance step, handle
 // pinning across close (in-flight queries survive a concurrent close of
-// a different graph — and of their own), and realized per-namespace pool
-// occupancy.
+// a different graph — and of their own), realized per-namespace pool
+// occupancy, and one cache counter set seen alike by every reader.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "core/runtime.h"
 #include "format/on_disk_graph.h"
 #include "graph/generators.h"
+#include "metrics/metrics.h"
 #include "serve/graph_catalog.h"
 #include "serve/query_engine.h"
 #include "test_helpers.h"
@@ -245,7 +247,7 @@ TEST(Catalog, NamespaceUsageMeasuresRealizedOccupancy) {
   ASSERT_EQ(t2->state(), serve::QueryState::kDone);
 
   // Both namespaces faulted pages into the shared pool; the realized
-  // figures surface per graph, and the snapshot joins them by name.
+  // figures surface per graph, and the snapshot joins them by namespace.
   std::uint64_t left_pages = 0, right_pages = 0;
   for (const auto& u : cat.namespace_usage()) {
     if (u.name == "graph/left") left_pages = u.resident_pages;
@@ -255,7 +257,7 @@ TEST(Catalog, NamespaceUsageMeasuresRealizedOccupancy) {
   EXPECT_GT(right_pages, 0u);
   for (const auto& row : cat.snapshot()) {
     EXPECT_GT(row.resident_bytes, 0u) << row.name;
-    // Satellite counters: the per-graph adapter view must show traffic.
+    // The graph's namespace counters show its traffic.
     EXPECT_GT(row.cache.hits + row.cache.misses, 0u) << row.name;
   }
   engine.drain();
@@ -298,6 +300,106 @@ TEST(Catalog, MrcApportioningKeepsBudgetSumExact) {
   // end up with less cache than the idle one.
   EXPECT_GE(cat.cache_budget_of("a"), cat.cache_budget_of("b"));
   engine.drain();
+}
+
+// ------------------------------------------------ counter reconciliation
+
+/// Compares the four counted fields (evictions are a pool-wide property,
+/// checked separately).
+void expect_same_counts(const device::CacheCounters& got,
+                        const device::CacheCounters& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.hits, want.hits) << what;
+  EXPECT_EQ(got.misses, want.misses) << what;
+  EXPECT_EQ(got.dedup_hits, want.dedup_hits) << what;
+  EXPECT_EQ(got.ghost_hits, want.ghost_hits) << what;
+}
+
+TEST(CatalogReconciliation, EveryReaderSeesThePoolCounters) {
+  // One counter per event: the pool's per-namespace blocks are the only
+  // cache counters, so the namespace rows, the catalog rows, the engine
+  // stats and the metrics scrape must all agree with the pool total —
+  // including the history of a graph closed mid-run.
+  core::Config cfg = catalog_test_config();
+  cfg.metrics_enabled = true;
+  cfg.cache_bytes = 128 << 10;  // 32 pages: both graphs overflow it
+  serve::EngineOptions opts;
+  opts.max_inflight_queries = 2;
+  opts.workers_per_query = 2;
+  serve::QueryEngine engine(cfg, opts);
+  serve::GraphCatalog cat(engine.runtime());
+  engine.attach_catalog(&cat);
+  const auto& pool = engine.runtime().page_cache();
+  ASSERT_NE(pool, nullptr);
+  engine.observe_cache(pool.get());
+
+  cat.open("kept", format::make_mem_graph(graph::generate_rmat(12, 16, 711)));
+  cat.open("closed",
+           format::make_mem_graph(graph::generate_rmat(12, 16, 712)));
+  auto bfs_on = [&](const std::string& graph) {
+    serve::QuerySpec spec;
+    spec.label = "bfs-" + graph;
+    spec.graph = graph;
+    spec.run = [](core::QueryContext& qc) {
+      return algorithms::bfs(qc, *qc.graph(), 0).stats;
+    };
+    return engine.submit(spec);
+  };
+  std::vector<std::shared_ptr<serve::QueryTicket>> tickets;
+  for (int i = 0; i < 3; ++i) {
+    tickets.push_back(bfs_on("kept"));
+    tickets.push_back(bfs_on("closed"));
+  }
+  cat.close("closed");  // its admitted queries keep running on the handle
+  for (int i = 0; i < 3; ++i) tickets.push_back(bfs_on("kept"));
+  for (auto& t : tickets) t->wait();
+  for (auto& t : tickets) ASSERT_EQ(t->state(), serve::QueryState::kDone);
+  engine.drain();
+  cat.rebalance();  // reaps the closed entry; its namespace block remains
+
+  const device::CacheCounters total = pool->cache_counters();
+  EXPECT_GT(total.hits, 0u);
+  EXPECT_GT(total.misses, 0u);
+  EXPECT_GT(total.evictions, 0u);
+
+  // Namespace rows sum to the pool total; the closed graph is still there.
+  const auto usage = pool->namespace_usage();
+  ASSERT_EQ(usage.size(), 2u);
+  device::CacheCounters sum;
+  for (const auto& u : usage) {
+    EXPECT_GT(u.cache.hits + u.cache.misses, 0u) << u.name;
+    EXPECT_EQ(u.cache.evictions, 0u) << u.name;
+    sum.hits += u.cache.hits;
+    sum.misses += u.cache.misses;
+    sum.dedup_hits += u.cache.dedup_hits;
+    sum.ghost_hits += u.cache.ghost_hits;
+  }
+  expect_same_counts(sum, total, "namespace rows vs pool");
+
+  // Each catalog row is its namespace's row.
+  const auto rows = cat.snapshot();
+  ASSERT_EQ(rows.size(), 1u);
+  for (const auto& row : rows) {
+    for (const auto& u : usage) {
+      if (u.name == "graph/" + row.name) {
+        expect_same_counts(row.cache, u.cache, row.name);
+      }
+    }
+  }
+
+  // The engine reports the pool, every field.
+  const device::CacheCounters engine_cache = engine.stats().cache;
+  expect_same_counts(engine_cache, total, "engine vs pool");
+  EXPECT_EQ(engine_cache.evictions, total.evictions);
+
+  // The scrape counts every access once.
+  double scraped_hits = 0, scraped_misses = 0;
+  for (const auto& r : metrics::Registry::instance().snapshot()) {
+    if (r.name == "blaze_cache_hits_total") scraped_hits += r.value;
+    if (r.name == "blaze_cache_misses_total") scraped_misses += r.value;
+  }
+  EXPECT_EQ(scraped_hits, static_cast<double>(total.hits));
+  EXPECT_EQ(scraped_misses, static_cast<double>(total.misses));
 }
 
 }  // namespace

@@ -350,8 +350,8 @@ TEST(CachedDevice, ServesHitsWithoutInnerReads) {
   dev.read(2 * kPageSize, out);  // hit
   EXPECT_EQ(out[0], std::byte{3});
   EXPECT_EQ(inner->stats().total_bytes(), inner_bytes);  // no new inner IO
-  EXPECT_EQ(dev.hits(), 1u);
-  EXPECT_EQ(dev.misses(), 1u);
+  EXPECT_EQ(dev.cache_counters().hits, 1u);
+  EXPECT_EQ(dev.cache_counters().misses, 1u);
 }
 
 TEST(CachedDevice, LruKeepsRecentlyUsedRandomMayNot) {
@@ -363,11 +363,11 @@ TEST(CachedDevice, LruKeepsRecentlyUsedRandomMayNot) {
   for (std::uint64_t p = 0; p < 4; ++p) dev.read(p * kPageSize, out);
   dev.read(0, out);
   dev.read(4 * kPageSize, out);
-  auto misses_before = dev.misses();
+  auto misses_before = dev.cache_counters().misses;
   dev.read(0, out);  // still cached
-  EXPECT_EQ(dev.misses(), misses_before);
+  EXPECT_EQ(dev.cache_counters().misses, misses_before);
   dev.read(kPageSize, out);  // evicted -> miss
-  EXPECT_EQ(dev.misses(), misses_before + 1);
+  EXPECT_EQ(dev.cache_counters().misses, misses_before + 1);
 }
 
 TEST(CachedDevice, RandomPolicyStaysCorrectUnderChurn) {
@@ -384,7 +384,7 @@ TEST(CachedDevice, RandomPolicyStaysCorrectUnderChurn) {
     dev.read(p * kPageSize, out);
     ASSERT_EQ(out[0], static_cast<std::byte>(p)) << "iteration " << i;
   }
-  EXPECT_GT(dev.hits(), 0u);
+  EXPECT_GT(dev.cache_counters().hits, 0u);
 }
 
 TEST(CachedDevice, AsyncChannelHitsCompleteImmediately) {
@@ -403,7 +403,8 @@ TEST(CachedDevice, AsyncChannelHitsCompleteImmediately) {
   ch->wait(1, done);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0], 2u);
-  EXPECT_GE(dev->hits(), 2u);  // both pages of the repeat request hit
+  // Both pages of the repeat request hit.
+  EXPECT_GE(dev->cache_counters().hits, 2u);
 }
 
 TEST(CachedDevice, UnalignedReadsPassThrough) {
@@ -419,8 +420,8 @@ TEST(CachedDevice, UnalignedReadsPassThrough) {
   }
   // The cache stores nothing, but the hit-rate statistics must still see
   // the traffic: one overlapped page, served by the inner device = 1 miss.
-  EXPECT_EQ(dev.hits(), 0u);
-  EXPECT_EQ(dev.misses(), 1u);
+  EXPECT_EQ(dev.cache_counters().hits, 0u);
+  EXPECT_EQ(dev.cache_counters().misses, 1u);
 }
 
 TEST(CachedDevice, UnalignedReadSpanningPagesCountsEachPageMissed) {
@@ -428,8 +429,8 @@ TEST(CachedDevice, UnalignedReadSpanningPagesCountsEachPageMissed) {
   CachedDevice dev(inner, 4 * kPageSize, EvictionPolicy::kLru);
   std::vector<std::byte> out(kPageSize);  // page-sized but offset-unaligned
   dev.read(kPageSize / 2, out);           // overlaps pages 0 and 1
-  EXPECT_EQ(dev.misses(), 2u);
-  EXPECT_EQ(dev.hits(), 0u);
+  EXPECT_EQ(dev.cache_counters().misses, 2u);
+  EXPECT_EQ(dev.cache_counters().hits, 0u);
 }
 
 TEST(CachedDevice, AsyncPartialHitCountsWholeRequestAsMisses) {
@@ -443,7 +444,7 @@ TEST(CachedDevice, AsyncPartialHitCountsWholeRequestAsMisses) {
   // Prime page 0 only.
   std::vector<std::byte> one(kPageSize);
   dev->read(0, one);
-  ASSERT_EQ(dev->misses(), 1u);
+  ASSERT_EQ(dev->cache_counters().misses, 1u);
 
   // Merged request for pages 0-1: page 0 is cached, page 1 is not. The
   // whole request is re-read from the inner device, so BOTH pages must
@@ -456,8 +457,9 @@ TEST(CachedDevice, AsyncPartialHitCountsWholeRequestAsMisses) {
   std::vector<std::uint64_t> done;
   ch->wait(1, done);
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(dev->hits(), 0u);
-  EXPECT_EQ(dev->misses(), 3u);  // 1 (prime) + 2 (partial-hit request)
+  EXPECT_EQ(dev->cache_counters().hits, 0u);
+  // 1 (prime) + 2 (partial-hit request).
+  EXPECT_EQ(dev->cache_counters().misses, 3u);
   EXPECT_EQ(buf[0], std::byte{1});
   EXPECT_EQ(buf[kPageSize], std::byte{2});
   EXPECT_GT(inner->stats().total_bytes(), inner_bytes_before);
@@ -470,8 +472,8 @@ TEST(CachedDevice, AsyncPartialHitCountsWholeRequestAsMisses) {
   done.clear();
   ch->wait(1, done);
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(dev->hits(), 2u);
-  EXPECT_EQ(dev->misses(), 3u);
+  EXPECT_EQ(dev->cache_counters().hits, 2u);
+  EXPECT_EQ(dev->cache_counters().misses, 3u);
   EXPECT_EQ(inner->stats().total_bytes(), inner_bytes_after);
 }
 
@@ -507,9 +509,11 @@ TEST(CachedDevice, CrossChannelMissDedupIssuesOneInnerRead) {
   EXPECT_EQ(inner->stats().total_reads(), inner_reads_after_a);  // one read
   EXPECT_EQ(b[0], std::byte{1});
   EXPECT_EQ(b[kPageSize], std::byte{2});
-  EXPECT_EQ(dev->dedup_hits(), 2u);  // both of B's pages rode A's read
-  EXPECT_EQ(dev->misses(), 2u);      // A's pages, once
-  EXPECT_EQ(dev->hits(), 2u);        // B's pages
+  // A's pages missed once; both of B's pages rode A's read.
+  const CacheCounters c = dev->cache_counters();
+  EXPECT_EQ(c.dedup_hits, 2u);
+  EXPECT_EQ(c.misses, 2u);
+  EXPECT_EQ(c.hits, 2u);
 }
 
 TEST(CachedDevice, SyncReadersDedupAndKeepExactCounters) {
@@ -539,11 +543,11 @@ TEST(CachedDevice, SyncReadersDedupAndKeepExactCounters) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(dev.hits() + dev.misses(),
+  EXPECT_EQ(dev.cache_counters().hits + dev.cache_counters().misses,
             static_cast<std::uint64_t>(kThreads) * kReadsPerThread);
   // Capacity covers the whole device, so each page misses exactly once —
   // concurrent faulters of the same page coalesce onto one inner read.
-  EXPECT_EQ(dev.misses(), kPages);
+  EXPECT_EQ(dev.cache_counters().misses, kPages);
   EXPECT_EQ(inner->stats().total_reads(), kPages);
 }
 

@@ -118,7 +118,7 @@ TEST(IoPipeline, PrefetchWarmsDeviceCacheAndRecyclesBuffers) {
   EXPECT_EQ(handle->stats().pages_read, 0u);  // kept out of demand counters
   // The cold pass misses every page exactly once (per-page accounting,
   // regardless of how requests were merged).
-  EXPECT_EQ(cached->misses(), 32u);
+  EXPECT_EQ(cached->cache_counters().misses, 32u);
 
   // Demand reads of the same pages now hit the warmed cache.
   std::vector<io::ReadBatch> demand(1);
@@ -131,8 +131,9 @@ TEST(IoPipeline, PrefetchWarmsDeviceCacheAndRecyclesBuffers) {
       [&](std::uint64_t, const std::byte*, std::uint64_t) { ++pages_seen; },
       [] { return false; });
   EXPECT_EQ(pages_seen, 32u);
-  EXPECT_EQ(cached->misses(), 32u);  // demand pass is fully warmed
-  EXPECT_EQ(cached->hits(), 32u);    // every page served from cache
+  // The demand pass is fully warmed: every page served from cache.
+  EXPECT_EQ(cached->cache_counters().misses, 32u);
+  EXPECT_EQ(cached->cache_counters().hits, 32u);
   // Prefetch released every buffer: the pool must be whole again.
   pipeline.quiesce();
   std::vector<std::uint32_t> all;
@@ -226,12 +227,13 @@ TEST(IoPipeline, PullPrefetchHookStreamsNextIterationPages) {
   rt.io_pipeline().quiesce();  // let the warm-up drain
   EXPECT_GT(stats.prefetch_pages, 0u);
 
-  const std::uint64_t misses_after_warm = cached->misses();
+  const std::uint64_t misses_after_warm = cached->cache_counters().misses;
   std::vector<std::uint32_t> acc2(n, 0);
   CountProgram prog2{acc2};
   core::edge_map_pull(rt, odg_t, frontier, candidates, prog2, {});
-  EXPECT_EQ(cached->misses(), misses_after_warm);  // fully warmed
-  EXPECT_GT(cached->hits(), 0u);
+  // Fully warmed.
+  EXPECT_EQ(cached->cache_counters().misses, misses_after_warm);
+  EXPECT_GT(cached->cache_counters().hits, 0u);
   EXPECT_EQ(acc1, acc2);
 }
 

@@ -388,8 +388,8 @@ void touch_page(device::ShardedPageCache& pool, std::uint64_t key) {
 TEST(WorkloadProfiler, ObservesPoolAccessesPerNamespace) {
   auto pool =
       std::make_shared<device::ShardedPageCache>(small_pool_opts(64));
-  const std::uint64_t ns_a = pool->register_device("a");
-  const std::uint64_t ns_b = pool->register_device("b");
+  const std::uint64_t ns_a = pool->register_device("a").base;
+  const std::uint64_t ns_b = pool->register_device("b").base;
   WorkloadProfiler prof;
   prof.attach(pool);
   for (int rep = 0; rep < 3; ++rep) {
@@ -440,8 +440,8 @@ TEST(WorkloadProfiler, RuntimeBuildsProfilerOnlyWhenWanted) {
 TEST(NamespaceCap, CapsResidencyWithoutBreakingDedup) {
   auto pool =
       std::make_shared<device::ShardedPageCache>(small_pool_opts(64));
-  const std::uint64_t ns_a = pool->register_device("a");
-  const std::uint64_t ns_b = pool->register_device("b");
+  const std::uint64_t ns_a = pool->register_device("a").base;
+  const std::uint64_t ns_b = pool->register_device("b").base;
   pool->set_namespace_cap(ns_b, 8 * kPageSize);
   for (std::uint64_t p = 0; p < 32; ++p) touch_page(*pool, ns_b + p);
   for (std::uint64_t p = 0; p < 16; ++p) touch_page(*pool, ns_a + p);

@@ -335,7 +335,7 @@ TEST(Serve, SharedCacheBeatsIsolatedRuntimes) {
     core::Runtime rt(serve_test_config());
     auto r = algorithms::bfs(rt, og, 0);
     (void)r;
-    isolated_misses += cached->misses();
+    isolated_misses += cached->cache_counters().misses;
   }
 
   // Shared: one engine, one cache, same three queries concurrently.
@@ -348,7 +348,7 @@ TEST(Serve, SharedCacheBeatsIsolatedRuntimes) {
   opts.max_inflight_queries = kQueries;
   opts.workers_per_query = 2;
   serve::QueryEngine engine(serve_test_config(), opts);
-  engine.observe_cache(cached.get());
+  engine.observe_cache(cached->pool().get());
   std::vector<std::shared_ptr<serve::QueryTicket>> tickets;
   for (int i = 0; i < kQueries; ++i) {
     tickets.push_back(engine.submit({[&](core::QueryContext& qc) {
@@ -361,9 +361,9 @@ TEST(Serve, SharedCacheBeatsIsolatedRuntimes) {
   for (auto& t : tickets) ASSERT_EQ(t->state(), serve::QueryState::kDone);
 
   auto stats = engine.stats();
-  EXPECT_EQ(stats.cache_hits, cached->hits());
-  EXPECT_LT(stats.cache_misses, isolated_misses);
-  EXPECT_GT(stats.cache_hit_rate, 0.0);
+  EXPECT_EQ(stats.cache.hits, cached->cache_counters().hits);
+  EXPECT_LT(stats.cache.misses, isolated_misses);
+  EXPECT_GT(stats.cache.hit_rate(), 0.0);
 }
 
 }  // namespace
