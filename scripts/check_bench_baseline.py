@@ -403,17 +403,16 @@ def check_compression(baseline, path):
 
 def check_async(baseline, path):
     """Gates the bench_async sweep: every row must land on the BSP fixed
-    point (matches_bsp), and on the gated power-law graphs the gated
-    query's bytes_ratio (bsp_bytes / async_bytes) must show the priority
-    order converging on fewer total bytes read."""
+    point (matches_bsp), and on the gated power-law graphs each gated
+    query's bytes_ratio (bsp_bytes / async_bytes) must stay at or above
+    its floor in "min_bytes_ratio" (query -> floor)."""
     failures = []
     section = baseline.get("async")
     if not section:
         return failures
     rows = load_jsonl(path, "async")
-    min_ratio = float(section.get("min_bytes_ratio", 1.0))
+    floors = {q: float(v) for q, v in section["min_bytes_ratio"].items()}
     gated_graphs = section.get("gated_graphs", ["r2", "r3"])
-    gated_query = section.get("gated_query", "WCC")
     require_match = section.get("require_match", True)
     gated_seen = set()
     for row in rows:
@@ -421,31 +420,31 @@ def check_async(baseline, path):
         label = f"async {g}/{q}"
         ratio = float(row.get("bytes_ratio", 0.0))
         match = bool(row.get("matches_bsp", False))
-        is_gated = g in gated_graphs and q == gated_query
-        if is_gated:
-            gated_seen.add(g)
+        floor = floors.get(q) if g in gated_graphs else None
+        if floor is not None:
+            gated_seen.add((g, q))
         ok = True
         if require_match and not match:
             failures.append(f"{label}: async diverged from the BSP fixed point")
             ok = False
-        if is_gated and ratio < min_ratio:
-            failures.append(
-                f"{label}: bytes ratio {ratio:.3f} < {min_ratio:g}"
-            )
+        if floor is not None and ratio < floor:
+            failures.append(f"{label}: bytes ratio {ratio:.3f} < {floor:g}")
             ok = False
         print(
             f"{'OK' if ok else 'FAIL':7s}  {label}:"
             f" bytes ratio {ratio:.3f}"
-            f"{f' (gated floor {min_ratio:g})' if is_gated else ''},"
+            f"{f' (gated floor {floor:g})' if floor is not None else ''},"
             f" bsp {int(row.get('bsp_bytes', 0)):d} B"
             f" vs async {int(row.get('async_bytes', 0)):d} B,"
             f" rounds {int(row.get('async_rounds', 0)):d}"
             f" vs iters {int(row.get('bsp_iterations', 0)):d},"
             f" matches_bsp={str(match).lower()}"
         )
-    for g in sorted(set(gated_graphs) - gated_seen):
-        print(f"MISSING  async {g}/{gated_query}: gated row absent from run")
-        failures.append(f"async gated row {g}/{gated_query} missing")
+    for g in gated_graphs:
+        for q in sorted(floors):
+            if (g, q) not in gated_seen:
+                print(f"MISSING  async {g}/{q}: gated row absent from run")
+                failures.append(f"async gated row {g}/{q} missing")
     return failures
 
 

@@ -67,7 +67,6 @@ KcoreResult kcore_async(core::QueryContext& qc,
   aopts.num_buckets = cfg.async_buckets;
   aopts.round_page_budget = cfg.async_round_pages;
   aopts.single_bucket_rounds = true;
-  aopts.stats = &result.stats;
   sched::AsyncRunner runner(qc, out_g, aopts);
   for (vertex_t v = 0; v < n; ++v) {
     runner.queue().push(v, residual[v]);

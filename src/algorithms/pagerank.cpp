@@ -80,7 +80,6 @@ PageRankResult pagerank_async(core::QueryContext& qc,
   sched::AsyncOptions aopts;
   aopts.num_buckets = cfg.async_buckets;
   aopts.round_page_budget = cfg.async_round_pages;
-  aopts.stats = &result.stats;
   // Damping contracts the residual geometrically, so the run always
   // drains; the cap only guards pathological float cycling.
   aopts.max_rounds =
@@ -102,27 +101,20 @@ PageRankResult pagerank_async(core::QueryContext& qc,
                       damping,    epsilon, runner.queue()};
   auto rs = runner.run([&](const core::VertexSubset& frontier,
                            sched::priority_t) {
-    // Claim: exchange each popped vertex's residual into `claimed` and
+    // Claim: exchange each round vertex's residual into `claimed` and
     // absorb it into the rank. Nothing else touches `residual` between
-    // rounds, so plain reads/writes are race-free here.
-    std::atomic<double> claimed_total{0.0};
-    core::vertex_map(
-        qc, frontier,
-        [&](vertex_t v) {
-          const float c = residual[v];
-          residual[v] = 0.0f;
-          claimed[v] = c;
-          detail::relaxed_store(result.rank[v],
-                                detail::relaxed_load(result.rank[v]) + c);
-          double cur = claimed_total.load(std::memory_order_relaxed);
-          while (!claimed_total.compare_exchange_weak(
-              cur, cur + std::fabs(c), std::memory_order_relaxed)) {
-          }
-          return false;
-        },
-        &result.stats);
+    // rounds, and one sequential pass keeps the mass sum free of a shared
+    // atomic that every worker would fight over.
+    double claimed_total = 0.0;
+    frontier.for_each([&](vertex_t v) {
+      const float c = residual[v];
+      residual[v] = 0.0f;
+      claimed[v] = c;
+      result.rank[v] += c;
+      claimed_total += std::fabs(c);
+    });
     core::edge_map(qc, g, frontier, prog, opts);
-    return claimed_total.load(std::memory_order_relaxed);
+    return claimed_total;
   });
   result.iterations = static_cast<std::uint32_t>(rs.rounds) + 1;
   return result;

@@ -43,8 +43,10 @@ struct AsyncSsspProgram {
   }
   bool cond(vertex_t) const { return true; }
   bool gather(vertex_t d, value_type v) {
+    // Scatter reads dist[s] concurrently (s may be a destination of this
+    // round too), so the owner's store is a relaxed atomic as well.
     if (v < dist[d]) {
-      dist[d] = v;
+      detail::relaxed_store(dist[d], v);
       queue.push(d, int_dist_priority(v));
     }
     return false;
@@ -65,7 +67,6 @@ SsspResult sssp_async(core::QueryContext& qc, const format::OnDiskGraph& g,
   sched::AsyncOptions aopts;
   aopts.num_buckets = cfg.async_buckets;
   aopts.round_page_budget = cfg.async_round_pages;
-  aopts.stats = &result.stats;
   sched::AsyncRunner runner(qc, g, aopts);
   runner.queue().push(source, 0);
 
@@ -115,7 +116,7 @@ struct AsyncWeightedSsspProgram {
   bool cond(vertex_t) const { return true; }
   bool gather(vertex_t d, value_type v) {
     if (v < dist[d]) {
-      dist[d] = v;
+      detail::relaxed_store(dist[d], v);
       queue.push(d, float_dist_priority(v));
     }
     return false;
@@ -140,7 +141,6 @@ WeightedSsspResult sssp_weighted_async(core::QueryContext& qc,
   sched::AsyncOptions aopts;
   aopts.num_buckets = cfg.async_buckets;
   aopts.round_page_budget = cfg.async_round_pages;
-  aopts.stats = &result.stats;
   sched::AsyncRunner runner(qc, g, aopts);
   runner.queue().push(source, 0);
 

@@ -38,7 +38,7 @@ struct AsyncWccProgram {
   bool cond(vertex_t) const { return true; }
   bool gather(vertex_t d, value_type v) {
     if (v < ids[d]) {
-      ids[d] = v;
+      detail::relaxed_store(ids[d], v);  // scatter reads ids[s] concurrently
       queue.push(d, v >> shift);
     }
     return false;
@@ -61,7 +61,6 @@ WccResult wcc_async(core::QueryContext& qc,
   sched::AsyncOptions aopts;
   aopts.num_buckets = cfg.async_buckets;
   aopts.round_page_budget = cfg.async_round_pages;
-  aopts.stats = &result.stats;
   sched::AsyncRunner runner(qc, out_g, aopts);
   const std::uint32_t shift = label_shift(n, cfg.async_buckets);
   for (vertex_t v = 0; v < n; ++v) {

@@ -4,33 +4,32 @@
 // iteration and barriers, the AsyncRunner keeps a BucketQueue of vertices
 // ordered by how much unconverged work they carry and repeatedly:
 //
-//   1. pops the highest-priority bucket(s) — up to a page budget — into a
-//      round frontier (only those vertices' pages get fetched, page-first);
-//   2. peeks the *next* bucket and posts its pages as a discard-mode
-//      prefetch through IoPipeline, so the following round's reads overlap
-//      this round's compute (the same warm-up hook pull-mode uses, and the
-//      same ShardedPageCache absorbs both streams);
-//   3. runs the algorithm's round body — an edge_map over the round
+//   1. pops the highest-priority bucket(s) into a round frontier: one
+//      priority level, or levels up to a page budget widened to every
+//      queued vertex whose adjacency lies on pages the round already reads
+//      (page coalescing);
+//   2. runs the algorithm's round body — an edge_map over the round
 //      frontier whose gather applies an atomics-tolerant monotone update
 //      and re-enqueues destinations whose residual crossed their bucket
 //      threshold;
+//   3. compacts the queue (drops stale and duplicate entries) once stale
+//      entries outnumber live ones;
 //   4. repeats until the queue drains (every per-vertex residual is below
 //      its activation threshold) or an optional global residual probe
 //      falls under epsilon.
 //
-// The runner owns round pacing, prefetch, trace spans (kSchedRound /
-// kSchedResidual) and the sched metrics series; the algorithm supplies
-// only the round body. Priorities are monotone (BucketQueue lazy
-// decrease), which is exactly the contract PageRank-delta, SSSP, WCC and
-// k-core satisfy.
+// The runner owns round pacing, trace spans (kSchedRound / kSchedResidual)
+// and the sched metrics series; the algorithm supplies only the round
+// body. Priorities are monotone (BucketQueue lazy decrease), which is
+// exactly the contract PageRank-delta, SSSP, WCC and k-core satisfy.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "core/edge_map.h"
 #include "core/query_context.h"
+#include "core/vertex_subset.h"
 #include "format/on_disk_graph.h"
 #include "sched/bucket_queue.h"
 #include "sched/sched_metrics.h"
@@ -46,14 +45,15 @@ struct AsyncOptions {
   /// many pages. 0 = derive from the query's IO buffer (half of it), so a
   /// round roughly fills the pipeline without thrashing the pool.
   std::size_t round_page_budget = 0;
-  /// Pop exactly one bucket per round. Required when the algorithm's
-  /// correctness depends on processing one priority level at a time
-  /// (k-core peels exact residual levels); off by default so high-diameter
-  /// runs amortize fixed round costs.
+  /// Pop exactly one priority level per round, for algorithms whose answer
+  /// depends on processing levels in order (k-core peels exact residual
+  /// levels). Otherwise a round pops levels up to the page budget and then
+  /// coalesces: every other queued vertex whose adjacency lies entirely on
+  /// pages the round already reads joins it, as do queued degree-0
+  /// vertices found on those pages, instead of waiting for a later round
+  /// that reads those pages again. That suits every algorithm that reaches
+  /// the same fixed point in any order (PageRank-delta, SSSP, WCC).
   bool single_bucket_rounds = false;
-  /// Post the next bucket's pages as a discard-mode prefetch while the
-  /// current round computes.
-  bool prefetch_next = true;
   /// Safety valve; 0 = run to convergence.
   std::uint64_t max_rounds = 0;
   /// Optional global termination: when `total_residual` is set and drops
@@ -62,23 +62,21 @@ struct AsyncOptions {
   /// is the primary termination; this is the explicit epsilon form.)
   double stop_residual = 0.0;
   std::function<double()> total_residual;
-  /// Per-query IO/compute accounting (prefetch stats fold in here too).
-  core::QueryStats* stats = nullptr;
 };
 
 struct AsyncRunStats {
   std::uint64_t rounds = 0;
-  std::uint64_t popped = 0;        ///< vertices claimed across all rounds
+  std::uint64_t popped = 0;        ///< vertices popped from buckets
+  std::uint64_t coalesced = 0;     ///< vertices claimed by page coalescing
   std::uint64_t pushes = 0;        ///< queue pushes that changed state
   std::uint64_t stale_drops = 0;   ///< entries superseded before pop
-  std::uint64_t pages_spanned = 0; ///< sum of popped vertices' page spans
+  std::uint64_t pages_spanned = 0; ///< sum of each round's distinct pages
   std::uint64_t unique_pages = 0;  ///< distinct pages ever spanned
   double final_residual = 0.0;
   std::vector<double> residual_curve;  ///< round body's return, per round
 
-  /// Excess of spanned over distinct pages: fetches the priority order
-  /// repeated. The BSP-vs-async total-bytes comparison lives in
-  /// bench_async; this is the per-run view.
+  /// Pages a later round read again. The BSP-vs-async total-bytes
+  /// comparison lives in bench_async; this is the per-run view.
   std::uint64_t page_refetches() const {
     return pages_spanned > unique_pages ? pages_spanned - unique_pages : 0;
   }
@@ -94,7 +92,8 @@ class AsyncRunner {
         g_(g),
         opts_(std::move(opts)),
         queue_(g.num_vertices(), opts_.num_buckets),
-        touched_(g.num_pages()) {}
+        touched_(g.num_pages()),
+        round_marked_(g.num_pages(), 0) {}
 
   BucketQueue& queue() { return queue_; }
   const AsyncOptions& options() const { return opts_; }
@@ -116,7 +115,6 @@ class AsyncRunner {
     const vertex_t n = g_.num_vertices();
     const std::size_t budget = page_budget();
     std::vector<vertex_t> popped;
-    std::vector<vertex_t> peeked;
     while (!queue_.empty()) {
       if (opts_.max_rounds != 0 && rs.rounds >= opts_.max_rounds) break;
       popped.clear();
@@ -130,43 +128,32 @@ class AsyncRunner {
         if (!l) break;
         level = std::min(level, *l);
         for (std::size_t i = before; i < popped.size(); ++i) {
-          pages += span_pages(popped[i], &rs);
+          pages += mark_pages(popped[i]);
         }
       } while (!opts_.single_bucket_rounds && pages < budget &&
                !queue_.empty());
       if (popped.empty()) break;
+      const std::size_t bucket_pops = popped.size();
+      rs.popped += bucket_pops;
+      if (!opts_.single_bucket_rounds) rs.coalesced += coalesce(popped);
+      rs.pages_spanned += round_pages_.size();
+      for (std::uint64_t p : round_pages_) {
+        if (touched_.set(p)) ++rs.unique_pages;
+        round_marked_[p] = 0;
+      }
+      round_pages_.clear();
 
       core::VertexSubset frontier(n);
       for (vertex_t v : popped) frontier.add(v);
-      rs.pages_spanned += pages;
-      rs.popped += popped.size();
-
-      // Warm the next bucket's pages behind this round's demand reads.
-      std::shared_ptr<io::ReadHandle> prefetch;
-      if (opts_.prefetch_next && !queue_.empty()) {
-        peeked.clear();
-        queue_.peek_lowest(peeked);
-        if (!peeked.empty()) {
-          core::VertexSubset cand(n);
-          for (vertex_t v : peeked) cand.add(v);
-          prefetch = core::detail::submit_prefetch(qc_, g_, cand);
-        }
-      }
-
       double residual = 0.0;
-      try {
+      {
         trace::Span span(trace::Name::kSchedRound, rs.rounds);
         residual = round(frontier, level);
-      } catch (...) {
-        // A faulted round must not abandon the in-flight prefetch: wait it
-        // out so every pool buffer is reclaimed before the error surfaces.
-        if (prefetch) prefetch->wait();
-        throw;
       }
-      if (prefetch) {
-        prefetch->wait();
-        if (opts_.stats) opts_.stats->merge(prefetch->stats());
-      }
+      // Compact once stale entries outnumber live ones: each compaction
+      // then drops at least half the entries, so its cost amortizes
+      // against the pushes that made them.
+      if (queue_.entries() > 2 * queue_.size()) queue_.compact();
 
       ++rs.rounds;
       rs.residual_curve.push_back(residual);
@@ -174,7 +161,7 @@ class AsyncRunner {
       trace::instant(trace::Name::kSchedResidual, queue_.size());
       if (sm) {
         sm->rounds->inc();
-        sm->popped->add(popped.size());
+        sm->popped->add(bucket_pops);
         sm->occupancy->set(static_cast<double>(queue_.size()));
         sm->residual->set(residual);
       }
@@ -184,6 +171,7 @@ class AsyncRunner {
         break;
       }
     }
+    queue_.compact();  // makes stale_drops() exact
     rs.pushes = queue_.pushes();
     rs.stale_drops = queue_.stale_drops();
     if (sm) {
@@ -204,15 +192,44 @@ class AsyncRunner {
     return std::max<std::size_t>(64, io_pages);
   }
 
-  /// Pages `v`'s adjacency spans; counts first-ever touches into
-  /// `rs->unique_pages`.
-  std::size_t span_pages(vertex_t v, AsyncRunStats* rs) {
+  /// Marks the pages `v`'s adjacency spans as read this round; returns
+  /// the span (what the page budget counts).
+  std::size_t mark_pages(vertex_t v) {
     if (g_.degree(v) == 0) return 0;
     const auto [first, last] = g_.page_range(v);
     for (std::uint64_t p = first; p <= last; ++p) {
-      if (touched_.set(p)) ++rs->unique_pages;
+      if (!round_marked_[p]) {
+        round_marked_[p] = 1;
+        round_pages_.push_back(p);
+      }
     }
     return static_cast<std::size_t>(last - first + 1);
+  }
+
+  /// Claims every queued vertex whose adjacency lies entirely on pages
+  /// this round already reads (and queued degree-0 vertices in those
+  /// pages' vertex ranges) into `popped`. Walks only the marked pages'
+  /// vertex ranges; a vertex is judged once, on its first page. Returns
+  /// how many it claimed.
+  std::size_t coalesce(std::vector<vertex_t>& popped) {
+    const std::size_t before = popped.size();
+    for (std::uint64_t p : round_pages_) {
+      const auto r = g_.page_map().range(p);
+      for (vertex_t v = r.begin; v < r.end; ++v) {
+        if (queue_.priority_of(v) == BucketQueue::kNotQueued) continue;
+        if (g_.degree(v) != 0) {
+          const auto [first, last] = g_.page_range(v);
+          if (first != p) continue;
+          bool covered = true;
+          for (std::uint64_t q = first + 1; q <= last && covered; ++q) {
+            covered = round_marked_[q] != 0;
+          }
+          if (!covered) continue;
+        }
+        if (queue_.claim(v)) popped.push_back(v);
+      }
+    }
+    return popped.size() - before;
   }
 
   core::QueryContext& qc_;
@@ -220,6 +237,8 @@ class AsyncRunner {
   AsyncOptions opts_;
   BucketQueue queue_;
   ConcurrentBitmap touched_;
+  std::vector<std::uint8_t> round_marked_;  ///< this round's pages
+  std::vector<std::uint64_t> round_pages_;  ///< the marked pages, listed
   bool stop_ = false;
   std::uint64_t pushes_reported_ = 0;
   std::uint64_t stale_reported_ = 0;

@@ -21,8 +21,12 @@
 //    be observed one round later, never lost: the recorded priority is the
 //    source of truth and entries are only dropped when provably stale.
 //    This is exactly the tolerance monotone algorithms grant.
+//  * Out-of-order claims. claim(v) takes a queued vertex regardless of its
+//    bucket (the AsyncRunner's page coalescing); its entry stays behind as
+//    a stale one, and compact() drops stale and duplicate entries so the
+//    queue's memory stays bounded by the live vertex count.
 //
-// The consumer side (pop_bucket / peek_lowest) is single-threaded by
+// The consumer side (pop_bucket / claim / compact) is single-threaded by
 // contract — the AsyncRunner round loop.
 #pragma once
 
@@ -117,25 +121,62 @@ class BucketQueue {
     }
   }
 
-  /// Copies (without claiming) the live vertices of the lowest non-empty
-  /// regular bucket into `out`, up to `max` of them. This is the
-  /// AsyncRunner's prefetch peek: the next round's likely frontier.
-  /// Single consumer; results are advisory under concurrent pushes.
-  std::size_t peek_lowest(std::vector<vertex_t>& out,
-                          std::size_t max = 4096) const {
-    const std::size_t before = out.size();
-    for (std::uint32_t s = 0; s < num_buckets_ && out.size() == before;
-         ++s) {
-      const Bucket& b = buckets_[s];
-      std::lock_guard<Spinlock> guard(b.lock);
-      for (const Entry& e : b.items) {
-        if (out.size() - before >= max) break;
-        if (pri_[e.vertex].load(std::memory_order_relaxed) == e.priority) {
-          out.push_back(e.vertex);
-        }
+  /// Claims `v` out of priority order: if it is queued, its record resets
+  /// to kNotQueued (a later push re-enqueues it) and the call returns
+  /// true; its bucket entry is left for compact() or pop to drop. Single
+  /// consumer, like pop_bucket.
+  bool claim(vertex_t v) {
+    priority_t cur = pri_[v].load(std::memory_order_relaxed);
+    while (cur != kNotQueued) {
+      if (pri_[v].compare_exchange_weak(cur, kNotQueued,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed)) {
+        live_.fetch_sub(1, std::memory_order_release);
+        claims_.fetch_add(1, std::memory_order_relaxed);
+        return true;
       }
     }
-    return out.size() - before;
+    return false;
+  }
+
+  /// Drops every stale entry and every duplicate of a live one, so the
+  /// buckets hold exactly one entry per queued vertex afterwards (absent
+  /// concurrent pushes) and release the memory the dropped entries held.
+  /// Single consumer; pushes may race it and are kept.
+  void compact() {
+    if (seen_.empty()) seen_.assign(universe_ / 64 + 1, 0);
+    for (Bucket& b : buckets_) {
+      std::lock_guard<Spinlock> guard(b.lock);
+      std::size_t kept = 0;
+      for (const Entry& e : b.items) {
+        std::uint64_t& word = seen_[e.vertex / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (e.vertex % 64);
+        if ((word & bit) == 0 &&
+            pri_[e.vertex].load(std::memory_order_relaxed) == e.priority) {
+          word |= bit;
+          b.items[kept++] = e;
+        } else {
+          dropped_.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      b.items.resize(kept);
+      if (b.items.capacity() > 2 * kept + 64) b.items.shrink_to_fit();
+    }
+    for (Bucket& b : buckets_) {
+      std::lock_guard<Spinlock> guard(b.lock);
+      for (const Entry& e : b.items) seen_[e.vertex / 64] = 0;
+    }
+  }
+
+  /// Entries held across all buckets, live or stale (the queue's memory
+  /// footprint in entries).
+  std::size_t entries() const {
+    std::size_t n = 0;
+    for (const Bucket& b : buckets_) {
+      std::lock_guard<Spinlock> guard(b.lock);
+      n += b.items.size();
+    }
+    return n;
   }
 
   /// Current recorded priority of `v` (kNotQueued when not enqueued).
@@ -154,9 +195,18 @@ class BucketQueue {
   std::uint64_t pushes() const {
     return pushes_.load(std::memory_order_relaxed);
   }
-  /// Entries discarded at pop because a fresher entry superseded them.
+  /// Vertices taken by claim().
+  std::uint64_t claims() const {
+    return claims_.load(std::memory_order_relaxed);
+  }
+  /// Entries discarded because a fresher entry superseded them, not
+  /// counting the entry each claim() leaves behind. Exact once compact()
+  /// has run or the queue has drained; then deliveries + claims() +
+  /// stale_drops() + size() == pushes().
   std::uint64_t stale_drops() const {
-    return stale_drops_.load(std::memory_order_relaxed);
+    const std::uint64_t dropped = dropped_.load(std::memory_order_relaxed);
+    const std::uint64_t claimed = claims();
+    return dropped > claimed ? dropped - claimed : 0;
   }
   /// Current window base (minimum priority the regular slots can hold).
   priority_t base() const { return base_.load(std::memory_order_relaxed); }
@@ -216,7 +266,7 @@ class BucketQueue {
         *level = std::min(*level, e.priority);
         live_.fetch_sub(1, std::memory_order_release);
       } else {
-        stale_drops_.fetch_add(1, std::memory_order_relaxed);
+        dropped_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     return out.size() != before;
@@ -241,7 +291,7 @@ class BucketQueue {
         live.push_back(e);
         min_live = std::min(min_live, e.priority);
       } else {
-        stale_drops_.fetch_add(1, std::memory_order_relaxed);
+        dropped_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (live.empty()) return false;
@@ -261,7 +311,9 @@ class BucketQueue {
   std::atomic<priority_t> base_{0};
   std::atomic<std::size_t> live_{0};
   std::atomic<std::uint64_t> pushes_{0};
-  std::atomic<std::uint64_t> stale_drops_{0};
+  std::atomic<std::uint64_t> claims_{0};
+  std::atomic<std::uint64_t> dropped_{0};  ///< entries pop/compact discarded
+  std::vector<std::uint64_t> seen_;        ///< compact()'s dedup bitmap
 };
 
 /// Quantizes a positive residual magnitude into a bucket level: residuals

@@ -12,9 +12,9 @@
 //     every FAILED query failed for the injected reason, typed.
 //
 // Two of the rounds (including one corruption + chaos-drain round) run the
-// engine in async execution mode, so the sched::AsyncRunner loop — with its
-// overlapped next-bucket prefetch — is exercised under injected faults and
-// mid-stream drain too: it must neither deadlock nor leak pool buffers.
+// engine in async execution mode, so the sched::AsyncRunner loop is
+// exercised under injected faults and mid-stream drain too: it must
+// neither deadlock nor leak pool buffers.
 // BLAZE_STRESS_ASYNC=1 switches EVERY round to async (the nightly matrix
 // leg).
 //
