@@ -95,8 +95,7 @@ KcoreResult kcore_async(core::QueryContext& qc,
         },
         &result.stats);
     alive -= frontier.count();
-    core::edge_map(qc, out_g, frontier, prog, opts);
-    core::edge_map(qc, in_g, frontier, prog, opts);
+    core::edge_map(qc, {&out_g, &in_g}, frontier, prog, opts);
     return static_cast<double>(alive);
   });
   // A bounded sweep leaves the deeper core unpeeled, exactly like the BSP
@@ -152,8 +151,7 @@ KcoreResult kcore(core::QueryContext& qc, const format::OnDiskGraph& out_g,
           &result.stats);
       if (peeled.empty()) break;
       alive -= peeled.count();
-      core::edge_map(qc, out_g, peeled, prog, opts);
-      core::edge_map(qc, in_g, peeled, prog, opts);
+      core::edge_map(qc, {&out_g, &in_g}, peeled, prog, opts);
     }
     ++k;
   }

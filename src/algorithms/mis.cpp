@@ -75,8 +75,7 @@ MisResult mis(core::Runtime& rt, const format::OnDiskGraph& out_g,
     ++result.rounds;
     // 1. Undecided vertices advertise priorities both ways.
     PriorityProgram prio{result.state, nbr_max};
-    core::edge_map(rt, out_g, undecided, prio, no_out);
-    core::edge_map(rt, in_g, undecided, prio, no_out);
+    core::edge_map(rt, {&out_g, &in_g}, undecided, prio, no_out);
 
     // 2. Local winners join the set.
     core::VertexSubset winners = core::vertex_map(
@@ -95,8 +94,7 @@ MisResult mis(core::Runtime& rt, const format::OnDiskGraph& out_g,
 
     // 3. Winners knock out their undecided neighbors.
     KnockoutProgram knock{result.state};
-    core::edge_map(rt, out_g, winners, knock, no_out);
-    core::edge_map(rt, in_g, winners, knock, no_out);
+    core::edge_map(rt, {&out_g, &in_g}, winners, knock, no_out);
 
     // 4. Shrink the undecided set; reset heard priorities.
     undecided = core::vertex_map(

@@ -73,8 +73,7 @@ WccResult wcc_async(core::QueryContext& qc,
   opts.stats = &result.stats;
   auto rs = runner.run(
       [&](const core::VertexSubset& frontier, sched::priority_t) {
-        core::edge_map(qc, out_g, frontier, prog, opts);
-        core::edge_map(qc, in_g, frontier, prog, opts);
+        core::edge_map(qc, {&out_g, &in_g}, frontier, prog, opts);
         return static_cast<double>(frontier.count());
       });
   result.iterations = static_cast<std::uint32_t>(rs.rounds);
@@ -106,8 +105,7 @@ WccResult wcc(core::QueryContext& qc, const format::OnDiskGraph& out_g,
   opts.stats = &result.stats;
 
   while (!frontier.empty()) {
-    core::edge_map(qc, out_g, frontier, prog, opts);
-    core::edge_map(qc, in_g, frontier, prog, opts);
+    core::edge_map(qc, {&out_g, &in_g}, frontier, prog, opts);
     frontier = core::vertex_map(
         qc, core::VertexSubset::all(n),
         [&](vertex_t i) {

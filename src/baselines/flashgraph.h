@@ -125,7 +125,6 @@ class FlashGraphEngine {
       for (std::uint64_t p : need_io) {
         std::uint32_t buf = io_pool_.acquire_blocking();
         io::BufferMeta& meta = io_pool_.meta(buf);
-        meta.device = 0;
         meta.first_page = p;
         meta.num_pages = 1;
         if (cache_.lookup(p, io_pool_.data(buf))) {

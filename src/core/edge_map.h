@@ -1,19 +1,25 @@
 // Out-of-core EDGEMAP / VERTEXMAP (paper Sections IV-B and IV-C).
 //
-// edge_map() executes a user Program over all out-edges of the frontier:
+// edge_map() executes a user Program over all out-edges of the frontier,
+// in one graph or in a short list of graphs sharing one vertex space (an
+// out-graph and its transpose, for the undirected algorithms):
 //
-//   1. The frontier is transformed in parallel into a page frontier (the
-//      set of on-disk pages holding the frontier vertices' adjacency).
-//   2. The page frontier is submitted to the Runtime's persistent
-//      io::IoPipeline: one reader thread per device streams those pages
-//      into buffers from the free MPMC queue (merging up to 4 contiguous
-//      pages per request) and pushes filled buffers to the handle's filled
-//      queue.
+//   1. The frontier is transformed in parallel into a page frontier per
+//      graph (the on-disk pages holding the frontier vertices' adjacency),
+//      all graphs in one walk over the frontier.
+//   2. Every graph's page frontier is posted at once, through one
+//      io::IoPipeline::submit(), to the Runtime's persistent pipeline: one
+//      reader thread per device streams its pages into buffers from the
+//      free MPMC queue (merging up to 4 contiguous pages per request) and
+//      pushes filled buffers, tagged with their graph, to the one handle's
+//      filled queue. A graph and a transpose on different SSDs therefore
+//      stream at the same time instead of taking turns.
 //   3. Scatter threads drain the handle with io::ReadHandle::consume(); on
 //      each page, format::for_each_edge() locates the frontier vertices via
-//      the page-to-vertex map and decodes their edges, whatever the
-//      encoding, and the workers evaluate cond() and scatter() per edge and
-//      stage (dst, value) records into the bins.
+//      the page-to-vertex map of the page's graph and decodes their edges,
+//      whatever the encoding, and the workers evaluate cond() and scatter()
+//      per edge and stage (dst, value) records into the bins — records
+//      from every graph into the same per-destination bins.
 //   4. Gather threads drain full bins and apply gather() to the
 //      algorithm's vertex data — without synchronization, thanks to the
 //      bins' per-destination exclusivity — setting output-frontier bits.
@@ -32,6 +38,7 @@
 
 #include <atomic>
 #include <bit>
+#include <initializer_list>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -67,6 +74,10 @@ struct EdgeMapOptions {
   const VertexSubset* prefetch_candidates = nullptr;
 };
 
+/// The graphs one EdgeMap call streams: a graph alone, or graphs sharing
+/// one vertex space (an out-graph and its transpose) read in one pass.
+using GraphList = std::initializer_list<const format::OnDiskGraph*>;
+
 namespace detail {
 
 /// Unwraps RAID-0 into its member devices so the engine can run one IO
@@ -84,33 +95,50 @@ inline std::vector<device::BlockDevice*> leaf_devices(
   return {&dev};
 }
 
-/// Computes the page frontier of `subset` over `g` and returns per-device
-/// read batches: logical page p lives on device p % D as that device's
-/// page p / D (RAID-0 striping). `filter(v)` additionally gates
-/// membership.
+/// Computes the page frontier of `subset` over every graph of `graphs` in
+/// one parallel walk and returns per-device read batches, each tagged with
+/// its graph's position in `graphs` and its RAID-0 stripe: logical page p
+/// of a graph striped over D devices lives on device p % D as that
+/// device's page p / D. `filter(v)` additionally gates membership.
 template <typename Filter>
-std::vector<io::ReadBatch> page_frontier_batches(
-    QueryContext& qc, const format::OnDiskGraph& g,
-    const VertexSubset& subset, Filter&& filter) {
-  ConcurrentBitmap page_bits(g.num_pages());
-  subset.for_each_parallel(qc.pool(), [&](vertex_t v) {
-    if (g.degree(v) == 0 || !filter(v)) return;
-    auto [first, last] = g.page_range(v);
-    for (std::uint64_t p = first; p <= last; ++p) page_bits.set(p);
-  });
-  auto devices = leaf_devices(g.device());
-  std::vector<io::ReadBatch> batches(devices.size());
-  const std::size_t num_devices = devices.size();
-  for (std::size_t d = 0; d < num_devices; ++d) {
-    batches[d].device = devices[d];
-    batches[d].device_index = static_cast<std::uint32_t>(d);
-    // Graph-level integrity gate (single-device graphs; see
-    // OnDiskGraph::set_page_verifier).
-    if (g.page_verifier()) batches[d].verifier = g.page_verifier();
+std::vector<io::ReadBatch> page_frontier_batches(QueryContext& qc,
+                                                 GraphList graphs,
+                                                 const VertexSubset& subset,
+                                                 Filter&& filter) {
+  std::vector<ConcurrentBitmap> page_bits;
+  page_bits.reserve(graphs.size());
+  for (const format::OnDiskGraph* g : graphs) {
+    page_bits.emplace_back(g->num_pages());
   }
-  page_bits.for_each([&](std::size_t p) {
-    batches[p % num_devices].pages.push_back(p / num_devices);
+  subset.for_each_parallel(qc.pool(), [&](vertex_t v) {
+    if (!filter(v)) return;
+    ConcurrentBitmap* bits = page_bits.data();
+    for (const format::OnDiskGraph* g : graphs) {
+      if (g->degree(v) != 0) {
+        auto [first, last] = g->page_range(v);
+        for (std::uint64_t p = first; p <= last; ++p) bits->set(p);
+      }
+      ++bits;
+    }
   });
+  std::vector<io::ReadBatch> batches;
+  for (std::uint32_t s = 0; s < graphs.size(); ++s) {
+    const format::OnDiskGraph& g = *graphs.begin()[s];
+    auto devices = leaf_devices(g.device());
+    const auto width = static_cast<std::uint32_t>(devices.size());
+    const std::size_t first_batch = batches.size();
+    for (std::uint32_t d = 0; d < width; ++d) {
+      io::ReadBatch& b = batches.emplace_back();
+      b.device = devices[d];
+      b.origin = {s, width, d};
+      // Graph-level integrity gate (single-device graphs; see
+      // OnDiskGraph::set_page_verifier).
+      if (g.page_verifier()) b.verifier = g.page_verifier();
+    }
+    page_bits[s].for_each([&](std::size_t p) {
+      batches[first_batch + p % width].pages.push_back(p / width);
+    });
+  }
   return batches;
 }
 
@@ -122,7 +150,7 @@ inline std::shared_ptr<io::ReadHandle> submit_prefetch(
     QueryContext& qc, const format::OnDiskGraph& g,
     const VertexSubset& candidates) {
   if (candidates.empty()) return nullptr;
-  auto batches = page_frontier_batches(qc, g, candidates,
+  auto batches = page_frontier_batches(qc, {&g}, candidates,
                                        [](vertex_t) { return true; });
   return qc.io_pipeline().prefetch(qc.io_pool(), std::move(batches),
                                    qc.config().max_inflight_io);
@@ -130,8 +158,13 @@ inline std::shared_ptr<io::ReadHandle> submit_prefetch(
 
 }  // namespace detail
 
+/// EDGEMAP over every graph of `graphs` in one pass: the frontier's edges
+/// in all of them, as if edge_map() ran on each in turn (the undirected
+/// algorithms pass {&out_g, &in_g}), but with every graph's pages in
+/// flight at once and one scatter/gather phase. The graphs must share one
+/// vertex space.
 template <typename Program>
-VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
+VertexSubset edge_map(QueryContext& qc, GraphList graphs,
                       const VertexSubset& frontier, Program& prog,
                       const EdgeMapOptions& opts = {}) {
   static_assert(sizeof(typename Program::value_type) == sizeof(bin_value_t),
@@ -140,7 +173,8 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
 
   Timer timer;
   const Config& cfg = qc.config();
-  const vertex_t n = g.num_vertices();
+  const format::OnDiskGraph* const* graph_of = graphs.begin();
+  const vertex_t n = graph_of[0]->num_vertices();
   VertexSubset out(n);
   if (opts.stats) ++opts.stats->edge_map_calls;
   // Trace identity for everything this call does — including the IO jobs
@@ -220,13 +254,17 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
   };
   // Program/graph record-format compatibility, checked before any pipeline
   // work starts.
-  format::check_edge_fn<decltype(scatter_edge(nullptr, nullptr))>(g.index());
+  for (const format::OnDiskGraph* g : graphs) {
+    BLAZE_CHECK(g->num_vertices() == n,
+                "edge_map: graphs must share one vertex space");
+    format::check_edge_fn<decltype(scatter_edge(nullptr, nullptr))>(
+        g->index());
+  }
   if (frontier.empty()) return out;
 
-  // ---- Step 1: vertex frontier -> page frontier --------------------------
+  // ---- Step 1: vertex frontier -> page frontier of every graph -----------
   auto batches = detail::page_frontier_batches(
-      qc, g, frontier, [](vertex_t) { return true; });
-  const std::size_t num_devices = batches.size();
+      qc, graphs, frontier, [](vertex_t) { return true; });
 
   // ---- Step 2: hand the page frontier to the persistent IO pipeline ------
   io::IoBufferPool& io_pool = qc.io_pool();
@@ -254,9 +292,10 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
       ScatterBuffer* sbuf = sync_mode ? nullptr : &qc.scatter_buffer(worker);
       auto on_edge = scatter_edge(sbuf, &local_records);
       local_io_wait = io->consume(
-          io_pool, num_devices,
-          [&](std::uint64_t logical_page, const std::byte* page,
-              std::uint64_t page_valid) {
+          io_pool,
+          [&](std::uint32_t source, std::uint64_t logical_page,
+              const std::byte* page, std::uint64_t page_valid) {
+            const format::OnDiskGraph& g = *graph_of[source];
             local_edges += format::for_each_edge(
                 g.index(), g.page_map(), logical_page, page, page_valid,
                 [&](vertex_t v) { return frontier.contains(v); }, on_edge);
@@ -310,12 +349,26 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
   return out;
 }
 
-/// Single-query convenience: runs on the Runtime's default context.
+/// EDGEMAP over one graph: the one-element call of the body above.
+template <typename Program>
+VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
+                      const VertexSubset& frontier, Program& prog,
+                      const EdgeMapOptions& opts = {}) {
+  return edge_map(qc, {&g}, frontier, prog, opts);
+}
+
+/// Single-query conveniences: run on the Runtime's default context.
+template <typename Program>
+VertexSubset edge_map(Runtime& rt, GraphList graphs,
+                      const VertexSubset& frontier, Program& prog,
+                      const EdgeMapOptions& opts = {}) {
+  return edge_map(rt.default_context(), graphs, frontier, prog, opts);
+}
 template <typename Program>
 VertexSubset edge_map(Runtime& rt, const format::OnDiskGraph& g,
                       const VertexSubset& frontier, Program& prog,
                       const EdgeMapOptions& opts = {}) {
-  return edge_map(rt.default_context(), g, frontier, prog, opts);
+  return edge_map(rt.default_context(), {&g}, frontier, prog, opts);
 }
 
 /// VERTEXMAP (paper Section IV-B): applies `f` to every frontier member

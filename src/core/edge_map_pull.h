@@ -54,8 +54,7 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
   // Page frontier over the *candidates'* in-adjacency, handed to the
   // Runtime's persistent IO pipeline.
   auto batches = detail::page_frontier_batches(
-      qc, in_g, candidates, [&](vertex_t v) { return prog.cond(v); });
-  const std::size_t num_devices = batches.size();
+      qc, {&in_g}, candidates, [&](vertex_t v) { return prog.cond(v); });
 
   io::IoBufferPool& io_pool = qc.io_pool();
   auto io = qc.io_pipeline().submit(io_pool, std::move(batches),
@@ -79,8 +78,8 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
     trace::Span scatter_span(trace::Name::kScatter, worker);
     std::uint64_t local_edges = 0;
     const std::uint64_t local_io_wait = io->consume(
-        io_pool, num_devices,
-        [&](std::uint64_t logical_page, const std::byte* page,
+        io_pool,
+        [&](std::uint32_t, std::uint64_t logical_page, const std::byte* page,
             std::uint64_t page_valid) {
           local_edges += format::for_each_edge(
               in_g.index(), in_g.page_map(), logical_page, page, page_valid,

@@ -24,12 +24,26 @@ namespace blaze::io {
 /// four contiguous pages; larger requests do not pay off on FNDs).
 inline constexpr std::uint32_t kMaxMergePages = 4;
 
-/// Metadata of one filled buffer: which device pages it holds. Logical page
-/// j of the buffer is child page (first_page + j) of device `device`; with
-/// RAID-0 striping over D devices that corresponds to logical graph page
-/// (first_page + j) * D + device.
+/// Where a read batch's pages belong: graph `source` of a multi-graph
+/// submit (an EdgeMap over a graph and its transpose tags them 0 and 1),
+/// read from the device at `stripe_index` of a RAID-0 set `stripe_width`
+/// devices wide. Device page p is then logical graph page
+/// p * stripe_width + stripe_index.
+struct PageOrigin {
+  std::uint32_t source = 0;
+  std::uint32_t stripe_width = 1;
+  std::uint32_t stripe_index = 0;
+
+  std::uint64_t logical_page(std::uint64_t device_page) const {
+    return device_page * stripe_width + stripe_index;
+  }
+};
+
+/// Metadata of one filled buffer: which device pages it holds. Page j of
+/// the buffer is device page (first_page + j), i.e. logical page
+/// origin.logical_page(first_page + j) of graph origin.source.
 struct BufferMeta {
-  std::uint32_t device = 0;
+  PageOrigin origin;
   std::uint64_t first_page = 0;  ///< in the owning device's page space
   std::uint32_t num_pages = 0;
   /// Bytes the device actually filled. Equal to num_pages * kPageSize except

@@ -87,7 +87,7 @@ std::shared_ptr<ReadHandle> IoPipeline::post(IoBufferPool& pool,
     job->handle = handle;
     job->pool = &pool;
     job->device = b.device;
-    job->device_index = b.device_index;
+    job->origin = b.origin;
     job->pages = std::move(b.pages);
     job->max_inflight = max_inflight;
     job->retry = retry_;
@@ -167,7 +167,7 @@ void IoPipeline::execute(Job& job) {
   PipelineStats local;
   const std::uint64_t busy0 = job.device->stats().busy_ns();
   try {
-    run_reads(*job.device, job.device_index, job.pages, *job.pool,
+    run_reads(*job.device, job.origin, job.pages, *job.pool,
               handle.discard_ ? nullptr : &handle.filled_, job.max_inflight,
               local, job.retry, job.verifier ? &job.verifier : nullptr);
   } catch (...) {

@@ -6,15 +6,17 @@
 // fresh std::threads around io::run_reads and hand-rolled its own filled
 // queue — twice, once per traversal direction. IoPipeline centralizes that:
 //
-//   * Reader threads are created lazily (slot d serves the device at stripe
-//     index d of whatever graph is being read) and live as long as the
-//     owning core::Runtime. Each is fed read batches through its own MPMC
-//     work queue and parks with exponential backoff, then a condition
-//     variable, when idle — so an idle Runtime costs nothing.
-//   * submit() posts one batch per device and returns a ReadHandle: a
-//     filled-buffer queue plus completion/error state and the batch's
-//     unified PipelineStats. Consumers drain it with ReadHandle::consume(),
-//     the one page-consumer loop (push, pull and fused EdgeMap all use it).
+//   * Reader threads are created lazily (one per distinct device) and live
+//     as long as the owning core::Runtime. Each is fed read batches through
+//     its own MPMC work queue and parks with exponential backoff, then a
+//     condition variable, when idle — so an idle Runtime costs nothing.
+//   * submit() posts one batch per device — of one graph, or of several
+//     graphs read in one pass (an out-graph and its transpose) — and
+//     returns a ReadHandle: a filled-buffer queue plus completion/error
+//     state and the batches' unified PipelineStats. Consumers drain it with
+//     ReadHandle::consume(), the one page-consumer loop (push, pull and
+//     fused EdgeMap all use it), which maps every page back to its graph
+//     and logical page from the PageOrigin each batch stamps on its buffers.
 //   * prefetch() posts discard-mode batches behind any queued demand work
 //     (FIFO per reader): the pages are read and the buffers immediately
 //     recycled, warming device-level caches for the *next* iteration while
@@ -54,7 +56,7 @@ namespace blaze::io {
 /// One device's share of a page frontier: sorted device-local page IDs.
 struct ReadBatch {
   device::BlockDevice* device = nullptr;
-  std::uint32_t device_index = 0;  ///< reader slot and BufferMeta.device tag
+  PageOrigin origin;  ///< graph and RAID-0 stripe, stamped into BufferMeta
   std::vector<std::uint64_t> pages;
   /// Optional integrity gate: every completed page of this batch must pass
   /// it or the reader raises IoError{kCorruption}. Empty = no verification.
@@ -84,17 +86,17 @@ class ReadHandle {
   std::exception_ptr error() const { return error_; }
 
   /// The consumer loop of every EdgeMap path; any number of threads may run
-  /// it on one handle. Calls `on_page(logical_page, page, page_valid)` for
-  /// each page of each filled buffer (RAID-0: page j of a buffer is logical
-  /// page (first_page + j) * stripe_width + device), then releases the
+  /// it on one handle. Calls `on_page(source, logical_page, page,
+  /// page_valid)` for each page of each filled buffer — `source` and the
+  /// RAID-0 mapping come from the batch's PageOrigin — then releases the
   /// buffer. On an empty queue it runs `other_work()` and backs off when
   /// that returns false; returns the back-off nanoseconds (IO starvation)
   /// once the queue is drained and io_done(). An exception from `on_page`
   /// becomes the handle's error; every consumer then releases the remaining
   /// buffers unprocessed, so the pool is whole as after a device fault.
   template <typename OnPage, typename OtherWork>
-  std::uint64_t consume(IoBufferPool& pool, std::size_t stripe_width,
-                        OnPage&& on_page, OtherWork&& other_work) {
+  std::uint64_t consume(IoBufferPool& pool, OnPage&& on_page,
+                        OtherWork&& other_work) {
     std::uint64_t io_wait_ns = 0;
     Backoff backoff;
     for (;;) {
@@ -119,7 +121,8 @@ class ReadHandle {
           const BufferMeta& meta = pool.meta(*buf);
           const std::byte* data = pool.data(*buf);
           for (std::uint32_t j = 0; j < meta.num_pages; ++j) {
-            on_page((meta.first_page + j) * stripe_width + meta.device,
+            on_page(meta.origin.source,
+                    meta.origin.logical_page(meta.first_page + j),
                     data + static_cast<std::size_t>(j) * kPageSize,
                     std::min<std::uint64_t>(
                         kPageSize,
@@ -170,11 +173,11 @@ class IoPipeline {
 
   /// Posts one read job per non-empty batch. Each distinct device gets its
   /// own persistent reader slot (paper: one IO thread per SSD) — keyed by
-  /// the device itself, not the batch's stripe index, so concurrent queries
-  /// over *different* graphs never serialize behind one reader while
-  /// queries touching the *same* device share its single thread FIFO.
-  /// batch.device_index remains the stripe tag stamped into BufferMeta.
-  /// Filled buffers appear in the handle's queue.
+  /// the device itself, not the batch's stripe index, so batches on
+  /// *different* devices — of one graph, of a graph and its transpose, or
+  /// of concurrent queries — stream in parallel while batches on the *same*
+  /// device share its single thread FIFO. Filled buffers of every batch
+  /// appear in the one handle's queue, tagged with the batch's origin.
   std::shared_ptr<ReadHandle> submit(IoBufferPool& pool,
                                      std::vector<ReadBatch> batches,
                                      std::size_t max_inflight);
@@ -219,7 +222,7 @@ class IoPipeline {
     std::shared_ptr<ReadHandle> handle;
     IoBufferPool* pool = nullptr;
     device::BlockDevice* device = nullptr;
-    std::uint32_t device_index = 0;
+    PageOrigin origin;
     std::vector<std::uint64_t> pages;
     std::size_t max_inflight = 0;
     RetryPolicy retry;      ///< snapshot of the pipeline policy at post time

@@ -10,7 +10,7 @@
 
 namespace blaze::io {
 
-void run_reads(device::BlockDevice& dev, std::uint32_t device_index,
+void run_reads(device::BlockDevice& dev, const PageOrigin& origin,
                std::span<const std::uint64_t> pages, IoBufferPool& pool,
                MpmcQueue<std::uint32_t>* filled, std::size_t max_inflight,
                PipelineStats& stats, const RetryPolicy& retry,
@@ -145,7 +145,7 @@ void run_reads(device::BlockDevice& dev, std::uint32_t device_index,
       const auto covered = static_cast<std::uint32_t>(
           ceil_div(length, std::uint64_t{kPageSize}));
       BufferMeta& meta = pool.meta(buf);
-      meta.device = device_index;
+      meta.origin = origin;
       meta.first_page = first;
       meta.num_pages = covered;
       meta.valid_bytes = req.length;

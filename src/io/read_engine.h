@@ -29,7 +29,7 @@ namespace blaze::io {
 
 /// Reads every page in `pages` (sorted, device-local page IDs) from `dev`.
 /// Buffers come from `pool` and completed buffers are pushed to `filled`
-/// with meta().device = `device_index`. When `filled` is null the batch is
+/// with meta().origin = `origin`. When `filled` is null the batch is
 /// a prefetch: buffers are released back to the pool as soon as the read
 /// completes (the value is the warming of device-level caches, not the
 /// data). Blocks until all pages are read. `max_inflight` bounds
@@ -43,7 +43,7 @@ namespace blaze::io {
 /// incremented and every acquired/in-flight buffer is released back to
 /// `pool` before the throw — the pool is whole again when this returns by
 /// exception.
-void run_reads(device::BlockDevice& dev, std::uint32_t device_index,
+void run_reads(device::BlockDevice& dev, const PageOrigin& origin,
                std::span<const std::uint64_t> pages, IoBufferPool& pool,
                MpmcQueue<std::uint32_t>* filled, std::size_t max_inflight,
                PipelineStats& stats, const RetryPolicy& retry = {},

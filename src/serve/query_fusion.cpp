@@ -73,8 +73,6 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
   }
 
   // ---- Lockstep rounds ----------------------------------------------------
-  const std::size_t num_devices =
-      core::detail::leaf_devices(g.device()).size();
   for (;;) {
     // Deactivate exhausted members, collect this round's participants.
     std::vector<MemberState*> round;
@@ -113,7 +111,7 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
       f.for_each([&](vertex_t v) { uni.add(v); });
     }
     auto batches = core::detail::page_frontier_batches(
-        qc, g, uni, [](vertex_t) { return true; });
+        qc, {&g}, uni, [](vertex_t) { return true; });
 
     // Canonical processing order: ascending logical page. Each member's
     // own pages form the same subsequence alone or fused — the root of
@@ -121,7 +119,7 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
     std::vector<std::uint64_t> canonical;
     for (const io::ReadBatch& b : batches) {
       for (const std::uint64_t p : b.pages) {
-        canonical.push_back(p * num_devices + b.device_index);
+        canonical.push_back(b.origin.logical_page(p));
       }
     }
     std::sort(canonical.begin(), canonical.end());
@@ -175,8 +173,8 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
       // The fused consumer is single-threaded: an empty queue is pure IO
       // starvation.
       const std::uint64_t io_wait_ns = io->consume(
-          io_pool, num_devices,
-          [&](std::uint64_t lp, const std::byte* page,
+          io_pool,
+          [&](std::uint32_t, std::uint64_t lp, const std::byte* page,
               std::uint64_t page_valid) {
             if (next_idx < canonical.size() && lp == canonical[next_idx]) {
               process_page(lp, page, page_valid);

@@ -15,6 +15,8 @@
 
 #include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
+#include "algorithms/wcc.h"
+#include "baselines/inmem.h"
 #include "core/edge_map.h"
 #include "core/edge_map_pull.h"
 #include "core/runtime.h"
@@ -58,8 +60,10 @@ std::vector<std::uint64_t> iota_pages(std::uint64_t count) {
 std::uint64_t drain(io::ReadHandle& handle, io::IoBufferPool& pool) {
   std::uint64_t pages = 0;
   handle.consume(
-      pool, 1,
-      [&](std::uint64_t, const std::byte*, std::uint64_t) { ++pages; },
+      pool,
+      [&](std::uint32_t, std::uint64_t, const std::byte*, std::uint64_t) {
+        ++pages;
+      },
       [] { return false; });
   return pages;
 }
@@ -320,6 +324,38 @@ TEST(FaultTolerance, EdgeMapPullFaultKeepsRuntimeReusable) {
   EXPECT_EQ(rt.io_pool().available(), rt.io_pool().num_buffers());
 }
 
+TEST(FaultTolerance, TransposeFaultInTwoGraphPassKeepsRuntimeReusable) {
+  // One EdgeMap pass streams the graph and its transpose through one
+  // handle; only the transpose's device fails. The healthy reader's
+  // buffers must come back too.
+  graph::Csr g = graph::generate_rmat(10, 8, 817);
+  graph::Csr gt = graph::transpose(g);
+  auto out_g = format::make_mem_graph(g);
+  std::shared_ptr<FaultyDevice> faulty;
+  auto bad_t = faulty_graph(
+      gt, &faulty,
+      [](std::uint64_t off, std::uint64_t len) {
+        return off < 3 * kPageSize && off + len > 2 * kPageSize;
+      },
+      FaultMode::kPermanent);
+
+  Runtime rt(testutil::test_config());
+  const vertex_t n = g.num_vertices();
+  std::vector<std::uint32_t> acc(n, 0);
+  CountProgram prog{acc};
+  EXPECT_THROW(
+      core::edge_map(rt, {&out_g, &bad_t}, VertexSubset::all(n), prog, {}),
+      io::IoError);
+  EXPECT_GE(faulty->injected_failures(), 1u);
+  rt.io_pipeline().quiesce();
+  EXPECT_EQ(rt.io_pool().available(), rt.io_pool().num_buffers());
+
+  auto in_g = format::make_mem_graph(gt);
+  auto result = algorithms::wcc(rt, out_g, in_g);
+  EXPECT_EQ(result.ids, baseline::inmem::wcc(g));
+  EXPECT_EQ(rt.io_pool().available(), rt.io_pool().num_buffers());
+}
+
 TEST(FaultTolerance, BfsSurvivesTransientFaultsWithIdenticalResult) {
   graph::Csr g = graph::generate_rmat(10, 8, 813);
   std::shared_ptr<FaultyDevice> faulty;
@@ -504,11 +540,14 @@ TEST(FaultTolerance, CorruptPageRaisesCorruptionOnEveryPath) {
   graph::Csr g = graph::generate_rmat(11, 16, 816);
   const vertex_t n = g.num_vertices();
   const auto all = VertexSubset::all(n);
+  auto clean = format::make_mem_graph(g);
+  const graph::Csr gt = graph::transpose(g);
   Runtime rt(testutil::test_config());
   for (Corruption how : {Corruption::kFlatDstOutOfRange,
                          Corruption::kOverlongVarint,
                          Corruption::kTamperedCarry}) {
     auto bad = corrupt_graph(g, how);
+    auto bad_t = corrupt_graph(gt, how);
     std::vector<std::uint32_t> acc(n, 0);
     CountProgram prog{acc};
     const std::string what = name_of(how);
@@ -518,6 +557,10 @@ TEST(FaultTolerance, CorruptPageRaisesCorruptionOnEveryPath) {
     expect_corruption_then_clean_bfs(
         rt, g, [&] { core::edge_map_pull(rt, bad, all, all, prog, {}); },
         what + ", pull");
+    // One pass over a clean graph and a corrupt transpose.
+    expect_corruption_then_clean_bfs(
+        rt, g, [&] { core::edge_map(rt, {&clean, &bad_t}, all, prog, {}); },
+        what + ", two-graph push");
     // PageRank streams every page each round; BFS rides along.
     std::vector<serve::FusedQuerySpec> specs(2);
     specs[1].kind = serve::FusedQuerySpec::Kind::kPageRank;

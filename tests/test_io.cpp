@@ -80,7 +80,7 @@ ReadResult drain_reads(device::BlockDevice& dev,
   IoBufferPool pool(64 * kPageSize);
   MpmcQueue<std::uint32_t> filled(pool.num_buffers() + 1);
   ReadResult r;
-  run_reads(dev, 0, pages, pool, &filled, 64, r.stats);
+  run_reads(dev, {}, pages, pool, &filled, 64, r.stats);
   while (auto id = filled.pop()) {
     const BufferMeta& meta = pool.meta(*id);
     EXPECT_EQ(meta.valid_bytes,
@@ -181,7 +181,7 @@ TEST(ReadEngine, TailClampShortensFinalPartialPage) {
 
   PipelineStats stats;
   std::vector<std::uint64_t> pages = {2, 3};
-  run_reads(*dev, 0, pages, pool, &filled, 64, stats);
+  run_reads(*dev, {}, pages, pool, &filled, 64, stats);
   EXPECT_EQ(stats.tail_clamps, 1u);
   EXPECT_EQ(stats.io_requests, 1u);
   EXPECT_EQ(stats.pages_read, 2u);
@@ -212,7 +212,7 @@ TEST(ReadEngine, DiscardModeRecyclesBuffersWithoutFilledQueue) {
   PipelineStats stats;
   // No filled queue and no consumer: discard mode must recycle its own
   // buffers or this would deadlock on pool exhaustion.
-  run_reads(*dev, 0, pages, pool, nullptr, 64, stats);
+  run_reads(*dev, {}, pages, pool, nullptr, 64, stats);
   EXPECT_EQ(stats.pages_read, 32u);
   // Every buffer is back in the pool.
   std::set<std::uint32_t> ids;
@@ -244,7 +244,7 @@ TEST(ReadEngine, ManyPagesWithSmallPoolBackpressure) {
     }
   });
   PipelineStats stats;
-  run_reads(*dev, 0, pages, pool, &filled, 64, stats);
+  run_reads(*dev, {}, pages, pool, &filled, 64, stats);
   done.store(true);
   consumer.join();
   EXPECT_EQ(stats.pages_read, 512u);

@@ -70,12 +70,13 @@ TEST(IoPipeline, SubmitDeliversAllPagesAndReusesReaders) {
   for (int round = 0; round < 2; ++round) {
     std::vector<io::ReadBatch> batches(1);
     batches[0].device = dev.get();
-    batches[0].device_index = 0;
+    batches[0].origin = {};
     batches[0].pages = iota_pages(64);
     auto handle = pipeline.submit(pool, std::move(batches), 16);
     std::uint64_t pages_seen = 0;
     handle->consume(
-        pool, 1, [&](std::uint64_t, const std::byte*, std::uint64_t) {
+        pool,
+        [&](std::uint32_t, std::uint64_t, const std::byte*, std::uint64_t) {
           ++pages_seen;
         },
         [] { return false; });
@@ -94,7 +95,7 @@ TEST(IoPipeline, EmptyBatchesCompleteImmediately) {
   std::vector<io::ReadBatch> batches(2);
   batches[0].device = dev.get();
   batches[1].device = dev.get();
-  batches[1].device_index = 1;
+  batches[1].origin.stripe_index = 1;
   auto handle = pipeline.submit(pool, std::move(batches), 16);
   handle->wait();
   EXPECT_TRUE(handle->io_done());
@@ -127,8 +128,10 @@ TEST(IoPipeline, PrefetchWarmsDeviceCacheAndRecyclesBuffers) {
   auto h2 = pipeline.submit(pool, std::move(demand), 16);
   std::uint64_t pages_seen = 0;
   h2->consume(
-      pool, 1,
-      [&](std::uint64_t, const std::byte*, std::uint64_t) { ++pages_seen; },
+      pool,
+      [&](std::uint32_t, std::uint64_t, const std::byte*, std::uint64_t) {
+        ++pages_seen;
+      },
       [] { return false; });
   EXPECT_EQ(pages_seen, 32u);
   // The demand pass is fully warmed: every page served from cache.
