@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/stats.h"
+#include "core/vertex_map.h"
 #include "core/vertex_subset.h"
 #include "device/cached_device.h"
 #include "format/on_disk_graph.h"
@@ -225,12 +226,7 @@ class FlashGraphEngine {
   template <typename Fn>
   core::VertexSubset vertex_map(const core::VertexSubset& frontier, Fn&& f,
                                 core::QueryStats* stats = nullptr) {
-    core::VertexSubset out(frontier.universe());
-    frontier.for_each_parallel(pool_, [&](vertex_t v) {
-      if (f(v)) out.add(v);
-    });
-    if (stats) ++stats->vertex_map_calls;
-    return out;
+    return core::vertex_map(pool_, frontier, std::forward<Fn>(f), stats);
   }
 
  private:

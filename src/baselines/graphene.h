@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/stats.h"
+#include "core/vertex_map.h"
 #include "core/vertex_subset.h"
 #include "format/partitioner.h"
 #include "util/busy_wait.h"
@@ -192,12 +193,7 @@ class GrapheneEngine {
   template <typename Fn>
   core::VertexSubset vertex_map(const core::VertexSubset& frontier, Fn&& f,
                                 core::QueryStats* stats = nullptr) {
-    core::VertexSubset out(frontier.universe());
-    frontier.for_each_parallel(vm_pool_, [&](vertex_t v) {
-      if (f(v)) out.add(v);
-    });
-    if (stats) ++stats->vertex_map_calls;
-    return out;
+    return core::vertex_map(vm_pool_, frontier, std::forward<Fn>(f), stats);
   }
 
  private:

@@ -13,6 +13,7 @@
 #include <atomic>
 
 #include "core/stats.h"
+#include "core/vertex_map.h"
 #include "core/vertex_subset.h"
 #include "graph/csr.h"
 #include "util/thread_pool.h"
@@ -56,12 +57,7 @@ class LigraEngine {
   template <typename Fn>
   core::VertexSubset vertex_map(const core::VertexSubset& frontier, Fn&& f,
                                 core::QueryStats* stats = nullptr) {
-    core::VertexSubset out(frontier.universe());
-    frontier.for_each_parallel(pool_, [&](vertex_t v) {
-      if (f(v)) out.add(v);
-    });
-    if (stats) ++stats->vertex_map_calls;
-    return out;
+    return core::vertex_map(pool_, frontier, std::forward<Fn>(f), stats);
   }
 
  private:

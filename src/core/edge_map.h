@@ -48,6 +48,7 @@
 #include "core/query_context.h"
 #include "core/runtime.h"
 #include "core/stats.h"
+#include "core/vertex_map.h"
 #include "core/vertex_subset.h"
 #include "device/raid0_device.h"
 #include "format/on_disk_graph.h"
@@ -371,17 +372,11 @@ VertexSubset edge_map(Runtime& rt, const format::OnDiskGraph& g,
   return edge_map(rt.default_context(), {&g}, frontier, prog, opts);
 }
 
-/// VERTEXMAP (paper Section IV-B): applies `f` to every frontier member
-/// fully in memory; the members where `f` returns true form the result.
+/// VERTEXMAP on the query's compute pool (core/vertex_map.h).
 template <typename Fn>
 VertexSubset vertex_map(QueryContext& qc, const VertexSubset& frontier,
                         Fn&& f, QueryStats* stats = nullptr) {
-  VertexSubset out(frontier.universe());
-  frontier.for_each_parallel(qc.pool(), [&](vertex_t v) {
-    if (f(v)) out.add(v);
-  });
-  if (stats) ++stats->vertex_map_calls;
-  return out;
+  return vertex_map(qc.pool(), frontier, std::forward<Fn>(f), stats);
 }
 
 /// Single-query convenience: runs on the Runtime's default context.

@@ -109,12 +109,8 @@ class Cluster {
   template <typename Fn>
   core::VertexSubset vertex_map(const core::VertexSubset& frontier, Fn&& f,
                                 core::QueryStats* stats = nullptr) {
-    core::VertexSubset out(frontier.universe());
-    frontier.for_each_parallel(nodes_[0]->runtime->pool(), [&](vertex_t v) {
-      if (f(v)) out.add(v);
-    });
-    if (stats) ++stats->vertex_map_calls;
-    return out;
+    return core::vertex_map(nodes_[0]->runtime->pool(), frontier,
+                            std::forward<Fn>(f), stats);
   }
 
   /// Owner of destination vertex d.

@@ -31,13 +31,6 @@ class ConcurrentBitmap {
     return (prev & mask) == 0;
   }
 
-  /// Non-atomic set; only safe when a single thread owns the bitmap.
-  void set_unsafe(std::size_t i) {
-    auto& w = words_[i >> 6];
-    w.store(w.load(std::memory_order_relaxed) | (1ULL << (i & 63)),
-            std::memory_order_relaxed);
-  }
-
   bool test(std::size_t i) const {
     return (words_[i >> 6].load(std::memory_order_relaxed) >>
             (i & 63)) & 1;
@@ -78,6 +71,11 @@ class ConcurrentBitmap {
   std::size_t word_count() const { return words_.size(); }
   std::uint64_t word(std::size_t k) const {
     return words_[k].load(std::memory_order_relaxed);
+  }
+  /// Overwrites word `k`. Safe when no other thread touches that word
+  /// (the caller owns the 64-bit block); bits at or past size() must be 0.
+  void store_word(std::size_t k, std::uint64_t w) {
+    words_[k].store(w, std::memory_order_relaxed);
   }
 
  private:

@@ -87,6 +87,79 @@ TEST(VertexSubset, ConcurrentAddsCountExactly) {
   EXPECT_EQ(s.count(), 5000u);
 }
 
+TEST(VertexSubset, AllFillsExactlyTheUniverse) {
+  ThreadPool pool(3);
+  for (vertex_t n : {0u, 1u, 63u, 64u, 65u, 1000u}) {
+    SCOPED_TRACE(n);
+    VertexSubset s = VertexSubset::all(n);
+    EXPECT_EQ(s.count(), n);
+    std::vector<vertex_t> want(n);
+    std::iota(want.begin(), want.end(), 0u);
+    std::vector<vertex_t> seq;
+    s.for_each([&](vertex_t v) { seq.push_back(v); });
+    EXPECT_EQ(seq, want);
+    std::vector<vertex_t> par;
+    Spinlock mu;
+    s.for_each_parallel(pool, [&](vertex_t v) {
+      std::lock_guard lock(mu);
+      par.push_back(v);
+    });
+    std::sort(par.begin(), par.end());
+    EXPECT_EQ(par, want);
+    // No tail bits past the universe: the popcount agrees with n.
+    std::size_t bits = 0;
+    for (std::size_t k = 0; k < s.word_count(); ++k) {
+      bits += static_cast<std::size_t>(__builtin_popcountll(s.word(k)));
+    }
+    EXPECT_EQ(bits, n);
+  }
+}
+
+TEST(VertexSubset, CloneCopiesMembersAndCount) {
+  VertexSubset s(130);
+  for (vertex_t v : {0u, 63u, 64u, 129u}) s.add(v);
+  VertexSubset c = s.clone();
+  EXPECT_EQ(c.count(), 4u);
+  EXPECT_EQ(c.sparse_view(), s.sparse_view());
+  c.add(5);
+  EXPECT_EQ(c.count(), 5u);
+  EXPECT_EQ(s.count(), 4u);
+}
+
+TEST(VertexSubset, AddAfterCountInvalidatesCachedCount) {
+  VertexSubset t(100);
+  EXPECT_EQ(t.count(), 0u);
+  t.add(3);
+  EXPECT_EQ(t.count(), 1u);  // cached now
+  t.add(3);                  // already a member: count unchanged
+  EXPECT_EQ(t.count(), 1u);
+  t.add(77);
+  EXPECT_EQ(t.count(), 2u);
+  EXPECT_FALSE(t.empty());
+}
+
+TEST(VertexSubset, MovedFromIsEmptyOverUniverseZero) {
+  VertexSubset a = VertexSubset::all(200);
+  VertexSubset b(std::move(a));
+  EXPECT_EQ(b.count(), 200u);
+  EXPECT_EQ(a.universe(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.count(), 0u);
+  EXPECT_TRUE(a.empty());
+  EXPECT_TRUE(a.sparse_view().empty());
+
+  VertexSubset c = VertexSubset::single(50, 7);
+  c = std::move(b);
+  EXPECT_EQ(c.universe(), 200u);
+  EXPECT_EQ(c.count(), 200u);
+  EXPECT_EQ(b.universe(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.count(), 0u);
+
+  // A moved-from subset is reusable once assigned.
+  a = VertexSubset::single(10, 4);
+  EXPECT_TRUE(a.contains(4));
+  EXPECT_EQ(a.count(), 1u);
+}
+
 // --------------------------------------------------------------------- Bins
 
 TEST(Bins, RecordsDeliveredExactlyOnceSingleThread) {
@@ -342,6 +415,35 @@ TEST(VertexMap, FiltersMembers) {
   EXPECT_TRUE(out.contains(99));
   EXPECT_FALSE(out.contains(1));
   EXPECT_EQ(stats.vertex_map_calls, 1u);
+}
+
+TEST(VertexMap, MatchesSequentialFilterOnRandomPredicates) {
+  // Universes that are not multiples of 64, dense and sparse inputs; the
+  // dense path builds whole words, the sparse path adds members.
+  ThreadPool pool(3);
+  Xoshiro256 rng(42);
+  for (vertex_t n : {1u, 63u, 65u, 1000u, 4097u, 70001u}) {
+    for (double in_frac : {1.0, 0.5, 0.01}) {
+      VertexSubset in(n);
+      for (vertex_t v = 0; v < n; ++v) {
+        if (rng.next_double() < in_frac) in.add(v);
+      }
+      const std::uint64_t salt = rng.next();
+      auto keep = [&](vertex_t v) { return (hash64(v ^ salt) & 3) != 0; };
+      std::vector<vertex_t> want;
+      in.for_each([&](vertex_t v) {
+        if (keep(v)) want.push_back(v);
+      });
+      QueryStats stats;
+      VertexSubset out = vertex_map(pool, in, keep, &stats);
+      EXPECT_EQ(out.universe(), n);
+      EXPECT_EQ(out.count(), want.size()) << n << " " << in_frac;
+      std::vector<vertex_t> got;
+      out.for_each([&](vertex_t v) { got.push_back(v); });
+      EXPECT_EQ(got, want) << n << " " << in_frac;
+      EXPECT_EQ(stats.vertex_map_calls, 1u);
+    }
+  }
 }
 
 }  // namespace
