@@ -65,7 +65,6 @@ KcoreResult kcore_async(core::QueryContext& qc,
   const core::Config& cfg = qc.config();
   sched::AsyncOptions aopts;
   aopts.num_buckets = cfg.async_buckets;
-  aopts.round_page_budget = cfg.async_round_pages;
   aopts.single_bucket_rounds = true;
   sched::AsyncRunner runner(qc, out_g, aopts);
   for (vertex_t v = 0; v < n; ++v) {

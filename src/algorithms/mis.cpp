@@ -37,22 +37,17 @@ struct KnockoutProgram {
   using value_type = std::uint32_t;
   std::vector<MisState>& state;
 
+  // Scatter's cond reads state[d] while gather knocks d out, so both
+  // sides are relaxed atomics; every writer stores the same value.
   value_type scatter(vertex_t, vertex_t) const { return 1; }
   bool cond(vertex_t d) const {
-    return state[d] == MisState::kUndecided;
+    return detail::relaxed_load(state[d]) == MisState::kUndecided;
   }
   bool gather(vertex_t d, value_type) {
-    state[d] = MisState::kOut;
+    detail::relaxed_store(state[d], MisState::kOut);
     return true;
   }
-  bool gather_atomic(vertex_t d, value_type) {
-    // Benign race: every writer stores the same value.
-    std::atomic_ref<std::uint8_t>(
-        reinterpret_cast<std::uint8_t&>(state[d]))
-        .store(static_cast<std::uint8_t>(MisState::kOut),
-               std::memory_order_relaxed);
-    return true;
-  }
+  bool gather_atomic(vertex_t d, value_type v) { return gather(d, v); }
 };
 
 }  // namespace

@@ -79,7 +79,6 @@ PageRankResult pagerank_async(core::QueryContext& qc,
   const core::Config& cfg = qc.config();
   sched::AsyncOptions aopts;
   aopts.num_buckets = cfg.async_buckets;
-  aopts.round_page_budget = cfg.async_round_pages;
   // Damping contracts the residual geometrically, so the run always
   // drains; the cap only guards pathological float cycling.
   aopts.max_rounds =

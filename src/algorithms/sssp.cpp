@@ -66,7 +66,6 @@ SsspResult sssp_async(core::QueryContext& qc, const format::OnDiskGraph& g,
   const core::Config& cfg = qc.config();
   sched::AsyncOptions aopts;
   aopts.num_buckets = cfg.async_buckets;
-  aopts.round_page_budget = cfg.async_round_pages;
   sched::AsyncRunner runner(qc, g, aopts);
   runner.queue().push(source, 0);
 
@@ -89,13 +88,15 @@ struct WeightedSsspProgram {
   using value_type = float;
   std::vector<float>& dist;
 
+  // As SsspProgram: scatter's read of dist[s] races gather's lowering of
+  // it, so both sides are relaxed atomics.
   value_type scatter(vertex_t s, vertex_t, float w) const {
-    return dist[s] + w;
+    return detail::relaxed_load(dist[s]) + w;
   }
   bool cond(vertex_t) const { return true; }
   bool gather(vertex_t d, value_type v) {
-    if (v < dist[d]) {
-      dist[d] = v;
+    if (v < detail::relaxed_load(dist[d])) {
+      detail::relaxed_store(dist[d], v);
       return true;
     }
     return false;
@@ -140,7 +141,6 @@ WeightedSsspResult sssp_weighted_async(core::QueryContext& qc,
   const core::Config& cfg = qc.config();
   sched::AsyncOptions aopts;
   aopts.num_buckets = cfg.async_buckets;
-  aopts.round_page_budget = cfg.async_round_pages;
   sched::AsyncRunner runner(qc, g, aopts);
   runner.queue().push(source, 0);
 

@@ -60,7 +60,6 @@ WccResult wcc_async(core::QueryContext& qc,
   const core::Config& cfg = qc.config();
   sched::AsyncOptions aopts;
   aopts.num_buckets = cfg.async_buckets;
-  aopts.round_page_budget = cfg.async_round_pages;
   sched::AsyncRunner runner(qc, out_g, aopts);
   const std::uint32_t shift = label_shift(n, cfg.async_buckets);
   for (vertex_t v = 0; v < n; ++v) {

@@ -38,7 +38,6 @@ struct FlashGraphConfig {
   std::size_t compute_workers = 4;
   std::size_t cache_bytes = 16ull << 20;      ///< LRU page cache (min 4 pages)
   std::size_t io_buffer_bytes = 16ull << 20;  ///< in-flight page buffers
-  std::size_t max_inflight_io = 64;
 
   /// Straggler equivalence model for single-core hosts. On FlashGraph's
   /// real multi-core testbed the message-drain barrier lasts as long as
@@ -141,7 +140,7 @@ class FlashGraphEngine {
         io_bytes += kPageSize;
         ++io_pages;
         ++io_requests;
-        if (channel->pending() >= cfg_.max_inflight_io) reap(1);
+        if (channel->pending() >= io::kMaxInflightIo) reap(1);
         else reap(0);
       }
       while (channel->pending() > 0) reap(1);

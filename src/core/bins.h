@@ -73,7 +73,6 @@ class BinSet {
   }
 
   std::size_t bin_count() const { return bins_.size(); }
-  std::size_t buffer_capacity() const { return capacity_; }
   std::uint64_t memory_bytes() const {
     return bins_.size() * 2 * capacity_ * sizeof(BinRecord);
   }

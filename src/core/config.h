@@ -50,17 +50,6 @@ struct Config {
   /// Static IO buffer pool size (paper: 64 MB for all workloads).
   std::size_t io_buffer_bytes = 64ull << 20;
 
-  /// Maximum in-flight IO requests per IO thread.
-  std::size_t max_inflight_io = 64;
-
-  /// Bounded retry of transient device failures (io::ErrorKind::kTransient):
-  /// resubmissions per request after the first attempt. Permanent and
-  /// corruption failures are never retried.
-  std::uint32_t io_retry_limit = 3;
-
-  /// Backoff before the first retry, in microseconds; doubles per retry.
-  std::uint32_t io_retry_backoff_us = 32;
-
   /// When true, runs the synchronization-based variant used as the
   /// Figure 8 baseline: scatter threads apply gather_atomic() directly
   /// (compare-and-swap style) and online binning is bypassed.
@@ -114,9 +103,6 @@ struct Config {
   /// Bucket count for the async priority queue, including the overflow
   /// slot (--async-buckets).
   std::uint32_t async_buckets = 64;
-
-  /// Page budget per async round; 0 = auto (half the IO buffer).
-  std::size_t async_round_pages = 0;
 
   /// Enables the workload profiler (prof::WorkloadProfiler): per-namespace
   /// miss-ratio curves sampled from the page-cache access stream, exported

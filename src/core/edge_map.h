@@ -39,7 +39,6 @@
 #include <atomic>
 #include <bit>
 #include <initializer_list>
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -67,12 +66,6 @@ struct EdgeMapOptions {
   bool output = true;
   /// Optional accumulator for IO/compute statistics.
   QueryStats* stats = nullptr;
-  /// Prefetch hook (pull mode): when set, the candidates' pages of the
-  /// *next* iteration are streamed in discard mode behind this call's
-  /// demand reads, overlapping iteration i+1's IO with iteration i's
-  /// gather. Pays off when the graph sits behind a device::CachedDevice;
-  /// harmless (extra modeled reads) otherwise.
-  const VertexSubset* prefetch_candidates = nullptr;
 };
 
 /// The graphs one EdgeMap call streams: a graph alone, or graphs sharing
@@ -141,20 +134,6 @@ std::vector<io::ReadBatch> page_frontier_batches(QueryContext& qc,
     });
   }
   return batches;
-}
-
-/// Warm-up of `candidates`' pages behind the current iteration's demand
-/// reads (EdgeMapOptions::prefetch_candidates). Returns the discard-mode
-/// handle (null when there is nothing to prefetch) so the caller can fold
-/// its accounting into the query stats once it drains.
-inline std::shared_ptr<io::ReadHandle> submit_prefetch(
-    QueryContext& qc, const format::OnDiskGraph& g,
-    const VertexSubset& candidates) {
-  if (candidates.empty()) return nullptr;
-  auto batches = page_frontier_batches(qc, {&g}, candidates,
-                                       [](vertex_t) { return true; });
-  return qc.io_pipeline().prefetch(qc.io_pool(), std::move(batches),
-                                   qc.config().max_inflight_io);
 }
 
 }  // namespace detail
@@ -270,7 +249,7 @@ VertexSubset edge_map(QueryContext& qc, GraphList graphs,
   // ---- Step 2: hand the page frontier to the persistent IO pipeline ------
   io::IoBufferPool& io_pool = qc.io_pool();
   auto io = qc.io_pipeline().submit(io_pool, std::move(batches),
-                                    cfg.max_inflight_io);
+                                    io::kMaxInflightIo);
 
   std::atomic<std::uint64_t> edges_scattered{0};
   std::atomic<std::uint64_t> records_binned{0};

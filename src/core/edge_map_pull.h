@@ -35,7 +35,6 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
                            const EdgeMapOptions& opts = {}) {
   using value_type = typename Program::value_type;
   Timer timer;
-  const Config& cfg = qc.config();
   BLAZE_CHECK(in_g.index().record_bytes() == sizeof(vertex_t),
               "pull mode currently supports unweighted graphs");
   const vertex_t n = in_g.num_vertices();
@@ -58,15 +57,7 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
 
   io::IoBufferPool& io_pool = qc.io_pool();
   auto io = qc.io_pipeline().submit(io_pool, std::move(batches),
-                                    cfg.max_inflight_io);
-
-  // Prefetch hook: queue the next iteration's candidate pages in discard
-  // mode behind this iteration's demand reads; the readers stream them
-  // while the compute workers are still gathering.
-  std::shared_ptr<io::ReadHandle> prefetch;
-  if (opts.prefetch_candidates) {
-    prefetch = detail::submit_prefetch(qc, in_g, *opts.prefetch_candidates);
-  }
+                                    io::kMaxInflightIo);
 
   std::atomic<std::uint64_t> edges_scanned{0};
   std::atomic<std::uint64_t> io_wait_ns{0};
@@ -115,14 +106,6 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
     opts.stats->io_wait_ns += io_wait_ns.load(std::memory_order_relaxed);
     opts.stats->edges_scattered +=
         edges_scanned.load(std::memory_order_relaxed);
-    if (prefetch) {
-      // The warm-up overlapped the gather phase above; by now it is done
-      // or nearly so. Its stats are only stable after completion, so wait
-      // before folding them in. Prefetch IO errors are advisory (the next
-      // iteration's demand read will surface any real device fault).
-      prefetch->wait();
-      opts.stats->merge(prefetch->stats());
-    }
     opts.stats->seconds += timer.seconds();
   }
   return out;

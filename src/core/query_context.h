@@ -56,8 +56,9 @@ class QueryContext {
   QueryContext(const QueryContext&) = delete;
   QueryContext& operator=(const QueryContext&) = delete;
 
-  /// A query's discard-mode prefetches can still be streaming into io_pool_
-  /// when its last EdgeMap returns; wait them out before the arena dies.
+  /// A read job can outlive the EdgeMap that posted it when an exception
+  /// unwinds that call before its handle drains; wait it out before the
+  /// arena dies.
   /// (Quiesce is pipeline-wide — acceptable, since contexts are destroyed
   /// at session teardown, not per query.)
   ~QueryContext() {

@@ -27,8 +27,6 @@ class Runtime {
  public:
   explicit Runtime(Config config)
       : config_(config), pool_(config.compute_workers) {
-    pipeline_.set_retry_policy(
-        {config_.io_retry_limit, config_.io_retry_backoff_us});
     // The gates are process-wide and sticky: a Runtime asking for tracing
     // or metrics turns them on, but a second off Runtime must not silently
     // disable a concurrent session's recording.
@@ -60,23 +58,12 @@ class Runtime {
 
   /// Mutable access for experiment sweeps. Changing bin_count /
   /// bin_space_bytes / io_buffer_bytes takes effect on the next EdgeMap;
-  /// changing the retry knobs additionally needs commit_config();
   /// changing compute_workers requires a new Runtime. Must not be called
   /// while queries are executing.
   Config& mutable_config() {
     pipeline_.quiesce();   // no in-flight reads into pools being replaced
     default_ctx_.reset();  // rebuilt lazily from the new parameters
     return config_;
-  }
-
-  /// Applies config changes that live outside the lazily rebuilt arenas —
-  /// today the retry policy (io_retry_limit / io_retry_backoff_us). Called
-  /// once per reconfiguration instead of re-syncing on every pipeline
-  /// access, which was both wasted work and a data race under concurrent
-  /// queries.
-  void commit_config() {
-    pipeline_.set_retry_policy(
-        {config_.io_retry_limit, config_.io_retry_backoff_us});
   }
 
   /// The shared page-cache pool, lazily built from the cache_* config
@@ -135,8 +122,8 @@ class Runtime {
 
   /// Drops the default context's arenas; they are rebuilt lazily on next
   /// use. Experiment harnesses use this to return to a pristine footprint.
-  /// Waits out any queued pipeline work (e.g. prefetches) first so no
-  /// reader touches a pool being destroyed.
+  /// Waits out any queued pipeline work first so no reader touches a pool
+  /// being destroyed.
   void invalidate_arenas() {
     pipeline_.quiesce();
     if (default_ctx_) default_ctx_->invalidate_arenas();

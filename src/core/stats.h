@@ -16,8 +16,8 @@ namespace blaze::core {
 
 /// Cumulative statistics for one graph query. Extends the cross-layer IO
 /// record (pages_read, io_requests, bytes_read, backpressure stalls,
-/// device busy time, prefetch volume, and the fault counters — retries,
-/// failed_requests, gave_up) with the compute-side counters.
+/// device busy time, and the fault counters — retries, failed_requests,
+/// gave_up) with the compute-side counters.
 struct QueryStats : io::PipelineStats {
   std::uint64_t edge_map_calls = 0;
   std::uint64_t vertex_map_calls = 0;

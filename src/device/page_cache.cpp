@@ -168,8 +168,6 @@ class S3FifoPolicy final : public CachePolicy {
     }
   }
 
-  std::size_t ghost_size() const { return ghost_set_.size(); }
-
  private:
   enum class Queue : std::uint8_t { kNone, kSmall, kMain };
   static constexpr std::size_t kNil = ~std::size_t{0};

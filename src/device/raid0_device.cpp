@@ -92,7 +92,7 @@ class RaidChannel : public AsyncChannel {
     min_completions = std::min(min_completions, pending_);
     std::size_t got = 0;
     std::vector<std::uint64_t> frags;
-    while (got < min_completions || any_child_pending_ready()) {
+    while (got < min_completions) {
       frags.clear();
       bool progressed = false;
       for (auto& ch : channels_) {
@@ -123,8 +123,6 @@ class RaidChannel : public AsyncChannel {
     std::uint64_t user;
     std::size_t fragments_left;
   };
-
-  bool any_child_pending_ready() const { return false; }
 
   Raid0Device& dev_;
   std::vector<std::unique_ptr<AsyncChannel>> channels_;

@@ -61,13 +61,6 @@ class Csr {
   std::span<const std::uint64_t> offsets() const { return offsets_; }
   std::span<const vertex_t> edges() const { return neighbors_; }
 
-  /// Total bytes of the graph data (the denominator of the paper's
-  /// memory-footprint figure): index + adjacency.
-  std::uint64_t data_bytes() const {
-    return offsets_.size() * sizeof(std::uint64_t) +
-           neighbors_.size() * sizeof(vertex_t);
-  }
-
  private:
   std::vector<std::uint64_t> offsets_;  // V+1 prefix sums
   std::vector<vertex_t> neighbors_;     // E destination IDs

@@ -24,6 +24,9 @@ namespace blaze::io {
 /// four contiguous pages; larger requests do not pay off on FNDs).
 inline constexpr std::uint32_t kMaxMergePages = 4;
 
+/// Maximum in-flight IO requests per IO thread.
+inline constexpr std::size_t kMaxInflightIo = 64;
+
 /// Where a read batch's pages belong: graph `source` of a multi-graph
 /// submit (an EdgeMap over a graph and its transpose tags them 0 and 1),
 /// read from the device at `stripe_index` of a RAID-0 set `stripe_width`

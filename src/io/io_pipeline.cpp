@@ -13,8 +13,8 @@ void ReadHandle::wait() const {
 }
 
 IoPipeline::~IoPipeline() {
-  // Let in-flight prefetches finish (they recycle their own buffers, so
-  // they always can) before asking the readers to exit.
+  // Let every posted job finish before asking the readers to exit: a
+  // reader stopped mid-job would strand the buffers it holds.
   quiesce();
   stop_.store(true, std::memory_order_release);
   std::lock_guard lock(readers_mu_);
@@ -28,19 +28,6 @@ IoPipeline::~IoPipeline() {
 std::shared_ptr<ReadHandle> IoPipeline::submit(IoBufferPool& pool,
                                                std::vector<ReadBatch> batches,
                                                std::size_t max_inflight) {
-  return post(pool, std::move(batches), max_inflight, /*discard=*/false);
-}
-
-std::shared_ptr<ReadHandle> IoPipeline::prefetch(
-    IoBufferPool& pool, std::vector<ReadBatch> batches,
-    std::size_t max_inflight) {
-  return post(pool, std::move(batches), max_inflight, /*discard=*/true);
-}
-
-std::shared_ptr<ReadHandle> IoPipeline::post(IoBufferPool& pool,
-                                             std::vector<ReadBatch> batches,
-                                             std::size_t max_inflight,
-                                             bool discard) {
   std::size_t active = 0;
   for (const ReadBatch& b : batches) {
     if (b.pages.empty()) continue;
@@ -49,7 +36,7 @@ std::shared_ptr<ReadHandle> IoPipeline::post(IoBufferPool& pool,
   // The filled queue can hold every pool buffer, so reader pushes never
   // block on queue capacity (only on pool backpressure, by design).
   auto handle = std::shared_ptr<ReadHandle>(
-      new ReadHandle(pool.num_buffers() + 1, active, discard));
+      new ReadHandle(pool.num_buffers() + 1, active));
   if (active == 0) return handle;
 
   std::size_t total_pages = 0;
@@ -72,7 +59,6 @@ std::shared_ptr<ReadHandle> IoPipeline::post(IoBufferPool& pool,
       c.gave_up = reg.counter("blaze_io_gave_up_total");
       c.stalls = reg.counter("blaze_io_buffer_stalls_total");
       c.stall_ns = reg.counter("blaze_io_buffer_stall_ns_total");
-      c.prefetch_bytes = reg.counter("blaze_io_prefetch_bytes_total");
       job_counters_.store(&c, std::memory_order_release);
     });
     for (const ReadBatch& b : batches) {
@@ -121,7 +107,7 @@ std::size_t IoPipeline::slot_for_locked(device::BlockDevice* device) {
   device_slots_.emplace(device, slot);
   if (metrics::enabled()) {
     // Owned gauge, not a callback: a polled callback would need readers_mu_
-    // under the registry lock, the exact inversion post() avoids above.
+    // under the registry lock, the exact inversion submit() avoids above.
     if (readers_gauge_ == nullptr) {
       readers_gauge_ = metrics::Registry::instance().gauge("blaze_io_readers");
     }
@@ -167,9 +153,9 @@ void IoPipeline::execute(Job& job) {
   PipelineStats local;
   const std::uint64_t busy0 = job.device->stats().busy_ns();
   try {
-    run_reads(*job.device, job.origin, job.pages, *job.pool,
-              handle.discard_ ? nullptr : &handle.filled_, job.max_inflight,
-              local, job.retry, job.verifier ? &job.verifier : nullptr);
+    run_reads(*job.device, job.origin, job.pages, *job.pool, handle.filled_,
+              job.max_inflight, local, job.retry,
+              job.verifier ? &job.verifier : nullptr);
   } catch (...) {
     // run_reads has already reclaimed every buffer it acquired (the pool is
     // whole again); all that is left is surfacing the failure.
@@ -179,14 +165,6 @@ void IoPipeline::execute(Job& job) {
   // modeled/measured service time (approximate if another job touches the
   // same device concurrently, which the engine never does).
   local.device_busy_ns = job.device->stats().busy_ns() - busy0;
-  if (handle.discard_) {
-    local.prefetch_pages = local.pages_read;
-    local.prefetch_bytes = local.bytes_read;
-    local.pages_read = 0;
-    local.io_requests = 0;
-    local.bytes_read = 0;
-    local.merged_requests = 0;
-  }
   // Per-job publication of the pipeline totals: one acquire load plus a
   // handful of relaxed adds per batch, nothing when metrics are off.
   if (const JobCounters* c = job_counters_.load(std::memory_order_acquire)) {
@@ -200,7 +178,6 @@ void IoPipeline::execute(Job& job) {
       c->stalls->add(local.buffer_stalls);
       c->stall_ns->add(local.buffer_stall_ns);
     }
-    if (local.prefetch_bytes != 0) c->prefetch_bytes->add(local.prefetch_bytes);
   }
   {
     std::lock_guard lock(handle.mu_);

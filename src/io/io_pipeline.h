@@ -17,10 +17,6 @@
 //     ReadHandle::consume(), the one page-consumer loop (push, pull and
 //     fused EdgeMap all use it), which maps every page back to its graph
 //     and logical page from the PageOrigin each batch stamps on its buffers.
-//   * prefetch() posts discard-mode batches behind any queued demand work
-//     (FIFO per reader): the pages are read and the buffers immediately
-//     recycled, warming device-level caches for the *next* iteration while
-//     this iteration's gather finishes (the pull-mode prefetch hook).
 //
 // Backpressure is explicit and observable: the buffer pool bounds memory,
 // max_inflight bounds per-device queue depth, and PipelineStats counts
@@ -64,7 +60,7 @@ struct ReadBatch {
 };
 
 /// Shared state between the reader threads executing one submit() and the
-/// consumer draining it. Obtained from IoPipeline::submit()/prefetch().
+/// consumer draining it. Obtained from IoPipeline::submit().
 class ReadHandle {
  public:
   /// True once every batch of this submit has been fully read and pushed.
@@ -139,9 +135,8 @@ class ReadHandle {
 
  private:
   friend class IoPipeline;
-  ReadHandle(std::size_t queue_capacity, std::size_t num_batches,
-             bool discard)
-      : filled_(queue_capacity), remaining_(num_batches), discard_(discard) {}
+  ReadHandle(std::size_t queue_capacity, std::size_t num_batches)
+      : filled_(queue_capacity), remaining_(num_batches) {}
 
   /// Records `err` unless an earlier failure already did.
   void fail(std::exception_ptr err) {
@@ -152,14 +147,13 @@ class ReadHandle {
 
   MpmcQueue<std::uint32_t> filled_;
   std::atomic<std::size_t> remaining_;
-  const bool discard_;  ///< prefetch mode: recycle buffers, keep no data
   std::atomic<bool> failed_{false};  ///< error_ is set: stop processing
   Spinlock mu_;  ///< guards stats_/error_ while batches complete
   PipelineStats stats_;
   std::exception_ptr error_;
 };
 
-/// Persistent per-device-slot reader threads plus the submit/prefetch API.
+/// Persistent per-device-slot reader threads plus the submit API.
 /// One instance lives inside core::Runtime; readers are shared by every
 /// EdgeMap variant (push, pull, hybrid) run on that Runtime. Thread-safe
 /// for submissions; each ReadHandle expects a single logical consumer side.
@@ -182,13 +176,6 @@ class IoPipeline {
                                      std::vector<ReadBatch> batches,
                                      std::size_t max_inflight);
 
-  /// Like submit(), but in discard mode: pages are read and buffers
-  /// recycled immediately. Queued FIFO behind demand batches on each
-  /// reader, so prefetch never delays the current iteration's IO.
-  std::shared_ptr<ReadHandle> prefetch(IoBufferPool& pool,
-                                       std::vector<ReadBatch> batches,
-                                       std::size_t max_inflight);
-
   /// Retry policy every reader applies to transient device failures.
   /// Set before submitting; jobs already queued keep the policy they were
   /// posted under. Thread-safe with respect to concurrent submissions
@@ -197,13 +184,10 @@ class IoPipeline {
     std::lock_guard lock(readers_mu_);
     retry_ = policy;
   }
-  RetryPolicy retry_policy() const {
-    std::lock_guard lock(readers_mu_);
-    return retry_;
-  }
 
-  /// Blocks until every posted job (including prefetches) has finished.
-  /// Required before tearing down buffer pools the jobs read into.
+  /// Blocks until every posted job has finished, including jobs whose
+  /// handle was abandoned when an exception unwound its consumer. Required
+  /// before tearing down buffer pools the jobs read into.
   void quiesce() const;
 
   /// Number of persistent reader threads created so far (one per distinct
@@ -241,7 +225,7 @@ class IoPipeline {
     std::jthread thread;  // last member: joins before the queue dies
   };
 
-  /// Process-wide pipeline totals, bound once (post() checks the gate and
+  /// Process-wide pipeline totals, bound once (submit() checks the gate and
   /// lazily binds). All jobs on all pipelines publish into the same series;
   /// per-device splits live on device::IoStats instead.
   struct JobCounters {
@@ -253,12 +237,8 @@ class IoPipeline {
     metrics::Counter* gave_up = nullptr;
     metrics::Counter* stalls = nullptr;
     metrics::Counter* stall_ns = nullptr;
-    metrics::Counter* prefetch_bytes = nullptr;
   };
 
-  std::shared_ptr<ReadHandle> post(IoBufferPool& pool,
-                                   std::vector<ReadBatch> batches,
-                                   std::size_t max_inflight, bool discard);
   /// Reader slot serving `device`, created on first use. Caller must hold
   /// readers_mu_.
   std::size_t slot_for_locked(device::BlockDevice* device);

@@ -45,9 +45,7 @@ struct PipelineStats {
   // ---- device layer ------------------------------------------------------
   std::uint64_t device_busy_ns = 0;    ///< modeled/measured device service time
 
-  // ---- prefetch (next-iteration warm-up reads, kept out of the demand
-  // counters so bandwidth figures stay comparable) -------------------------
-  std::uint64_t prefetch_pages = 0;
+  /// Never written; kept only because benchmark/blaze_bench.cpp reads it.
   std::uint64_t prefetch_bytes = 0;
 
   void merge(const PipelineStats& o) {
@@ -64,8 +62,6 @@ struct PipelineStats {
     failed_requests += o.failed_requests;
     gave_up += o.gave_up;
     device_busy_ns += o.device_busy_ns;
-    prefetch_pages += o.prefetch_pages;
-    prefetch_bytes += o.prefetch_bytes;
   }
 };
 

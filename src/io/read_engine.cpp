@@ -12,7 +12,7 @@ namespace blaze::io {
 
 void run_reads(device::BlockDevice& dev, const PageOrigin& origin,
                std::span<const std::uint64_t> pages, IoBufferPool& pool,
-               MpmcQueue<std::uint32_t>* filled, std::size_t max_inflight,
+               MpmcQueue<std::uint32_t>& filled, std::size_t max_inflight,
                PipelineStats& stats, const RetryPolicy& retry,
                const PageVerifier* verifier) {
   if (pages.empty()) return;
@@ -81,11 +81,7 @@ void run_reads(device::BlockDevice& dev, const PageOrigin& origin,
       // On a verification throw the cursor still points at this entry, so
       // reclaim() releases the corrupt buffer along with the rest.
       if (verifier) verify_buffer(id);
-      if (filled) {
-        while (!filled->push(id)) std::this_thread::yield();
-      } else {
-        pool.release(id);  // prefetch: the device cache is the payload
-      }
+      while (!filled.push(id)) std::this_thread::yield();
     }
   };
 

@@ -29,12 +29,10 @@ namespace blaze::io {
 
 /// Reads every page in `pages` (sorted, device-local page IDs) from `dev`.
 /// Buffers come from `pool` and completed buffers are pushed to `filled`
-/// with meta().origin = `origin`. When `filled` is null the batch is
-/// a prefetch: buffers are released back to the pool as soon as the read
-/// completes (the value is the warming of device-level caches, not the
-/// data). Blocks until all pages are read. `max_inflight` bounds
-/// submitted-but-unreaped requests per device. Accounting (merging,
-/// clamping, backpressure stalls, retries) accumulates into `stats`.
+/// with meta().origin = `origin`. Blocks until all pages are read.
+/// `max_inflight` bounds submitted-but-unreaped requests per device.
+/// Accounting (merging, clamping, backpressure stalls, retries) accumulates
+/// into `stats`.
 ///
 /// Transient IoErrors are retried per `retry`; each resubmission counts in
 /// stats.retries, an exhausted budget in stats.gave_up. When `verifier` is
@@ -45,7 +43,7 @@ namespace blaze::io {
 /// exception.
 void run_reads(device::BlockDevice& dev, const PageOrigin& origin,
                std::span<const std::uint64_t> pages, IoBufferPool& pool,
-               MpmcQueue<std::uint32_t>* filled, std::size_t max_inflight,
+               MpmcQueue<std::uint32_t>& filled, std::size_t max_inflight,
                PipelineStats& stats, const RetryPolicy& retry = {},
                const PageVerifier* verifier = nullptr);
 

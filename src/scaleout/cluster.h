@@ -67,7 +67,6 @@ class Cluster {
   vertex_t num_vertices() const { return num_vertices_; }
   std::size_t machines() const { return nodes_.size(); }
   const ClusterStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = ClusterStats{}; }
 
   /// Destination-partitioned EdgeMap: every machine applies `prog` to its
   /// local edges; results merge into one output frontier.

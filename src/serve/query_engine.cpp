@@ -396,9 +396,4 @@ bool QueryEngine::io_pools_full() {
   return true;
 }
 
-std::size_t QueryEngine::in_flight() const {
-  std::lock_guard lock(mu_);
-  return sched_.size() + running_;
-}
-
 }  // namespace blaze::serve

@@ -349,9 +349,6 @@ class QueryEngine {
   core::Runtime& runtime() { return runtime_; }
   const EngineOptions& options() const { return opts_; }
 
-  /// Queries admitted but not yet terminal (queued + running).
-  std::size_t in_flight() const;
-
   /// True when every session's IO-buffer slice is back at full occupancy
   /// (quiesces the pipeline first). Only meaningful while no queries are
   /// executing — the chaos tests' post-drain leak check.

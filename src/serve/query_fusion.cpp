@@ -157,7 +157,7 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
       // ---- One shared stream; in-order sequencing over arrivals --------
       io::IoBufferPool& io_pool = qc.io_pool();
       auto io = qc.io_pipeline().submit(io_pool, std::move(batches),
-                                        qc.config().max_inflight_io);
+                                        io::kMaxInflightIo);
       std::unordered_map<std::uint64_t, std::vector<std::byte>> holdback;
       std::size_t next_idx = 0;
       auto drain_holdback = [&] {

@@ -97,9 +97,6 @@ class TenantScheduler {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Tenants registered (explicitly or by push auto-registration).
-  std::size_t tenant_count() const { return tenants_.size(); }
-
   /// Per-tenant snapshot, registration order.
   std::vector<TenantStats> stats() const;
 

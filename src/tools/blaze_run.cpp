@@ -67,7 +67,7 @@ void print_stats(const char* query, double seconds,
               static_cast<unsigned long long>(stats.io_requests),
               stats.avg_read_gbps());
   // The unified pipeline record (device -> io -> core): merging efficiency,
-  // backpressure, device busy time, and prefetch volume in one place.
+  // backpressure and device busy time in one place.
   std::printf("  io: %llu pages, %llu merged requests, %llu tail clamps, "
               "peak inflight %llu\n",
               static_cast<unsigned long long>(stats.pages_read),
@@ -75,16 +75,11 @@ void print_stats(const char* query, double seconds,
               static_cast<unsigned long long>(stats.tail_clamps),
               static_cast<unsigned long long>(stats.inflight_peak));
   std::printf("  backpressure: %llu buffer stalls (%.3f ms); device busy "
-              "%.3f ms (%.1f%% of EdgeMap time)",
+              "%.3f ms (%.1f%% of EdgeMap time)\n",
               static_cast<unsigned long long>(stats.buffer_stalls),
               static_cast<double>(stats.buffer_stall_ns) / 1e6,
               static_cast<double>(stats.device_busy_ns) / 1e6,
               100.0 * stats.device_utilization());
-  if (stats.prefetch_pages > 0) {
-    std::printf("; prefetched %llu pages",
-                static_cast<unsigned long long>(stats.prefetch_pages));
-  }
-  std::printf("\n");
 }
 
 /// One-line stderr progress report, fed by the sampler after every tick.
@@ -176,8 +171,6 @@ bool write_stats_json(const std::string& path, const std::string& query,
   add_u64("failed_requests", s.failed_requests);
   add_u64("gave_up", s.gave_up);
   add_u64("device_busy_ns", s.device_busy_ns);
-  add_u64("prefetch_pages", s.prefetch_pages);
-  add_u64("prefetch_bytes", s.prefetch_bytes);
   add_u64("io_wait_ns", s.io_wait_ns);
   std::snprintf(buf, sizeof(buf),
                 "  \"stall\": {\"exec_ns\": %llu, \"io_stall_ns\": %llu, "

@@ -64,11 +64,4 @@ bool Options::get_bool(const std::string& name, bool def) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
-std::vector<std::string> Options::flag_names() const {
-  std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [k, v] : flags_) names.push_back(k);
-  return names;
-}
-
 }  // namespace blaze

@@ -13,8 +13,7 @@
 namespace blaze {
 
 /// Parses `-flag value` pairs and bare positional arguments. Flags may be
-/// given as `-name v` or `-name=v`. Unknown flags are collected and can be
-/// rejected by the caller.
+/// given as `-name v` or `-name=v`.
 class Options {
  public:
   /// `boolean_flags` names flags that never consume a following value
@@ -33,9 +32,6 @@ class Options {
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
-
-  /// Names of all flags that were supplied on the command line.
-  std::vector<std::string> flag_names() const;
 
  private:
   std::map<std::string, std::string> flags_;

@@ -340,6 +340,37 @@ TEST_P(DifferentialTest, AsyncMatchesBspFixedPoint) {
     cfg.sync_mode = sync;
     return cfg;
   };
+  // PageRank-delta: same fixed-point family, epsilon-scale differences.
+  auto expect_rank_close = [&](core::Runtime& async_rt, core::Runtime& bsp_rt,
+                               const format::OnDiskGraph& out_g,
+                               const char* label) {
+    auto bsp_rank = algorithms::pagerank(bsp_rt, out_g, pr_opts).rank;
+    auto async_rank = algorithms::pagerank(async_rt, out_g, pr_opts).rank;
+    double err = 0, norm = 1e-12;
+    for (std::size_t v = 0; v < bsp_rank.size(); ++v) {
+      err += std::fabs(async_rank[v] - bsp_rank[v]);
+      norm += std::fabs(bsp_rank[v]);
+    }
+    EXPECT_LT(err / norm, 1e-2) << label;
+  };
+  // Stored-weight SSSP (weighted files are flat-only): every tentative
+  // distance is the same sum along the same shortest path in either mode.
+  auto wg = graph::attach_hash_weights(g);
+  auto w_g = format::make_mem_graph(wg);
+  auto expect_weighted_close = [&](core::Runtime& async_rt,
+                                   core::Runtime& bsp_rt, const char* label) {
+    auto want = algorithms::sssp_weighted(bsp_rt, w_g, source).dist;
+    auto got = algorithms::sssp_weighted(async_rt, w_g, source).dist;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t v = 0; v < want.size(); ++v) {
+      if (std::isinf(want[v])) {
+        EXPECT_TRUE(std::isinf(got[v])) << label << " weighted vertex " << v;
+      } else {
+        ASSERT_NEAR(got[v], want[v], 1e-4f * (1.0f + want[v]))
+            << label << " weighted vertex " << v;
+      }
+    }
+  };
 
   for (auto encoding : {format::AdjacencyEncoding::kFlat,
                         format::AdjacencyEncoding::kDeltaVarint}) {
@@ -372,35 +403,13 @@ TEST_P(DifferentialTest, AsyncMatchesBspFixedPoint) {
               algorithms::kcore(bsp_rt, out_g, in_g, 2).coreness)
         << label;
 
-    // PageRank-delta: same fixed-point family, epsilon-scale differences.
-    auto bsp_rank = algorithms::pagerank(bsp_rt, out_g, pr_opts).rank;
-    auto async_rank = algorithms::pagerank(async_rt, out_g, pr_opts).rank;
-    double err = 0, norm = 1e-12;
-    for (std::size_t v = 0; v < bsp_rank.size(); ++v) {
-      err += std::fabs(async_rank[v] - bsp_rank[v]);
-      norm += std::fabs(bsp_rank[v]);
-    }
-    EXPECT_LT(err / norm, 1e-2) << label;
+    expect_rank_close(async_rt, bsp_rt, out_g, label);
   }
 
-  // Stored-weight SSSP (weighted files are flat-only): every tentative
-  // distance is the same sum along the same shortest path in either mode.
   {
-    auto wg = graph::attach_hash_weights(g);
-    auto w_g = format::make_mem_graph(wg);
     core::Runtime bsp_rt(testutil::test_config(3, 32));
     core::Runtime async_rt(async_config(false));
-    auto want = algorithms::sssp_weighted(bsp_rt, w_g, source).dist;
-    auto got = algorithms::sssp_weighted(async_rt, w_g, source).dist;
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t v = 0; v < want.size(); ++v) {
-      if (std::isinf(want[v])) {
-        EXPECT_TRUE(std::isinf(got[v])) << "weighted vertex " << v;
-      } else {
-        ASSERT_NEAR(got[v], want[v], 1e-4f * (1.0f + want[v]))
-            << "weighted vertex " << v;
-      }
-    }
+    expect_weighted_close(async_rt, bsp_rt, "binned");
   }
 
   // Sync-mode async: scatter threads apply gather_atomic directly, so
@@ -416,6 +425,11 @@ TEST_P(DifferentialTest, AsyncMatchesBspFixedPoint) {
     EXPECT_EQ(algorithms::kcore(async_rt, out_g, in_g).coreness,
               algorithms::kcore(bsp_rt, out_g, in_g).coreness)
         << "sync-async";
+    EXPECT_EQ(algorithms::wcc(async_rt, out_g, in_g).ids,
+              algorithms::wcc(bsp_rt, out_g, in_g).ids)
+        << "sync-async";
+    expect_rank_close(async_rt, bsp_rt, out_g, "sync-async");
+    expect_weighted_close(async_rt, bsp_rt, "sync-async");
   }
 }
 

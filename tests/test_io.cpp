@@ -80,7 +80,7 @@ ReadResult drain_reads(device::BlockDevice& dev,
   IoBufferPool pool(64 * kPageSize);
   MpmcQueue<std::uint32_t> filled(pool.num_buffers() + 1);
   ReadResult r;
-  run_reads(dev, {}, pages, pool, &filled, 64, r.stats);
+  run_reads(dev, {}, pages, pool, filled, 64, r.stats);
   while (auto id = filled.pop()) {
     const BufferMeta& meta = pool.meta(*id);
     EXPECT_EQ(meta.valid_bytes,
@@ -181,7 +181,7 @@ TEST(ReadEngine, TailClampShortensFinalPartialPage) {
 
   PipelineStats stats;
   std::vector<std::uint64_t> pages = {2, 3};
-  run_reads(*dev, {}, pages, pool, &filled, 64, stats);
+  run_reads(*dev, {}, pages, pool, filled, 64, stats);
   EXPECT_EQ(stats.tail_clamps, 1u);
   EXPECT_EQ(stats.io_requests, 1u);
   EXPECT_EQ(stats.pages_read, 2u);
@@ -202,25 +202,6 @@ TEST(ReadEngine, TailClampShortensFinalPartialPage) {
   EXPECT_EQ(data[2 * kPageSize - 1], std::byte{0});
   pool.release(*id);
   EXPECT_FALSE(filled.pop().has_value());
-}
-
-TEST(ReadEngine, DiscardModeRecyclesBuffersWithoutFilledQueue) {
-  auto dev = make_tagged_device(32);
-  IoBufferPool pool(4 * 4 * kPageSize);  // 4 buffers
-  std::vector<std::uint64_t> pages(32);
-  for (std::uint64_t p = 0; p < 32; ++p) pages[p] = p;
-  PipelineStats stats;
-  // No filled queue and no consumer: discard mode must recycle its own
-  // buffers or this would deadlock on pool exhaustion.
-  run_reads(*dev, {}, pages, pool, nullptr, 64, stats);
-  EXPECT_EQ(stats.pages_read, 32u);
-  // Every buffer is back in the pool.
-  std::set<std::uint32_t> ids;
-  for (std::size_t i = 0; i < pool.num_buffers(); ++i) {
-    ids.insert(pool.acquire_blocking());
-  }
-  EXPECT_EQ(ids.size(), pool.num_buffers());
-  for (auto id : ids) pool.release(id);
 }
 
 TEST(ReadEngine, ManyPagesWithSmallPoolBackpressure) {
@@ -244,12 +225,19 @@ TEST(ReadEngine, ManyPagesWithSmallPoolBackpressure) {
     }
   });
   PipelineStats stats;
-  run_reads(*dev, {}, pages, pool, &filled, 64, stats);
+  run_reads(*dev, {}, pages, pool, filled, 64, stats);
   done.store(true);
   consumer.join();
   EXPECT_EQ(stats.pages_read, 512u);
   EXPECT_EQ(seen_pages.load(), 512u);
   EXPECT_LE(stats.inflight_peak, 64u);
+  // Every buffer is back in the pool.
+  std::set<std::uint32_t> ids;
+  for (std::size_t i = 0; i < pool.num_buffers(); ++i) {
+    ids.insert(pool.acquire_blocking());
+  }
+  EXPECT_EQ(ids.size(), pool.num_buffers());
+  for (auto id : ids) pool.release(id);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // binaries exactly as the paper's artifact instructions do.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -167,6 +168,94 @@ TEST_F(ToolsTest, ServingModeWithTraceReportsCounters) {
   EXPECT_NE(json.find("\"session_execute\""), std::string::npos);
   EXPECT_NE(json.find("\"admission_wait\""), std::string::npos);
   std::remove(trace.c_str());
+}
+
+/// First integer after `"key":` (optional space) at or after `from`.
+long long json_int(const std::string& json, const std::string& key,
+                   std::size_t from = 0) {
+  auto pos = json.find("\"" + key + "\":", from);
+  if (pos == std::string::npos) return -1;
+  return std::strtoll(json.c_str() + pos + key.size() + 3, nullptr, 10);
+}
+
+/// Occurrences of `needle` in `s`.
+std::size_t count_of(const std::string& s, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto pos = s.find(needle); pos != std::string::npos;
+       pos = s.find(needle, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(ToolsTest, TelemetryOutputsAgreeWithEachOther) {
+  const std::string stats = "/tmp/blaze_tools_stats.json";
+  const std::string profile = "/tmp/blaze_tools_profile.json";
+  const std::string metrics = "/tmp/blaze_tools_metrics.json";
+  ASSERT_EQ(run(std::string(BLAZE_RUN_PATH) +
+                " -query wcc -computeWorkers 2 --cacheMB 1 --stats-json " +
+                stats + " --profile " + profile + " --metrics-out " +
+                metrics + " " + prefix_ + ".gr.index " + prefix_ +
+                ".gr.adj.0 -inIndexFilename " + prefix_ +
+                ".tgr.index -inAdjFilenames " + prefix_ + ".tgr.adj.0"),
+            0)
+      << output();
+
+  // --stats-json: IO was read through the cache, one namespace row per
+  // graph, and the DRAM breakdown sums to its total.
+  const std::string s = read_file(stats);
+  ASSERT_FALSE(s.empty()) << output();
+  const long long pages = json_int(s, "pages_read");
+  const long long bytes = json_int(s, "bytes_read");
+  EXPECT_GT(pages, 0) << s;
+  const auto ns = s.find("\"cache_namespaces\"");
+  ASSERT_NE(ns, std::string::npos) << s;
+  EXPECT_EQ(count_of(s.substr(ns, s.find(']', ns) - ns), "\"name\""), 2u)
+      << s;
+  const auto mem = s.find("\"memory\"");
+  ASSERT_NE(mem, std::string::npos) << s;
+  long long parts = 0;
+  for (const char* k :
+       {"io_buffers", "bins", "graph_metadata", "frontiers", "algorithm"}) {
+    const long long v = json_int(s, k, mem);
+    EXPECT_GE(v, 0) << k;
+    parts += v;
+  }
+  EXPECT_EQ(json_int(s, "total", mem), parts) << s;
+  EXPECT_EQ(s.find("prefetch"), std::string::npos) << s;
+
+  // --profile: a miss-ratio curve per sampled namespace, and read
+  // latencies from the physical device under the cache adapter.
+  const std::string p = read_file(profile);
+  ASSERT_FALSE(p.empty()) << output();
+  const auto mrc = p.find("\"mrc\"");
+  ASSERT_NE(mrc, std::string::npos) << p;
+  EXPECT_GE(count_of(p.substr(mrc, p.find("\"stalls\"") - mrc),
+                     "\"namespace\""),
+            1u)
+      << p;
+  const auto devices = p.find("\"devices\"");
+  ASSERT_NE(devices, std::string::npos) << p;
+  long long max_reads = 0;
+  for (auto pos = p.find("\"reads\":", devices); pos != std::string::npos;
+       pos = p.find("\"reads\":", pos + 1)) {
+    max_reads = std::max(max_reads, json_int(p, "reads", pos));
+  }
+  EXPECT_GT(max_reads, 0) << p;
+
+  // --metrics-out: the registry's IO totals are the query's, exactly.
+  const std::string m = read_file(metrics);
+  ASSERT_FALSE(m.empty()) << output();
+  const auto io_bytes = m.find("\"name\":\"blaze_io_bytes_total\"");
+  const auto io_pages = m.find("\"name\":\"blaze_io_pages_total\"");
+  ASSERT_NE(io_bytes, std::string::npos) << m;
+  ASSERT_NE(io_pages, std::string::npos) << m;
+  EXPECT_EQ(json_int(m, "value", io_bytes), bytes);
+  EXPECT_EQ(json_int(m, "value", io_pages), pages);
+
+  for (const std::string& f : {stats, profile, metrics}) {
+    std::remove(f.c_str());
+  }
 }
 
 TEST_F(ToolsTest, AsyncModeRunsAndReports) {
