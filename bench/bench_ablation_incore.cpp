@@ -34,16 +34,7 @@ int main() {
         }
         format::GraphIndex index(degrees);
         Timer t;
-        if (query == "BFS") {
-          baseline::run_bfs(out_eng, 0);
-        } else if (query == "PR") {
-          baseline::run_pagerank(out_eng, index, 0.85, 1e-2, pr_iters);
-        } else if (query == "WCC") {
-          baseline::run_wcc(out_eng, in_eng);
-        } else {
-          std::vector<float> x(ds.csr.num_vertices(), 1.0f);
-          baseline::run_spmv(out_eng, x);
-        }
+        run_baseline_query(out_eng, in_eng, index, query, pr_iters);
         incore = std::min(incore, t.seconds());
       }
 

@@ -1,61 +1,38 @@
 // Query runners for the baseline engines, shared by the comparison benches.
 #pragma once
 
+#include "algorithms/drivers.h"
 #include "baselines/flashgraph.h"
 #include "baselines/graphene.h"
-#include "baselines/queries.h"
 #include "bench/bench_common.h"
 #include "format/partitioner.h"
 
 namespace blaze::bench {
 
-/// Runs one query on a FlashGraph engine pair (out/in graphs).
-inline RunResult run_flashgraph_query(baseline::FlashGraphEngine& out_eng,
-                                      baseline::FlashGraphEngine& in_eng,
-                                      const format::GraphIndex& index,
-                                      const std::string& query,
-                                      unsigned pr_iters = 100) {
+/// Runs one query on a baseline engine pair (out/in graphs) through the
+/// shared query drivers. Graphene has no BC (the paper: "we could not
+/// compare the result of BC with Graphene since Graphene does not
+/// implement BC"), so callers skip that pair; it has no selective-
+/// scheduling PR either, so the paper compares it at one PR iteration.
+template <typename Engine>
+RunResult run_baseline_query(Engine& out_eng, Engine& in_eng,
+                             const format::GraphIndex& index,
+                             const std::string& query, unsigned pr_iters) {
   RunResult r;
   Timer t;
   if (query == "BFS") {
-    baseline::run_bfs(out_eng, 0, &r.stats);
+    r.stats = algorithms::run_bfs(out_eng, 0).stats;
   } else if (query == "PR") {
-    baseline::run_pagerank(out_eng, index, 0.85, 1e-2, pr_iters, &r.stats);
+    algorithms::PageRankOptions opts;
+    opts.max_iterations = pr_iters;
+    r.stats = algorithms::run_pagerank(out_eng, index, opts).stats;
   } else if (query == "WCC") {
-    baseline::run_wcc(out_eng, in_eng, &r.stats);
+    r.stats = algorithms::run_wcc(out_eng, in_eng).stats;
   } else if (query == "SpMV") {
     std::vector<float> x(out_eng.num_vertices(), 1.0f);
-    baseline::run_spmv(out_eng, x, &r.stats);
+    r.stats = algorithms::run_spmv(out_eng, x).stats;
   } else if (query == "BC") {
-    baseline::run_bc(out_eng, in_eng, 0, &r.stats);
-  } else {
-    std::abort();
-  }
-  r.seconds = t.seconds();
-  return r;
-}
-
-/// Runs one query on a Graphene engine pair. BC intentionally unsupported
-/// (the paper: "we could not compare the result of BC with Graphene since
-/// Graphene does not implement BC").
-inline RunResult run_graphene_query(baseline::GrapheneEngine& out_eng,
-                                    baseline::GrapheneEngine& in_eng,
-                                    const format::GraphIndex& index,
-                                    const std::string& query,
-                                    unsigned pr_iters = 1) {
-  RunResult r;
-  Timer t;
-  if (query == "BFS") {
-    baseline::run_bfs(out_eng, 0, &r.stats);
-  } else if (query == "PR") {
-    // Graphene has no selective-scheduling PR; the paper compares one
-    // PR iteration.
-    baseline::run_pagerank(out_eng, index, 0.85, 1e-2, pr_iters, &r.stats);
-  } else if (query == "WCC") {
-    baseline::run_wcc(out_eng, in_eng, &r.stats);
-  } else if (query == "SpMV") {
-    std::vector<float> x(out_eng.num_vertices(), 1.0f);
-    baseline::run_spmv(out_eng, x, &r.stats);
+    r.stats = algorithms::run_bc(out_eng, in_eng, 0).stats;
   } else {
     std::abort();
   }

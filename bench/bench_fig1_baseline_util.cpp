@@ -30,8 +30,8 @@ int main() {
         auto in_g = format::make_simulated_graph(ds.transpose, profile);
         baseline::FlashGraphEngine out_eng(out_g, bench_fg_config(out_g));
         baseline::FlashGraphEngine in_eng(in_g, bench_fg_config(in_g));
-        auto r = run_flashgraph_query(out_eng, in_eng, out_g.index(), query,
-                                      pr_iters);
+        auto r = run_baseline_query(out_eng, in_eng, out_g.index(), query,
+                                    pr_iters);
         double bw = gbps(r.stats.bytes_read, r.seconds);
         std::printf("FlashGraph,%s,%s,%.3f,%.2f\n", query.c_str(),
                     gname.c_str(), bw, bw / device_line);
@@ -42,7 +42,7 @@ int main() {
             format::make_partitioned_graph(ds.transpose, profile, 1);
         baseline::GrapheneEngine out_eng(out_pg, bench_graphene_config());
         baseline::GrapheneEngine in_eng(in_pg, bench_graphene_config());
-        auto r = run_graphene_query(out_eng, in_eng, out_pg.index, query,
+        auto r = run_baseline_query(out_eng, in_eng, out_pg.index, query,
                                     pr_iters);
         double bw = gbps(r.stats.bytes_read, r.seconds);
         std::printf("Graphene,%s,%s,%.3f,%.2f\n", query.c_str(),

@@ -39,7 +39,7 @@ int main() {
                                                bucket_ns);
       baseline::FlashGraphEngine out_eng(out_g, bench_fg_config(out_g));
       baseline::FlashGraphEngine in_eng(in_g, bench_fg_config(in_g));
-      run_flashgraph_query(out_eng, in_eng, out_g.index(), query, pr_iters);
+      run_baseline_query(out_eng, in_eng, out_g.index(), query, pr_iters);
 
       auto timeline = out_g.device().stats().timeline_bytes();
       if (query == "WCC") {

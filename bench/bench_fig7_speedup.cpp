@@ -31,19 +31,17 @@ int main() {
 
       // Blaze (PR at 1 iteration for the Graphene column, like the paper;
       // the FlashGraph column uses the full selective-scheduling run).
-      // Median of three runs throughout: the shared 1-core host has
-      // noisy-neighbour jitter comparable to the effect sizes.
-      // min-of-3: noisy-neighbour jitter on this host only ever adds
-      // time, so the minimum is the least-biased estimator for both sides
-      // of every ratio.
-      auto median3 = [](double a, double b, double c) {
+      // min-of-3 throughout: noisy-neighbour jitter on a shared host only
+      // ever adds time, so the minimum is the least-biased estimator for
+      // both sides of every ratio.
+      auto min3 = [](double a, double b, double c) {
         return std::min({a, b, c});
       };
       auto out_g = format::make_simulated_graph(ds.csr, profile);
       auto in_g = format::make_simulated_graph(ds.transpose, profile);
       core::Runtime rt(bench_config(out_g));
       auto blaze_r = run_blaze_query(rt, out_g, in_g, query, pr_iters);
-      blaze_r.seconds = median3(
+      blaze_r.seconds = min3(
           blaze_r.seconds,
           run_blaze_query(rt, out_g, in_g, query, pr_iters).seconds,
           run_blaze_query(rt, out_g, in_g, query, pr_iters).seconds);
@@ -54,16 +52,12 @@ int main() {
         auto fg_in = format::make_simulated_graph(ds.transpose, profile);
         baseline::FlashGraphEngine out_eng(fg_out, bench_fg_config(fg_out));
         baseline::FlashGraphEngine in_eng(fg_in, bench_fg_config(fg_in));
-        fg_s = median3(
-            run_flashgraph_query(out_eng, in_eng, fg_out.index(), query,
-                                 pr_iters)
-                .seconds,
-            run_flashgraph_query(out_eng, in_eng, fg_out.index(), query,
-                                 pr_iters)
-                .seconds,
-            run_flashgraph_query(out_eng, in_eng, fg_out.index(), query,
-                                 pr_iters)
-                .seconds);
+        auto run = [&] {
+          return run_baseline_query(out_eng, in_eng, fg_out.index(), query,
+                                    pr_iters)
+              .seconds;
+        };
+        fg_s = min3(run(), run(), run());
       }
       double blaze_vs_graphene_s = blaze_r.seconds;
       if (query != "BC") {
@@ -72,19 +66,16 @@ int main() {
             format::make_partitioned_graph(ds.transpose, profile, 1);
         baseline::GrapheneEngine out_eng(pg_out, bench_graphene_config());
         baseline::GrapheneEngine in_eng(pg_in, bench_graphene_config());
-        gr_s = median3(run_graphene_query(out_eng, in_eng, pg_out.index,
-                                          query, /*pr_iters=*/1)
-                           .seconds,
-                       run_graphene_query(out_eng, in_eng, pg_out.index,
-                                          query, /*pr_iters=*/1)
-                           .seconds,
-                       run_graphene_query(out_eng, in_eng, pg_out.index,
-                                          query, /*pr_iters=*/1)
-                           .seconds);
+        auto run = [&] {
+          return run_baseline_query(out_eng, in_eng, pg_out.index, query,
+                                    /*pr_iters=*/1)
+              .seconds;
+        };
+        gr_s = min3(run(), run(), run());
         if (query == "PR") {
           // Re-run Blaze PR with 1 iteration for a like-for-like ratio.
           core::Runtime rt2(bench_config(out_g));
-          blaze_vs_graphene_s = median3(
+          blaze_vs_graphene_s = min3(
               run_blaze_query(rt2, out_g, in_g, "PR", 1).seconds,
               run_blaze_query(rt2, out_g, in_g, "PR", 1).seconds,
               run_blaze_query(rt2, out_g, in_g, "PR", 1).seconds);

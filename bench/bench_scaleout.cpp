@@ -9,8 +9,7 @@
 // the paper's sketch anticipates.
 #include <cstdio>
 
-#include "algorithms/programs.h"
-#include "baselines/queries.h"
+#include "algorithms/drivers.h"
 #include "bench/bench_common.h"
 #include "scaleout/cluster.h"
 
@@ -36,7 +35,7 @@ int main() {
 
       core::QueryStats qs;
       if (query == "BFS") {
-        baseline::run_bfs(cluster, 0, &qs);
+        qs = algorithms::run_bfs(cluster, 0).stats;
       } else {
         // One PageRank power iteration over the cluster.
         const vertex_t n = cluster.num_vertices();

@@ -1,72 +1,16 @@
 #include "algorithms/bc.h"
 
-#include "algorithms/programs.h"
-#include "core/edge_map.h"
+#include "algorithms/drivers.h"
 
 namespace blaze::algorithms {
-
-namespace {
-constexpr std::uint32_t kUnvisited = BcForwardProgram::kUnvisited;
-}  // namespace
 
 BcResult bc(core::Runtime& rt, const format::OnDiskGraph& out_g,
             const format::OnDiskGraph& in_g, vertex_t source) {
   BLAZE_CHECK(out_g.num_vertices() == in_g.num_vertices(),
               "bc: graph/transpose vertex count mismatch");
-  const vertex_t n = out_g.num_vertices();
-  BcResult result;
-  result.num_paths.assign(n, 0.0f);
-  result.dependency.assign(n, 0.0f);
-  std::vector<float> sigma_next(n, 0.0f);
-  std::vector<std::uint32_t> level(n, kUnvisited);
-  std::vector<std::vector<vertex_t>> level_members;
-
-  result.num_paths[source] = 1.0f;
-  level[source] = 0;
-  level_members.push_back({source});
-
-  core::EdgeMapOptions opts;
-  opts.output = true;
-  opts.stats = &result.stats;
-
-  // ---- Forward: BFS levels with path counting ----------------------------
-  core::VertexSubset frontier = core::VertexSubset::single(n, source);
-  std::uint32_t round = 0;
-  while (!frontier.empty()) {
-    BcForwardProgram fwd{result.num_paths, sigma_next, level};
-    core::VertexSubset next = core::edge_map(rt, out_g, frontier, fwd, opts);
-    ++round;
-    next.for_each([&](vertex_t v) {
-      level[v] = round;
-      result.num_paths[v] = sigma_next[v];
-      sigma_next[v] = 0.0f;
-    });
-    if (!next.empty()) {
-      level_members.push_back(next.sparse_view());
-      result.frontier_bytes +=
-          level_members.back().size() * sizeof(vertex_t);
-    }
-    frontier = std::move(next);
-  }
-  result.levels = static_cast<std::uint32_t>(level_members.size());
-
-  // ---- Backward: dependency accumulation over the transpose --------------
-  std::vector<float>& acc = sigma_next;  // reuse as the accumulator
-  for (std::uint32_t r = result.levels; r-- > 1;) {
-    core::VertexSubset senders(n);
-    for (vertex_t v : level_members[r]) senders.add(v);
-    BcBackwardProgram bwd{result.num_paths, result.dependency, acc, level,
-                        r - 1};
-    core::EdgeMapOptions bopts;
-    bopts.output = false;
-    bopts.stats = &result.stats;
-    core::edge_map(rt, in_g, senders, bwd, bopts);
-    for (vertex_t v : level_members[r - 1]) {
-      result.dependency[v] = result.num_paths[v] * acc[v];
-      acc[v] = 0.0f;
-    }
-  }
-  return result;
+  BlazeEngine out_eng(rt.default_context(), out_g);
+  BlazeEngine in_eng(rt.default_context(), in_g);
+  return run_bc(out_eng, in_eng, source);
 }
 
 }  // namespace blaze::algorithms

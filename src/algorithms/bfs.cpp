@@ -1,29 +1,14 @@
 #include "algorithms/bfs.h"
 
-#include "algorithms/programs.h"
-#include "core/edge_map.h"
+#include "algorithms/drivers.h"
 #include "core/edge_map_pull.h"
 
 namespace blaze::algorithms {
 
-
 BfsResult bfs(core::QueryContext& qc, const format::OnDiskGraph& g,
               vertex_t source) {
-  BfsResult result;
-  result.parent.assign(g.num_vertices(), kInvalidVertex);
-  result.parent[source] = source;
-
-  BfsProgram prog{result.parent};
-  core::VertexSubset frontier =
-      core::VertexSubset::single(g.num_vertices(), source);
-  core::EdgeMapOptions opts;
-  opts.output = true;
-  opts.stats = &result.stats;
-  while (!frontier.empty()) {
-    frontier = core::edge_map(qc, g, frontier, prog, opts);
-    ++result.iterations;
-  }
-  return result;
+  BlazeEngine eng(qc, g);
+  return run_bfs(eng, source);
 }
 
 BfsResult bfs(core::Runtime& rt, const format::OnDiskGraph& g,

@@ -3,48 +3,13 @@
 #include <algorithm>
 
 #include "algorithms/detail/atomics.h"
-#include "algorithms/programs.h"
-#include "core/edge_map.h"
+#include "algorithms/drivers.h"
 #include "sched/async_runner.h"
 
 namespace blaze::algorithms {
 
 namespace {
 constexpr std::uint32_t kAlive = PeelProgram::kAlive;
-
-/// Peeling with re-enqueue: each incoming record decrements the
-/// destination's residual degree; the new residual is its new priority.
-/// Only the physical slot is clamped by the queue, the exact residual
-/// rides in the entry, which is what makes level-at-a-time popping exact.
-struct AsyncPeelProgram {
-  using value_type = std::uint32_t;
-  std::vector<std::uint32_t>& residual;
-  const std::vector<std::uint32_t>& coreness;
-  sched::BucketQueue& queue;
-
-  value_type scatter(vertex_t, vertex_t) const { return 1; }
-  bool cond(vertex_t d) const {
-    return detail::relaxed_load(coreness[d]) == kAlive;
-  }
-  bool gather(vertex_t d, value_type v) {
-    const std::uint32_t cur = residual[d];
-    const std::uint32_t nr = cur > v ? cur - v : 0;
-    residual[d] = nr;
-    queue.push(d, nr);
-    return false;
-  }
-  bool gather_atomic(vertex_t d, value_type v) {
-    std::atomic_ref<std::uint32_t> ref(residual[d]);
-    std::uint32_t cur = ref.load(std::memory_order_relaxed);
-    std::uint32_t nr;
-    do {
-      nr = cur > v ? cur - v : 0;
-    } while (!ref.compare_exchange_weak(cur, nr,
-                                        std::memory_order_relaxed));
-    queue.push(d, nr);
-    return false;
-  }
-};
 
 /// Async k-core: priority = exact residual degree, strict one-level-per-
 /// round popping (single_bucket_rounds). Popping level b with current core
@@ -71,10 +36,16 @@ KcoreResult kcore_async(core::QueryContext& qc,
     runner.queue().push(v, residual[v]);
   }
 
-  AsyncPeelProgram prog{residual, result.coreness, runner.queue()};
-  core::EdgeMapOptions opts;
-  opts.output = false;
-  opts.stats = &result.stats;
+  // Each record lowers the destination's residual degree, which is its
+  // new priority. Only the physical slot is clamped by the queue; the
+  // exact residual rides in the entry, which is what makes level-at-a-time
+  // popping exact.
+  sched::Enqueue prog{PeelProgram{residual, result.coreness},
+                      [&residual](vertex_t d) {
+                        return detail::relaxed_load(residual[d]);
+                      },
+                      runner.queue()};
+  BlazeEngine eng(qc, out_g, in_g);
   std::uint32_t k = 0;
   std::uint64_t alive = n;
   runner.run([&](const core::VertexSubset& frontier,
@@ -94,7 +65,7 @@ KcoreResult kcore_async(core::QueryContext& qc,
         },
         &result.stats);
     alive -= frontier.count();
-    core::edge_map(qc, {&out_g, &in_g}, frontier, prog, opts);
+    eng.edge_map(frontier, prog, /*output=*/false, &result.stats);
     return static_cast<double>(alive);
   });
   // A bounded sweep leaves the deeper core unpeeled, exactly like the BSP
@@ -128,9 +99,7 @@ KcoreResult kcore(core::QueryContext& qc, const format::OnDiskGraph& out_g,
   }
 
   PeelProgram prog{residual, result.coreness};
-  core::EdgeMapOptions opts;
-  opts.output = false;
-  opts.stats = &result.stats;
+  BlazeEngine eng(qc, out_g, in_g);
 
   std::uint64_t alive = n;
   std::uint32_t k = 0;
@@ -150,7 +119,7 @@ KcoreResult kcore(core::QueryContext& qc, const format::OnDiskGraph& out_g,
           &result.stats);
       if (peeled.empty()) break;
       alive -= peeled.count();
-      core::edge_map(qc, {&out_g, &in_g}, peeled, prog, opts);
+      eng.edge_map(peeled, prog, /*output=*/false, &result.stats);
     }
     ++k;
   }

@@ -2,8 +2,7 @@
 
 #include <cmath>
 
-#include "algorithms/programs.h"
-#include "core/edge_map.h"
+#include "algorithms/drivers.h"
 #include "sched/async_runner.h"
 
 namespace blaze::algorithms {
@@ -62,14 +61,12 @@ PageRankResult pagerank_async(core::QueryContext& qc,
 
   std::vector<float> residual(n, 0.0f);
   std::vector<float> claimed(n, 0.0f);
-  core::EdgeMapOptions opts;
-  opts.output = false;
-  opts.stats = &result.stats;
+  BlazeEngine eng(qc, g);
   {
     std::vector<float> delta(n, 1.0f / static_cast<float>(n));
     PrProgram seed{g.index(), delta, residual};
-    core::VertexSubset everyone = core::VertexSubset::all(n);
-    core::edge_map(qc, g, everyone, seed, opts);
+    eng.edge_map(core::VertexSubset::all(n), seed, /*output=*/false,
+                 &result.stats);
     const float base = (1.0f - damping) / static_cast<float>(n);
     for (vertex_t i = 0; i < n; ++i) {
       residual[i] = residual[i] * damping + base;
@@ -112,7 +109,7 @@ PageRankResult pagerank_async(core::QueryContext& qc,
       result.rank[v] += c;
       claimed_total += std::fabs(c);
     });
-    core::edge_map(qc, g, frontier, prog, opts);
+    eng.edge_map(frontier, prog, /*output=*/false, &result.stats);
     return claimed_total;
   });
   result.iterations = static_cast<std::uint32_t>(rs.rounds) + 1;
@@ -127,44 +124,8 @@ PageRankResult pagerank(core::QueryContext& qc,
   if (qc.config().execution_mode == core::ExecutionMode::kAsync) {
     return pagerank_async(qc, g, options);
   }
-  const vertex_t n = g.num_vertices();
-  PageRankResult result;
-  result.rank.assign(n, 0.0f);
-  std::vector<float> delta(n, 1.0f / static_cast<float>(n));
-  std::vector<float> ngh_sum(n, 0.0f);
-  const auto damping = static_cast<float>(options.damping);
-  const auto epsilon = static_cast<float>(options.epsilon);
-
-  // First iteration applies the base rank in addition to the propagated
-  // delta, as in Ligra's PageRank-delta; afterwards only deltas propagate.
-  PrProgram prog{g.index(), delta, ngh_sum};
-  core::VertexSubset frontier = core::VertexSubset::all(n);
-  core::EdgeMapOptions opts;
-  opts.output = false;
-  opts.stats = &result.stats;
-
-  while (!frontier.empty() && result.iterations < options.max_iterations) {
-    core::edge_map(qc, g, frontier, prog, opts);
-    bool first = result.iterations == 0;
-    const float base =
-        first ? (1.0f - damping) / static_cast<float>(n) : 0.0f;
-    frontier = core::vertex_map(
-        qc, core::VertexSubset::all(n),
-        [&](vertex_t i) {
-          // APPLYFILTER from paper Algorithm 2 (plus the first-iteration
-          // base term).
-          delta[i] = ngh_sum[i] * damping + base;
-          ngh_sum[i] = 0.0f;
-          if (std::fabs(delta[i]) > epsilon * result.rank[i]) {
-            result.rank[i] += delta[i];
-            return true;
-          }
-          return false;
-        },
-        &result.stats);
-    ++result.iterations;
-  }
-  return result;
+  BlazeEngine eng(qc, g);
+  return run_pagerank(eng, g.index(), options);
 }
 
 PageRankResult pagerank(core::Runtime& rt, const format::OnDiskGraph& g,

@@ -72,7 +72,7 @@ struct PrProgram {
 };
 
 /// Paper Algorithm 3 (WCC): scatter forwards the source's label; gather
-/// keeps the per-destination minimum.
+/// keeps the per-destination minimum and reports whether it lowered it.
 struct WccProgram {
   using value_type = vertex_t;
   std::vector<vertex_t>& ids;
@@ -85,8 +85,11 @@ struct WccProgram {
   }
   bool cond(vertex_t) const { return true; }
   bool gather(vertex_t d, value_type v) {
-    if (v < detail::relaxed_load(ids[d])) detail::relaxed_store(ids[d], v);
-    return true;
+    if (v < detail::relaxed_load(ids[d])) {
+      detail::relaxed_store(ids[d], v);
+      return true;
+    }
+    return false;
   }
   bool gather_atomic(vertex_t d, value_type v) {
     return detail::atomic_min(ids[d], v);
@@ -189,7 +192,9 @@ struct PeelProgram {
   const std::vector<std::uint32_t>& coreness;
 
   value_type scatter(vertex_t, vertex_t) const { return 1; }
-  bool cond(vertex_t d) const { return coreness[d] == kAlive; }
+  bool cond(vertex_t d) const {
+    return detail::relaxed_load(coreness[d]) == kAlive;
+  }
   bool gather(vertex_t d, value_type v) {
     residual[d] = residual[d] >= v ? residual[d] - v : 0;
     return true;

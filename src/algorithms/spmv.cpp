@@ -1,24 +1,13 @@
 #include "algorithms/spmv.h"
 
-#include "algorithms/programs.h"
-#include "core/edge_map.h"
+#include "algorithms/drivers.h"
 
 namespace blaze::algorithms {
 
-
 SpmvResult spmv(core::Runtime& rt, const format::OnDiskGraph& g,
                 const std::vector<float>& x) {
-  BLAZE_CHECK(x.size() == g.num_vertices(), "spmv: |x| != |V|");
-  SpmvResult result;
-  result.y.assign(g.num_vertices(), 0.0f);
-
-  SpmvProgram prog{x, result.y};
-  core::VertexSubset frontier = core::VertexSubset::all(g.num_vertices());
-  core::EdgeMapOptions opts;
-  opts.output = false;
-  opts.stats = &result.stats;
-  core::edge_map(rt, g, frontier, prog, opts);
-  return result;
+  BlazeEngine eng(rt.default_context(), g);
+  return run_spmv(eng, x);
 }
 
 }  // namespace blaze::algorithms

@@ -1,10 +1,7 @@
 #include "algorithms/wcc.h"
 
-#include <atomic>
-
 #include "algorithms/detail/atomics.h"
-#include "algorithms/programs.h"
-#include "core/edge_map.h"
+#include "algorithms/drivers.h"
 #include "sched/async_runner.h"
 
 namespace blaze::algorithms {
@@ -21,33 +18,6 @@ std::uint32_t label_shift(vertex_t n, std::uint32_t buckets) {
   }
   return shift;
 }
-
-/// Min-label flooding for the async scheduler: scatter forwards the
-/// source's current label (fresher than at pop time only helps — labels
-/// are monotone decreasing), gather keeps the min and re-enqueues lowered
-/// destinations so they flood further.
-struct AsyncWccProgram {
-  using value_type = vertex_t;
-  std::vector<vertex_t>& ids;
-  std::uint32_t shift;
-  sched::BucketQueue& queue;
-
-  value_type scatter(vertex_t s, vertex_t) const {
-    return detail::relaxed_load(ids[s]);
-  }
-  bool cond(vertex_t) const { return true; }
-  bool gather(vertex_t d, value_type v) {
-    if (v < ids[d]) {
-      detail::relaxed_store(ids[d], v);  // scatter reads ids[s] concurrently
-      queue.push(d, v >> shift);
-    }
-    return false;
-  }
-  bool gather_atomic(vertex_t d, value_type v) {
-    if (detail::atomic_min(ids[d], v)) queue.push(d, v >> shift);
-    return false;
-  }
-};
 
 WccResult wcc_async(core::QueryContext& qc,
                     const format::OnDiskGraph& out_g,
@@ -66,13 +36,16 @@ WccResult wcc_async(core::QueryContext& qc,
     runner.queue().push(v, v >> shift);
   }
 
-  AsyncWccProgram prog{result.ids, shift, runner.queue()};
-  core::EdgeMapOptions opts;
-  opts.output = false;
-  opts.stats = &result.stats;
+  // Lowered labels flood further, smallest first.
+  sched::Enqueue prog{WccProgram{result.ids},
+                      [&ids = result.ids, shift](vertex_t d) {
+                        return detail::relaxed_load(ids[d]) >> shift;
+                      },
+                      runner.queue()};
+  BlazeEngine eng(qc, out_g, in_g);
   auto rs = runner.run(
       [&](const core::VertexSubset& frontier, sched::priority_t) {
-        core::edge_map(qc, {&out_g, &in_g}, frontier, prog, opts);
+        eng.edge_map(frontier, prog, /*output=*/false, &result.stats);
         return static_cast<double>(frontier.count());
       });
   result.iterations = static_cast<std::uint32_t>(rs.rounds);
@@ -88,45 +61,10 @@ WccResult wcc(core::QueryContext& qc, const format::OnDiskGraph& out_g,
   if (qc.config().execution_mode == core::ExecutionMode::kAsync) {
     return wcc_async(qc, out_g, in_g);
   }
-  const vertex_t n = out_g.num_vertices();
-  WccResult result;
-  result.ids.resize(n);
-  std::vector<vertex_t> prev_ids(n);
-  for (vertex_t v = 0; v < n; ++v) {
-    result.ids[v] = v;
-    prev_ids[v] = v;
-  }
-
-  WccProgram prog{result.ids};
-  core::VertexSubset frontier = core::VertexSubset::all(n);
-  core::EdgeMapOptions opts;
-  opts.output = false;
-  opts.stats = &result.stats;
-
-  while (!frontier.empty()) {
-    core::edge_map(qc, {&out_g, &in_g}, frontier, prog, opts);
-    frontier = core::vertex_map(
-        qc, core::VertexSubset::all(n),
-        [&](vertex_t i) {
-          // APPLYFILTER: pointer jumping, then activate changed vertices.
-          // Neighboring lambda invocations may touch the same label slots
-          // concurrently, so go through relaxed atomics; labels only ever
-          // decrease, so stale reads just delay convergence by a round.
-          std::atomic_ref<vertex_t> my(result.ids[i]);
-          vertex_t label = my.load(std::memory_order_relaxed);
-          vertex_t id = std::atomic_ref<vertex_t>(result.ids[label])
-                            .load(std::memory_order_relaxed);
-          if (label != id) my.store(id, std::memory_order_relaxed);
-          if (prev_ids[i] != id) {
-            prev_ids[i] = id;
-            return true;
-          }
-          return false;
-        },
-        &result.stats);
-    ++result.iterations;
-  }
-  return result;
+  // One engine over both directions: each iteration reads the graph and
+  // its transpose in one edge_map pass.
+  BlazeEngine eng(qc, out_g, in_g);
+  return run_wcc(eng);
 }
 
 WccResult wcc(core::Runtime& rt, const format::OnDiskGraph& out_g,

@@ -4,10 +4,10 @@
 // queries "based on the implementations in Ligra"; this engine is the
 // in-core comparison point: the whole CSR lives in DRAM, edge_map runs the
 // same Programs push-style with atomic (CAS) updates, and there is no IO
-// at all. It satisfies the same engine concept as the baselines and the
-// scale-out cluster, so the generic drivers in queries.h run unchanged —
-// useful both as a fast oracle and for quantifying what out-of-core
-// execution costs when the graph would actually fit in memory.
+// at all. It satisfies the engine concept of the query drivers
+// (algorithms/drivers.h), so every query runs on it unchanged — useful
+// both as a fast oracle and for quantifying what out-of-core execution
+// costs when the graph would actually fit in memory.
 #pragma once
 
 #include <atomic>

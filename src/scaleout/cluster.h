@@ -58,8 +58,8 @@ struct ClusterStats {
 };
 
 /// A simulated cluster of Blaze machines over one logical graph. Satisfies
-/// the same engine concept as the baselines, so the generic query drivers
-/// in baselines/queries.h run unchanged on a cluster.
+/// the engine concept of the query drivers (algorithms/drivers.h), so
+/// every query runs unchanged on a cluster.
 class Cluster {
  public:
   Cluster(const graph::Csr& g, ClusterConfig cfg);

@@ -82,6 +82,26 @@ struct AsyncRunStats {
   }
 };
 
+/// A BSP Program in its async form. scatter and cond are the program's
+/// own; when the program's gather updates destination `d`, the adapter
+/// re-enqueues `d` at `priority(d)`, read after the update. Its gathers
+/// return false: the next round's frontier comes from the queue, not from
+/// edge_map's output.
+template <typename Program, typename Priority>
+struct Enqueue : Program {
+  Priority priority;
+  BucketQueue& queue;
+
+  bool gather(vertex_t d, typename Program::value_type v) {
+    if (Program::gather(d, v)) queue.push(d, priority(d));
+    return false;
+  }
+  bool gather_atomic(vertex_t d, typename Program::value_type v) {
+    if (Program::gather_atomic(d, v)) queue.push(d, priority(d));
+    return false;
+  }
+};
+
 class AsyncRunner {
  public:
   /// `g` is the graph the rounds read (for WCC/k-core, the out-graph; the

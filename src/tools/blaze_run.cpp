@@ -331,27 +331,33 @@ blaze::format::OnDiskGraph wrap_graph_cached(
 }
 
 /// Builds the serving-mode body for one query kind; returns an empty
-/// function for kinds without a QueryContext entry point.
+/// function for kinds without a QueryContext entry point. The body runs
+/// on the graph the engine pinned into the context (QuerySpec::graph, in
+/// catalog mode) and otherwise on `g`, so one body serves every resident
+/// graph.
 blaze::serve::QueryFn make_serve_query(
     const std::string& query, const blaze::format::OnDiskGraph& g,
     const blaze::format::OnDiskGraph& gt, blaze::vertex_t source,
     const blaze::algorithms::PageRankOptions& pr_opts) {
   using namespace blaze;
+  auto graph = [&g](const core::QueryContext& qc)
+      -> const format::OnDiskGraph& { return qc.graph() ? *qc.graph() : g; };
   if (query == "bfs") {
-    return [&g, source](core::QueryContext& qc) {
-      return algorithms::bfs(qc, g, source).stats;
+    return [graph, source](core::QueryContext& qc) {
+      return algorithms::bfs(qc, graph(qc), source).stats;
     };
   }
   if (query == "pr") {
-    return [&g, pr_opts](core::QueryContext& qc) {
-      return algorithms::pagerank(qc, g, pr_opts).stats;
+    return [graph, pr_opts](core::QueryContext& qc) {
+      return algorithms::pagerank(qc, graph(qc), pr_opts).stats;
     };
   }
   if (query == "sssp") {
-    return [&g, source](core::QueryContext& qc) {
-      return g.index().record_bytes() == 8
-                 ? algorithms::sssp_weighted(qc, g, source).stats
-                 : algorithms::sssp(qc, g, source).stats;
+    return [graph, source](core::QueryContext& qc) {
+      const format::OnDiskGraph& sg = graph(qc);
+      return sg.index().record_bytes() == 8
+                 ? algorithms::sssp_weighted(qc, sg, source).stats
+                 : algorithms::sssp(qc, sg, source).stats;
     };
   }
   if (query == "wcc") {
@@ -441,31 +447,6 @@ bool parse_tenant_spec(const std::string& arg, std::vector<TenantSpec>& out) {
   return true;
 }
 
-/// Serving body for catalog mode: the query runs against whatever graph
-/// the engine pinned into the context (QuerySpec::graph), so one body
-/// serves every resident graph. Only graph-only kinds qualify.
-blaze::serve::QueryFn make_catalog_query(
-    const std::string& query, blaze::vertex_t source,
-    const blaze::algorithms::PageRankOptions& pr_opts) {
-  using namespace blaze;
-  if (query == "bfs") {
-    return [source](core::QueryContext& qc) {
-      return algorithms::bfs(qc, *qc.graph(), source).stats;
-    };
-  }
-  if (query == "pr") {
-    return [pr_opts](core::QueryContext& qc) {
-      return algorithms::pagerank(qc, *qc.graph(), pr_opts).stats;
-    };
-  }
-  if (query == "sssp") {
-    return [source](core::QueryContext& qc) {
-      return algorithms::sssp(qc, *qc.graph(), source).stats;
-    };
-  }
-  return {};
-}
-
 /// Runs the closed-loop serving workload and prints the aggregate table.
 int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
                 const std::string& query,
@@ -495,15 +476,14 @@ int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
   }
   const bool catalog_mode = opt.has("catalog");
 
-  if (catalog_mode) {
-    if (!make_catalog_query(query, source, pr_opts)) {
-      std::fprintf(stderr,
-                   "--catalog serving supports bfs, pr, sssp (graph-only "
-                   "kinds); -query %s needs a transpose\n",
-                   query.c_str());
-      return 2;
-    }
-  } else if (!make_serve_query(query, g, gt, source, pr_opts)) {
+  if (catalog_mode && query != "bfs" && query != "pr" && query != "sssp") {
+    std::fprintf(stderr,
+                 "--catalog serving supports bfs, pr, sssp (graph-only "
+                 "kinds); -query %s needs a transpose\n",
+                 query.c_str());
+    return 2;
+  }
+  if (!make_serve_query(query, g, gt, source, pr_opts)) {
     std::fprintf(
         stderr,
         "-query %s has no serving mode (use bfs, pr, sssp, wcc, kcore)\n",
@@ -529,9 +509,7 @@ int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
       catalog_mode ? g : wrap_graph_cached(g, engine.runtime());
   const format::OnDiskGraph cgt =
       catalog_mode ? gt : wrap_graph_cached(gt, engine.runtime());
-  serve::QueryFn body =
-      catalog_mode ? make_catalog_query(query, source, pr_opts)
-                   : make_serve_query(query, cg, cgt, source, pr_opts);
+  serve::QueryFn body = make_serve_query(query, cg, cgt, source, pr_opts);
 
   // Resident graph set: the positional graph opens as "main", every
   // --catalog entry by its given name; clients spread round-robin.

@@ -7,10 +7,10 @@
 #include <cmath>
 #include <numeric>
 
+#include "algorithms/drivers.h"
 #include "baselines/flashgraph.h"
 #include "baselines/graphene.h"
 #include "baselines/inmem.h"
-#include "baselines/queries.h"
 #include "format/on_disk_graph.h"
 #include "format/partitioner.h"
 #include "graph/generators.h"
@@ -27,13 +27,20 @@ FlashGraphConfig small_fg_config() {
   return cfg;
 }
 
+algorithms::PageRankOptions pr_options() {
+  algorithms::PageRankOptions opts;
+  opts.epsilon = 1e-3;
+  opts.max_iterations = 30;
+  return opts;
+}
+
 // --------------------------------------------------------- FlashGraphEngine
 
 TEST(FlashGraph, BfsMatchesOracle) {
   graph::Csr g = graph::generate_rmat(10, 8, 700);
   auto odg = format::make_mem_graph(g);
   FlashGraphEngine eng(odg, small_fg_config());
-  auto parent = run_bfs(eng, 0);
+  auto parent = algorithms::run_bfs(eng, 0).parent;
   auto dist = testutil::reference_bfs_dist(g, 0);
   for (vertex_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(parent[v] == kInvalidVertex, dist[v] == ~0u) << v;
@@ -44,7 +51,7 @@ TEST(FlashGraph, PageRankMatchesSequentialDelta) {
   graph::Csr g = graph::generate_rmat(9, 8, 701);
   auto odg = format::make_mem_graph(g);
   FlashGraphEngine eng(odg, small_fg_config());
-  auto rank = run_pagerank(eng, odg.index(), 0.85, 1e-3, 30);
+  auto rank = algorithms::run_pagerank(eng, odg.index(), pr_options()).rank;
   auto want = inmem::pagerank_delta(g, 0.85, 1e-3, 30);
   double err = 0, norm = 1e-12;
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -61,7 +68,7 @@ TEST(FlashGraph, WccMatchesOracle) {
   auto in_g = format::make_mem_graph(gt);
   FlashGraphEngine out_eng(out_g, small_fg_config());
   FlashGraphEngine in_eng(in_g, small_fg_config());
-  auto ids = run_wcc(out_eng, in_eng);
+  auto ids = algorithms::run_wcc(out_eng, in_eng).ids;
   EXPECT_EQ(ids, inmem::wcc(g));
 }
 
@@ -70,7 +77,7 @@ TEST(FlashGraph, SpmvMatchesOracle) {
   auto odg = format::make_mem_graph(g);
   FlashGraphEngine eng(odg, small_fg_config());
   std::vector<float> x(g.num_vertices(), 1.0f);
-  auto y = run_spmv(eng, x);
+  auto y = algorithms::run_spmv(eng, x).y;
   auto want = inmem::spmv(g, x);
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(y[i], want[i], 1e-3f + 1e-4f * std::fabs(want[i]));
@@ -84,7 +91,7 @@ TEST(FlashGraph, BcMatchesBrandes) {
   auto in_g = format::make_mem_graph(gt);
   FlashGraphEngine out_eng(out_g, small_fg_config());
   FlashGraphEngine in_eng(in_g, small_fg_config());
-  auto dep = run_bc(out_eng, in_eng, 0);
+  auto dep = algorithms::run_bc(out_eng, in_eng, 0).dependency;
   auto want = inmem::bc_dependency(g, gt, 0);
   double err = 0, norm = 1e-12;
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -100,8 +107,7 @@ TEST(FlashGraph, CacheCutsDeviceTrafficAcrossIterations) {
   FlashGraphConfig cfg = small_fg_config();
   cfg.cache_bytes = 8 << 20;  // graph fits
   FlashGraphEngine eng(odg, cfg);
-  core::QueryStats stats;
-  run_bfs(eng, 0, &stats);
+  algorithms::run_bfs(eng, 0);
   // With the cache holding everything it reads, device bytes are bounded by
   // one copy of the adjacency even though BFS revisits pages across
   // iterations (+1 page slack for the frontier's partial pages).
@@ -133,7 +139,7 @@ TEST(Graphene, BfsMatchesOracle) {
   graph::Csr g = graph::generate_rmat(10, 8, 710);
   auto pg = make_pg(g);
   GrapheneEngine eng(pg, small_gr_config());
-  auto parent = run_bfs(eng, 0);
+  auto parent = algorithms::run_bfs(eng, 0).parent;
   auto dist = testutil::reference_bfs_dist(g, 0);
   for (vertex_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(parent[v] == kInvalidVertex, dist[v] == ~0u) << v;
@@ -144,7 +150,7 @@ TEST(Graphene, PageRankMatchesSequentialDelta) {
   graph::Csr g = graph::generate_rmat(9, 8, 711);
   auto pg = make_pg(g);
   GrapheneEngine eng(pg, small_gr_config());
-  auto rank = run_pagerank(eng, pg.index, 0.85, 1e-3, 30);
+  auto rank = algorithms::run_pagerank(eng, pg.index, pr_options()).rank;
   auto want = inmem::pagerank_delta(g, 0.85, 1e-3, 30);
   double err = 0, norm = 1e-12;
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -161,7 +167,7 @@ TEST(Graphene, WccMatchesOracle) {
   auto in_pg = make_pg(gt);
   GrapheneEngine out_eng(out_pg, small_gr_config());
   GrapheneEngine in_eng(in_pg, small_gr_config());
-  auto ids = run_wcc(out_eng, in_eng);
+  auto ids = algorithms::run_wcc(out_eng, in_eng).ids;
   EXPECT_EQ(ids, inmem::wcc(g));
 }
 
@@ -170,7 +176,7 @@ TEST(Graphene, SpmvMatchesOracle) {
   auto pg = make_pg(g, 4);
   GrapheneEngine eng(pg, small_gr_config());
   std::vector<float> x(g.num_vertices(), 0.5f);
-  auto y = run_spmv(eng, x);
+  auto y = algorithms::run_spmv(eng, x).y;
   auto want = inmem::spmv(g, x);
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(y[i], want[i], 1e-3f + 1e-4f * std::fabs(want[i]));

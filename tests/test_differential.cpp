@@ -9,14 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "baselines/flashgraph.h"
 #include "baselines/graphene.h"
 #include "baselines/inmem.h"
 #include "baselines/ligra.h"
-#include "baselines/queries.h"
 #include "algorithms/bc.h"
 #include "algorithms/bfs.h"
+#include "algorithms/drivers.h"
 #include "algorithms/kcore.h"
 #include "algorithms/mis.h"
 #include "algorithms/pagerank.h"
@@ -119,10 +120,11 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnBfsWccSpmv) {
     cfg.io_buffer_bytes = 1 << 20;
     baseline::FlashGraphEngine out_eng(out_g, cfg);
     baseline::FlashGraphEngine in_eng(in_g, cfg);
-    EXPECT_EQ(visited_of(baseline::run_bfs(out_eng, source)), want_visited)
+    EXPECT_EQ(visited_of(algorithms::run_bfs(out_eng, source).parent),
+              want_visited)
         << who;
-    EXPECT_EQ(baseline::run_wcc(out_eng, in_eng), want_wcc) << who;
-    check_spmv(baseline::run_spmv(out_eng, x), who);
+    EXPECT_EQ(algorithms::run_wcc(out_eng, in_eng).ids, want_wcc) << who;
+    check_spmv(algorithms::run_spmv(out_eng, x).y, who);
   }
 
   // --- Graphene-like --------------------------------------------------------
@@ -139,19 +141,22 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnBfsWccSpmv) {
     cfg.vertex_map_workers = 3;
     baseline::GrapheneEngine out_eng(pg, cfg);
     baseline::GrapheneEngine in_eng(pgt, cfg);
-    EXPECT_EQ(visited_of(baseline::run_bfs(out_eng, source)), want_visited)
+    EXPECT_EQ(visited_of(algorithms::run_bfs(out_eng, source).parent),
+              want_visited)
         << "graphene";
-    EXPECT_EQ(baseline::run_wcc(out_eng, in_eng), want_wcc) << "graphene";
-    check_spmv(baseline::run_spmv(out_eng, x), "graphene");
+    EXPECT_EQ(algorithms::run_wcc(out_eng, in_eng).ids, want_wcc)
+        << "graphene";
+    check_spmv(algorithms::run_spmv(out_eng, x).y, "graphene");
   }
 
   // --- In-core Ligra-style ---------------------------------------------------
   {
     baseline::LigraEngine out_eng(g, 3), in_eng(gt, 3);
-    EXPECT_EQ(visited_of(baseline::run_bfs(out_eng, source)), want_visited)
+    EXPECT_EQ(visited_of(algorithms::run_bfs(out_eng, source).parent),
+              want_visited)
         << "ligra";
-    EXPECT_EQ(baseline::run_wcc(out_eng, in_eng), want_wcc) << "ligra";
-    check_spmv(baseline::run_spmv(out_eng, x), "ligra");
+    EXPECT_EQ(algorithms::run_wcc(out_eng, in_eng).ids, want_wcc) << "ligra";
+    check_spmv(algorithms::run_spmv(out_eng, x).y, "ligra");
   }
 
   // --- Scale-out cluster ------------------------------------------------------
@@ -161,10 +166,11 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnBfsWccSpmv) {
     cfg.engine = testutil::test_config(2);
     scaleout::Cluster out_c(g, cfg);
     scaleout::Cluster in_c(gt, cfg);
-    EXPECT_EQ(visited_of(baseline::run_bfs(out_c, source)), want_visited)
+    EXPECT_EQ(visited_of(algorithms::run_bfs(out_c, source).parent),
+              want_visited)
         << "cluster";
-    EXPECT_EQ(baseline::run_wcc(out_c, in_c), want_wcc) << "cluster";
-    check_spmv(baseline::run_spmv(out_c, x), "cluster");
+    EXPECT_EQ(algorithms::run_wcc(out_c, in_c).ids, want_wcc) << "cluster";
+    check_spmv(algorithms::run_spmv(out_c, x).y, "cluster");
   }
 }
 
@@ -430,6 +436,59 @@ TEST_P(DifferentialTest, AsyncMatchesBspFixedPoint) {
         << "sync-async";
     expect_rank_close(async_rt, bsp_rt, out_g, "sync-async");
     expect_weighted_close(async_rt, bsp_rt, "sync-async");
+  }
+}
+
+// Exact-repeat counters: a deterministic query run twice, each time on a
+// fresh Runtime with the default 4 workers, reads the same pages and
+// scatters the same edges in the same number of iterations, however the
+// scatter and gather threads interleave. Exempt:
+//  - WCC: BSP WCC reads labels that gather is lowering in the same
+//    iteration, so its frontier, pages and edges vary by a few.
+//  - PageRank: its float summation order depends on how the scatter
+//    threads interleave, and the frontier follows the sums.
+TEST(ExactRepeat, DeterministicQueriesRepeatTheirCounters) {
+  graph::Csr g = graph::generate_rmat(14, 8, 4242);
+  graph::Csr gt = graph::transpose(g);
+  std::vector<float> x(g.num_vertices(), 1.0f);
+  struct Run {
+    core::QueryStats bfs, spmv, bc, kcore;
+    std::uint32_t bfs_iterations, bc_levels;
+  };
+  for (auto encoding : {format::AdjacencyEncoding::kFlat,
+                        format::AdjacencyEncoding::kDeltaVarint}) {
+    const char* label =
+        encoding == format::AdjacencyEncoding::kFlat ? "flat" : "dvarint";
+    auto out_g = format::make_mem_graph(g, 2, encoding);
+    auto in_g = format::make_mem_graph(gt, 2, encoding);
+    auto run = [&] {
+      core::Runtime rt(testutil::test_config(4));
+      auto b = algorithms::bfs(rt, out_g, 0);
+      auto c = algorithms::bc(rt, out_g, in_g, 0);
+      return Run{b.stats,
+                 algorithms::spmv(rt, out_g, x).stats,
+                 c.stats,
+                 algorithms::kcore(rt, out_g, in_g).stats,
+                 b.iterations,
+                 c.levels};
+    };
+    const Run first = run();
+    const Run second = run();
+    EXPECT_EQ(first.bfs_iterations, second.bfs_iterations) << label;
+    EXPECT_EQ(first.bc_levels, second.bc_levels) << label;
+    for (auto [name, a, b] :
+         {std::tuple{"bfs", &first.bfs, &second.bfs},
+          std::tuple{"spmv", &first.spmv, &second.spmv},
+          std::tuple{"bc", &first.bc, &second.bc},
+          std::tuple{"kcore", &first.kcore, &second.kcore}}) {
+      EXPECT_GT(a->bytes_read, 0u) << label << " " << name;
+      EXPECT_EQ(a->bytes_read, b->bytes_read) << label << " " << name;
+      EXPECT_EQ(a->pages_read, b->pages_read) << label << " " << name;
+      EXPECT_EQ(a->edges_scattered, b->edges_scattered)
+          << label << " " << name;
+      EXPECT_EQ(a->edge_map_calls, b->edge_map_calls)
+          << label << " " << name;
+    }
   }
 }
 

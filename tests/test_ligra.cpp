@@ -4,9 +4,9 @@
 
 #include <cmath>
 
+#include "algorithms/drivers.h"
 #include "baselines/inmem.h"
 #include "baselines/ligra.h"
-#include "baselines/queries.h"
 #include "format/graph_index.h"
 #include "graph/generators.h"
 #include "test_helpers.h"
@@ -17,7 +17,7 @@ namespace {
 TEST(Ligra, BfsMatchesOracle) {
   graph::Csr g = graph::generate_rmat(10, 8, 1500);
   LigraEngine eng(g, 3);
-  auto parent = run_bfs(eng, 0);
+  auto parent = algorithms::run_bfs(eng, 0).parent;
   auto dist = testutil::reference_bfs_dist(g, 0);
   for (vertex_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(parent[v] == kInvalidVertex, dist[v] == ~0u) << v;
@@ -31,14 +31,14 @@ TEST(Ligra, WccMatchesOracle) {
   graph::Csr g = graph::generate_uniform(2500, 7500, 1501);
   graph::Csr gt = graph::transpose(g);
   LigraEngine out_eng(g, 3), in_eng(gt, 3);
-  EXPECT_EQ(run_wcc(out_eng, in_eng), inmem::wcc(g));
+  EXPECT_EQ(algorithms::run_wcc(out_eng, in_eng).ids, inmem::wcc(g));
 }
 
 TEST(Ligra, SpmvMatchesOracle) {
   graph::Csr g = graph::generate_rmat(9, 8, 1502);
   LigraEngine eng(g, 2);
   std::vector<float> x(g.num_vertices(), 2.0f);
-  auto y = run_spmv(eng, x);
+  auto y = algorithms::run_spmv(eng, x).y;
   auto want = inmem::spmv(g, x);
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(y[i], want[i], 1e-3f + 1e-4f * std::fabs(want[i])) << i;
@@ -51,7 +51,10 @@ TEST(Ligra, PageRankMatchesSequentialDelta) {
   for (vertex_t v = 0; v < g.num_vertices(); ++v) degrees[v] = g.degree(v);
   format::GraphIndex index(degrees);
   LigraEngine eng(g, 3);
-  auto rank = run_pagerank(eng, index, 0.85, 1e-3, 30);
+  algorithms::PageRankOptions opts;
+  opts.epsilon = 1e-3;
+  opts.max_iterations = 30;
+  auto rank = algorithms::run_pagerank(eng, index, opts).rank;
   auto want = inmem::pagerank_delta(g, 0.85, 1e-3, 30);
   double err = 0, norm = 1e-12;
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -65,7 +68,7 @@ TEST(Ligra, BcMatchesBrandes) {
   graph::Csr g = graph::generate_rmat(9, 8, 1504);
   graph::Csr gt = graph::transpose(g);
   LigraEngine out_eng(g, 3), in_eng(gt, 3);
-  auto dep = run_bc(out_eng, in_eng, 0);
+  auto dep = algorithms::run_bc(out_eng, in_eng, 0).dependency;
   auto want = inmem::bc_dependency(g, gt, 0);
   double err = 0, norm = 1e-12;
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -78,8 +81,7 @@ TEST(Ligra, BcMatchesBrandes) {
 TEST(Ligra, StatsTrackEdgesNotBytes) {
   graph::Csr g = graph::generate_rmat(8, 8, 1505);
   LigraEngine eng(g, 2);
-  core::QueryStats stats;
-  run_bfs(eng, 0, &stats);
+  const core::QueryStats stats = algorithms::run_bfs(eng, 0).stats;
   EXPECT_GT(stats.edges_scattered, 0u);
   EXPECT_EQ(stats.bytes_read, 0u);  // no IO at all
 }

@@ -5,8 +5,8 @@
 
 #include <algorithm>
 
+#include "algorithms/drivers.h"
 #include "baselines/inmem.h"
-#include "baselines/queries.h"
 #include "scaleout/cluster.h"
 #include "test_helpers.h"
 
@@ -55,7 +55,7 @@ TEST(Cluster, HashedPartitioningBalancesPowerLaw) {
 TEST(Cluster, BfsMatchesSingleMachine) {
   graph::Csr g = graph::generate_rmat(10, 8, 1002);
   Cluster cluster(g, test_cluster_config(3));
-  auto parent = baseline::run_bfs(cluster, 0);
+  auto parent = algorithms::run_bfs(cluster, 0).parent;
   auto dist = testutil::reference_bfs_dist(g, 0);
   for (vertex_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(parent[v] == kInvalidVertex, dist[v] == ~0u) << v;
@@ -67,7 +67,7 @@ TEST(Cluster, WccMatchesOracleAcrossMachines) {
   graph::Csr gt = graph::transpose(g);
   Cluster out_c(g, test_cluster_config(2));
   Cluster in_c(gt, test_cluster_config(2));
-  auto ids = baseline::run_wcc(out_c, in_c);
+  auto ids = algorithms::run_wcc(out_c, in_c).ids;
   EXPECT_EQ(ids, baseline::inmem::wcc(g));
 }
 
@@ -75,7 +75,7 @@ TEST(Cluster, SpmvMatchesOracle) {
   graph::Csr g = graph::generate_rmat(9, 8, 1004);
   Cluster cluster(g, test_cluster_config(4));
   std::vector<float> x(g.num_vertices(), 1.0f);
-  auto y = baseline::run_spmv(cluster, x);
+  auto y = algorithms::run_spmv(cluster, x).y;
   auto want = baseline::inmem::spmv(g, x);
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_NEAR(y[i], want[i], 1e-3f + 1e-4f * std::fabs(want[i])) << i;
@@ -87,12 +87,12 @@ TEST(Cluster, BroadcastAccountingGrowsWithMachines) {
   std::uint64_t bytes2, bytes4;
   {
     Cluster c(g, test_cluster_config(2));
-    baseline::run_bfs(c, 0);
+    algorithms::run_bfs(c, 0);
     bytes2 = c.stats().network_bytes;
   }
   {
     Cluster c(g, test_cluster_config(4));
-    baseline::run_bfs(c, 0);
+    algorithms::run_bfs(c, 0);
     bytes4 = c.stats().network_bytes;
   }
   EXPECT_GT(bytes2, 0u);
@@ -105,7 +105,7 @@ TEST(Cluster, SingleMachineDegeneratesToPlainBlaze) {
   graph::Csr g = graph::generate_rmat(9, 8, 1006);
   Cluster cluster(g, test_cluster_config(1));
   EXPECT_EQ(cluster.machine_edges(0), g.num_edges());
-  auto parent = baseline::run_bfs(cluster, 0);
+  auto parent = algorithms::run_bfs(cluster, 0).parent;
   EXPECT_EQ(cluster.stats().network_bytes, 0u);  // no peers
   EXPECT_EQ(parent[0], 0u);
 }

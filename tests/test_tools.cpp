@@ -133,6 +133,29 @@ TEST_F(ToolsTest, ServingModeAggregateTableMatchesQueryCount) {
   EXPECT_NE(out.find("aggregate compute"), std::string::npos) << out;
 }
 
+TEST_F(ToolsTest, ServingModeCatalogAndTenantTables) {
+  // A second resident graph opened from files (the same fixture under
+  // another name), and two weighted tenants the clients map onto.
+  ASSERT_EQ(run(std::string(BLAZE_RUN_PATH) +
+                " -query bfs -computeWorkers 2 --clients 2 --queries 2 "
+                "--tenants a:1,b:3 --catalog side=" +
+                prefix_ + ".gr.index," + prefix_ + ".gr.adj.0 " + prefix_ +
+                ".gr.index " + prefix_ + ".gr.adj.0"),
+            0)
+      << output();
+  const std::string out = output();
+  EXPECT_EQ(stat_row(out, "completed"), 4) << out;
+  EXPECT_EQ(stat_row(out, "failed"), 0) << out;
+  const std::size_t tenants = out.find("tenants (weighted fair queueing");
+  ASSERT_NE(tenants, std::string::npos) << out;
+  EXPECT_NE(out.find("\n    a ", tenants), std::string::npos) << out;
+  EXPECT_NE(out.find("\n    b ", tenants), std::string::npos) << out;
+  const std::size_t catalog = out.find("catalog (2 resident graphs)");
+  ASSERT_NE(catalog, std::string::npos) << out;
+  EXPECT_NE(out.find("\n    main ", catalog), std::string::npos) << out;
+  EXPECT_NE(out.find("\n    side ", catalog), std::string::npos) << out;
+}
+
 TEST_F(ToolsTest, TraceFlagWritesChromeJson) {
   const std::string trace = "/tmp/blaze_tools_trace.json";
   std::remove(trace.c_str());
