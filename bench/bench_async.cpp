@@ -4,8 +4,8 @@
 //
 //   {"bench":"async","graph":"r2","query":"PR","bsp_bytes":...,
 //    "async_bytes":...,"bytes_ratio":1.42,"bsp_seconds":...,
-//    "async_seconds":...,"bsp_iterations":34,"async_rounds":57,
-//    "matches_bsp":true}
+//    "async_seconds":...,"time_ratio":1.51,"bsp_iterations":34,
+//    "async_rounds":57,"matches_bsp":true}
 //
 // bytes_ratio = bsp_bytes / async_bytes: > 1 means the priority order
 // reached the fixed point on fewer total bytes read. On the power-law
@@ -15,6 +15,8 @@
 // (every queued vertex on a page the round reads joins it); the floors
 // hold PageRank to at most 1.25x and SSSP to 1.05x of BSP's bytes
 // (DESIGN.md section 10.4).
+// time_ratio = async_seconds / bsp_seconds: < 1 means async converged
+// sooner in wall time. check_bench_baseline.py prints it ungated.
 // matches_bsp asserts the fixed point itself: exact equality for
 // SSSP/WCC/k-core, relative-L1 within 1e-2 for PageRank-delta.
 // check_bench_baseline.py --async gates each query's bytes ratio on the
@@ -189,16 +191,19 @@ int main() {
           asy.bytes > 0
               ? static_cast<double>(bsp.bytes) / static_cast<double>(asy.bytes)
               : 0.0;
+      const double time_ratio =
+          bsp.seconds > 0 ? asy.seconds / bsp.seconds : 0.0;
       std::printf(
           "{\"bench\":\"async\",\"graph\":\"%s\",\"query\":\"%s\","
           "\"bsp_bytes\":%llu,\"async_bytes\":%llu,\"bytes_ratio\":%.4f,"
           "\"bsp_seconds\":%.4f,\"async_seconds\":%.4f,"
+          "\"time_ratio\":%.4f,"
           "\"bsp_iterations\":%u,\"async_rounds\":%u,"
           "\"matches_bsp\":%s}\n",
           gname.c_str(), query.c_str(),
           static_cast<unsigned long long>(bsp.bytes),
           static_cast<unsigned long long>(asy.bytes), ratio, bsp.seconds,
-          asy.seconds, bsp.iterations, asy.iterations,
+          asy.seconds, time_ratio, bsp.iterations, asy.iterations,
           matches(bsp, asy) ? "true" : "false");
       std::fflush(stdout);
     }

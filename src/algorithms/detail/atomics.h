@@ -49,18 +49,6 @@ void atomic_add(T& loc, T delta) {
   }
 }
 
-/// Atomic floating-point accumulate that returns the post-add value (the
-/// async gather needs the new residual to test its activation threshold).
-template <typename T>
-T atomic_add_fetch(T& loc, T delta) {
-  std::atomic_ref<T> ref(loc);
-  T cur = ref.load(std::memory_order_relaxed);
-  while (!ref.compare_exchange_weak(cur, cur + delta,
-                                    std::memory_order_relaxed)) {
-  }
-  return cur + delta;
-}
-
 /// Atomic min; returns true if `loc` was lowered.
 template <typename T>
 bool atomic_min(T& loc, T value) {

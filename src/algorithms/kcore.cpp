@@ -36,20 +36,18 @@ KcoreResult kcore_async(core::QueryContext& qc,
     runner.queue().push(v, residual[v]);
   }
 
-  // Each record lowers the destination's residual degree, which is its
+  sched::Enqueue<PeelProgram> prog{{residual, result.coreness},
+                                   runner.updated()};
+  // Each record lowered the destination's residual degree, which is its
   // new priority. Only the physical slot is clamped by the queue; the
   // exact residual rides in the entry, which is what makes level-at-a-time
   // popping exact.
-  sched::Enqueue prog{PeelProgram{residual, result.coreness},
-                      [&residual](vertex_t d) {
-                        return detail::relaxed_load(residual[d]);
-                      },
-                      runner.queue()};
+  auto priority = [&residual](vertex_t d) { return residual[d]; };
   BlazeEngine eng(qc, out_g, in_g);
   std::uint32_t k = 0;
   std::uint64_t alive = n;
-  runner.run([&](const core::VertexSubset& frontier,
-                 sched::priority_t level) {
+  auto round = [&](const core::VertexSubset& frontier,
+                   sched::priority_t level) {
     // A level below the current k is a vertex whose residual dropped after
     // its shell was reached: it still belongs to the k-shell in progress.
     if (max_k != 0 && std::max(k, level) > max_k) {
@@ -67,7 +65,8 @@ KcoreResult kcore_async(core::QueryContext& qc,
     alive -= frontier.count();
     eng.edge_map(frontier, prog, /*output=*/false, &result.stats);
     return static_cast<double>(alive);
-  });
+  };
+  runner.run(round, priority);
   // A bounded sweep leaves the deeper core unpeeled, exactly like the BSP
   // loop: everything still alive is "past max_k".
   bool any_alive = false;

@@ -9,44 +9,6 @@ namespace blaze::algorithms {
 
 namespace {
 
-/// Push-style PageRank-delta for the async scheduler: the round frontier
-/// has already exchanged its residual into `claimed` (and absorbed it into
-/// the rank), so scatter forwards the damped share and gather accumulates
-/// it back into `residual`, re-enqueueing destinations whose residual
-/// crosses the same relative activation threshold the BSP variant uses.
-struct AsyncPrProgram {
-  using value_type = float;
-  const format::GraphIndex& index;
-  std::vector<float>& claimed;
-  std::vector<float>& residual;
-  const std::vector<float>& rank;
-  float damping;
-  float epsilon;
-  sched::BucketQueue& queue;
-
-  value_type scatter(vertex_t s, vertex_t) const {
-    return damping * claimed[s] / static_cast<float>(index.degree(s));
-  }
-  bool cond(vertex_t) const { return true; }
-  bool gather(vertex_t d, value_type v) {
-    // Binned gather: this thread owns destination d.
-    const float nr = residual[d] + v;
-    residual[d] = nr;
-    maybe_enqueue(d, nr);
-    return false;  // frontier comes from the queue, not edge_map output
-  }
-  bool gather_atomic(vertex_t d, value_type v) {
-    const float nr = detail::atomic_add_fetch(residual[d], v);
-    maybe_enqueue(d, nr);
-    return false;
-  }
-  void maybe_enqueue(vertex_t d, float nr) {
-    if (std::fabs(nr) > epsilon * detail::relaxed_load(rank[d])) {
-      queue.push(d, sched::residual_priority(std::fabs(nr)));
-    }
-  }
-};
-
 /// The async fixed point must be the BSP one, so seeding replays BSP's
 /// first iteration exactly: propagate the uniform 1/n delta, then fold in
 /// the (1-d)/n base term. Everything after is residual propagation.
@@ -93,10 +55,11 @@ PageRankResult pagerank_async(core::QueryContext& qc,
     }
   }
 
-  AsyncPrProgram prog{g.index(),  claimed, residual, result.rank,
-                      damping,    epsilon, runner.queue()};
-  auto rs = runner.run([&](const core::VertexSubset& frontier,
-                           sched::priority_t) {
+  // The BSP program pushes the round frontier's damped residual shares,
+  // `claimed`, into `residual`.
+  sched::Enqueue<PrProgram> prog{{g.index(), claimed, residual},
+                                 runner.updated()};
+  auto round = [&](const core::VertexSubset& frontier, sched::priority_t) {
     // Claim: exchange each round vertex's residual into `claimed` and
     // absorb it into the rank. Nothing else touches `residual` between
     // rounds, and one sequential pass keeps the mass sum free of a shared
@@ -105,13 +68,21 @@ PageRankResult pagerank_async(core::QueryContext& qc,
     frontier.for_each([&](vertex_t v) {
       const float c = residual[v];
       residual[v] = 0.0f;
-      claimed[v] = c;
+      claimed[v] = damping * c;
       result.rank[v] += c;
       claimed_total += std::fabs(c);
     });
     eng.edge_map(frontier, prog, /*output=*/false, &result.stats);
     return claimed_total;
-  });
+  };
+  // A destination is re-queued while its residual stays above the same
+  // relative activation threshold the BSP variant uses.
+  auto priority = [&](vertex_t d) {
+    const float r = std::fabs(residual[d]);
+    return r > epsilon * result.rank[d] ? sched::residual_priority(r)
+                                        : sched::BucketQueue::kNotQueued;
+  };
+  auto rs = runner.run(round, priority);
   result.iterations = static_cast<std::uint32_t>(rs.rounds) + 1;
   return result;
 }

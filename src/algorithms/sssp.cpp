@@ -55,7 +55,7 @@ struct WeightedSsspProgram {
 /// Both SSSP variants from `source`: frontier Bellman-Ford under BSP;
 /// under ExecutionMode::kAsync the AsyncRunner's bucket queue orders the
 /// relaxations (delta-stepping flavored: priority = bucketed tentative
-/// distance, read after the relaxation). Scatter reads the source's
+/// distance, read after the round). Scatter reads the source's
 /// current distance, which may have improved since its pop; the fresher
 /// value only helps.
 template <typename Program, typename Result, typename Dist,
@@ -77,16 +77,14 @@ Result run_sssp(core::QueryContext& qc, const format::OnDiskGraph& g,
   aopts.num_buckets = qc.config().async_buckets;
   sched::AsyncRunner runner(qc, g, aopts);
   runner.queue().push(source, 0);
-  sched::Enqueue async_prog{prog,
-                            [&dist = result.dist, dist_priority](vertex_t d) {
-                              return dist_priority(
-                                  detail::relaxed_load(dist[d]));
-                            },
-                            runner.queue()};
+  sched::Enqueue<Program> async_prog{prog, runner.updated()};
   auto rs = runner.run(
       [&](const core::VertexSubset& frontier, sched::priority_t) {
         eng.edge_map(frontier, async_prog, /*output=*/false, &result.stats);
         return static_cast<double>(frontier.count());
+      },
+      [&dist = result.dist, dist_priority](vertex_t d) {
+        return dist_priority(dist[d]);
       });
   result.iterations = static_cast<std::uint32_t>(rs.rounds);
   return result;

@@ -1,6 +1,5 @@
 #include "algorithms/wcc.h"
 
-#include "algorithms/detail/atomics.h"
 #include "algorithms/drivers.h"
 #include "sched/async_runner.h"
 
@@ -36,18 +35,15 @@ WccResult wcc_async(core::QueryContext& qc,
     runner.queue().push(v, v >> shift);
   }
 
-  // Lowered labels flood further, smallest first.
-  sched::Enqueue prog{WccProgram{result.ids},
-                      [&ids = result.ids, shift](vertex_t d) {
-                        return detail::relaxed_load(ids[d]) >> shift;
-                      },
-                      runner.queue()};
+  sched::Enqueue<WccProgram> prog{{result.ids}, runner.updated()};
   BlazeEngine eng(qc, out_g, in_g);
+  // Lowered labels flood further, smallest first.
   auto rs = runner.run(
       [&](const core::VertexSubset& frontier, sched::priority_t) {
         eng.edge_map(frontier, prog, /*output=*/false, &result.stats);
         return static_cast<double>(frontier.count());
-      });
+      },
+      [&ids = result.ids, shift](vertex_t d) { return ids[d] >> shift; });
   result.iterations = static_cast<std::uint32_t>(rs.rounds);
   return result;
 }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <atomic>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -67,8 +68,11 @@ class FlashGraphEngine {
   const format::OnDiskGraph& graph() const { return g_; }
   device::CachedDevice& cache() { return cache_; }
   ThreadPool& pool() { return pool_; }
+  const io::IoBufferPool& io_pool() const { return io_pool_; }
 
-  /// Runs one message-passing iteration of `prog` over `frontier`.
+  /// Runs one message-passing iteration of `prog` over `frontier`. A page
+  /// that fails to scan raises its io::IoError once every buffer is back
+  /// in the pool, and the engine stays usable.
   template <typename Program>
   core::VertexSubset edge_map(const core::VertexSubset& frontier,
                               Program& prog, bool output,
@@ -105,11 +109,18 @@ class FlashGraphEngine {
     MpmcQueue<std::uint32_t> filled(io_pool_.num_buffers() + 1);
     std::atomic<bool> io_done{false};
     std::uint64_t io_bytes = 0, io_pages = 0, io_requests = 0;
+    // Per buffer: its page came from the device and is cached once it
+    // scans cleanly, so a corrupt page never enters the cache.
+    std::vector<std::uint8_t> from_device(io_pool_.num_buffers(), 0);
+    // The first scan error, stored by the worker that sets `failed`.
+    // Workers keep returning buffers after it, so the IO thread finishes
+    // and the buffer pool is whole when it is rethrown.
+    std::exception_ptr error;
+    std::atomic<bool> failed{false};
 
     std::jthread io_thread([&] {
       // Cache-hit pages are served from DRAM; misses go to the device in
-      // single-page requests (FlashGraph's page-grained IO) and are
-      // inserted into the cache.
+      // single-page requests (FlashGraph's page-grained IO).
       auto channel = g_.device().open_channel();
       std::vector<std::uint64_t> done;
       auto reap = [&](std::size_t min_done) {
@@ -117,17 +128,17 @@ class FlashGraphEngine {
         channel->wait(min_done, done);
         for (std::uint64_t user : done) {
           auto id = static_cast<std::uint32_t>(user);
-          const io::BufferMeta& meta = io_pool_.meta(id);
-          cache_.fill(meta.first_page, io_pool_.data(id));
           while (!filled.push(id)) std::this_thread::yield();
         }
       };
       for (std::uint64_t p : need_io) {
+        if (failed.load(std::memory_order_relaxed)) break;
         std::uint32_t buf = io_pool_.acquire_blocking();
         io::BufferMeta& meta = io_pool_.meta(buf);
         meta.first_page = p;
         meta.num_pages = 1;
-        if (cache_.lookup(p, io_pool_.data(buf))) {
+        from_device[buf] = !cache_.lookup(p, io_pool_.data(buf));
+        if (!from_device[buf]) {
           while (!filled.push(buf)) std::this_thread::yield();
           continue;
         }
@@ -160,20 +171,31 @@ class FlashGraphEngine {
           }
         }
         const io::BufferMeta& meta = io_pool_.meta(*buf);
-        format::for_each_edge(
-            g_.index(), g_.page_map(), meta.first_page, io_pool_.data(*buf),
-            kPageSize, [&](vertex_t v) { return frontier.contains(v); },
-            [&](vertex_t src, vertex_t dst) {
-              if (!prog.cond(dst)) return;
-              const value_type val = prog.scatter(src, dst);
-              const std::size_t owner = dst / own_range;
-              msgs[worker * workers + owner].push_back(
-                  Message{dst, std::bit_cast<std::uint32_t>(val)});
-            });
+        if (!failed.load(std::memory_order_relaxed)) {
+          try {
+            format::for_each_edge(
+                g_.index(), g_.page_map(), meta.first_page,
+                io_pool_.data(*buf), kPageSize,
+                [&](vertex_t v) { return frontier.contains(v); },
+                [&](vertex_t src, vertex_t dst) {
+                  if (!prog.cond(dst)) return;
+                  const value_type val = prog.scatter(src, dst);
+                  const std::size_t owner = dst / own_range;
+                  msgs[worker * workers + owner].push_back(
+                      Message{dst, std::bit_cast<std::uint32_t>(val)});
+                });
+            if (from_device[*buf]) {
+              cache_.fill(meta.first_page, io_pool_.data(*buf));
+            }
+          } catch (...) {
+            if (!failed.exchange(true)) error = std::current_exception();
+          }
+        }
         io_pool_.release(*buf);
       }
     });
     io_thread.join();
+    if (error) std::rethrow_exception(error);
 
     // ---- Phase B: barrier, then owners drain their messages --------------
     // This is where the straggler effect lives: the owner of the hub-heavy

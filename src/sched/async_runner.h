@@ -10,8 +10,8 @@
 //      (page coalescing);
 //   2. runs the algorithm's round body — an edge_map over the round
 //      frontier whose gather applies an atomics-tolerant monotone update
-//      and re-enqueues destinations whose residual crossed their bucket
-//      threshold;
+//      and marks the destination in a per-round bitmap — then files each
+//      marked vertex once, at its priority read after the round;
 //   3. compacts the queue (drops stale and duplicate entries) once stale
 //      entries outnumber live ones;
 //   4. repeats until the queue drains (every per-vertex residual is below
@@ -19,9 +19,11 @@
 //      falls under epsilon.
 //
 // The runner owns round pacing, trace spans (kSchedRound / kSchedResidual)
-// and the sched metrics series; the algorithm supplies only the round
-// body. Priorities are monotone (BucketQueue lazy decrease), which is
-// exactly the contract PageRank-delta, SSSP, WCC and k-core satisfy.
+// and the sched metrics series; the algorithm supplies the round body and
+// the priority function. Priorities are monotone within a round
+// (distances, labels and residual degrees only fall, PageRank residuals
+// only grow), so the one priority filed after the round is the best any
+// of the round's updates reached, and gathers never touch the queue.
 #pragma once
 
 #include <cstdint>
@@ -84,21 +86,24 @@ struct AsyncRunStats {
 
 /// A BSP Program in its async form. scatter and cond are the program's
 /// own; when the program's gather updates destination `d`, the adapter
-/// re-enqueues `d` at `priority(d)`, read after the update. Its gathers
-/// return false: the next round's frontier comes from the queue, not from
-/// edge_map's output.
-template <typename Program, typename Priority>
+/// marks `d` in the runner's per-round bitmap (a bit already set costs a
+/// load, not an atomic), and the runner files it after the round. Its
+/// gathers return false: the next round's frontier comes from the queue,
+/// not from edge_map's output.
+template <typename Program>
 struct Enqueue : Program {
-  Priority priority;
-  BucketQueue& queue;
+  ConcurrentBitmap& updated;
 
   bool gather(vertex_t d, typename Program::value_type v) {
-    if (Program::gather(d, v)) queue.push(d, priority(d));
+    if (Program::gather(d, v)) mark(d);
     return false;
   }
   bool gather_atomic(vertex_t d, typename Program::value_type v) {
-    if (Program::gather_atomic(d, v)) queue.push(d, priority(d));
+    if (Program::gather_atomic(d, v)) mark(d);
     return false;
+  }
+  void mark(vertex_t d) {
+    if (!updated.test(d)) updated.set(d);
   }
 };
 
@@ -113,9 +118,12 @@ class AsyncRunner {
         opts_(std::move(opts)),
         queue_(g.num_vertices(), opts_.num_buckets),
         touched_(g.num_pages()),
-        round_marked_(g.num_pages(), 0) {}
+        round_marked_(g.num_pages(), 0),
+        updated_(g.num_vertices()) {}
 
   BucketQueue& queue() { return queue_; }
+  /// The vertices this round's gathers updated (what Enqueue marks).
+  ConcurrentBitmap& updated() { return updated_; }
   const AsyncOptions& options() const { return opts_; }
 
   /// Body-driven early stop (k-core's max_k bound): the current round
@@ -127,8 +135,11 @@ class AsyncRunner {
   /// where `level` is the minimum priority claimed this round; its return
   /// value feeds the residual curve (algorithm-defined scale: remaining
   /// residual mass for PageRank, frontier size for the exact algorithms).
-  template <typename RoundFn>
-  AsyncRunStats run(RoundFn&& round) {
+  /// After each round, every vertex marked in updated() is pushed once, in
+  /// vertex order, at `priority_t priority(vertex_t)` read then, unless
+  /// that returns BucketQueue::kNotQueued.
+  template <typename RoundFn, typename PriorityFn>
+  AsyncRunStats run(RoundFn&& round, PriorityFn&& priority) {
     trace::ScopedQuery trace_scope(qc_.trace_id());
     const auto* sm = detail::sched_metrics();
     AsyncRunStats rs;
@@ -169,6 +180,13 @@ class AsyncRunner {
       {
         trace::Span span(trace::Name::kSchedRound, rs.rounds);
         residual = round(frontier, level);
+        updated_.for_each([&](std::size_t v) {
+          const priority_t p = priority(static_cast<vertex_t>(v));
+          if (p != BucketQueue::kNotQueued) {
+            queue_.push(static_cast<vertex_t>(v), p);
+          }
+        });
+        updated_.clear();
       }
       // Compact once stale entries outnumber live ones: each compaction
       // then drops at least half the entries, so its cost amortizes
@@ -259,6 +277,7 @@ class AsyncRunner {
   ConcurrentBitmap touched_;
   std::vector<std::uint8_t> round_marked_;  ///< this round's pages
   std::vector<std::uint64_t> round_pages_;  ///< the marked pages, listed
+  ConcurrentBitmap updated_;                ///< this round's updated vertices
   bool stop_ = false;
   std::uint64_t pushes_reported_ = 0;
   std::uint64_t stale_reported_ = 0;

@@ -16,11 +16,11 @@
 //    in the last slot. When the regular slots drain, the base advances to
 //    the minimum live priority and the overflow redistributes — the
 //    classic sliding-window bucket structure.
-//  * Atomics-tolerant concurrent push. Gather workers push from many
-//    threads while the (single) consumer pops. A push that races a pop may
-//    be observed one round later, never lost: the recorded priority is the
-//    source of truth and entries are only dropped when provably stale.
-//    This is exactly the tolerance monotone algorithms grant.
+//  * Thread-safe push. The AsyncRunner files a round's updated vertices
+//    from its own thread between rounds, but push may race pop from any
+//    thread: such a push may be observed one pop later, never lost, since
+//    the recorded priority is the source of truth and entries are only
+//    dropped when provably stale.
 //  * Out-of-order claims. claim(v) takes a queued vertex regardless of its
 //    bucket (the AsyncRunner's page coalescing); its entry stays behind as
 //    a stale one, and compact() drops stale and duplicate entries so the

@@ -328,7 +328,7 @@ TEST_P(DifferentialTest, DvarintMatchesFlatAndOracle) {
 // within epsilon-scale tolerance for PageRank-delta (both modes truncate
 // sub-threshold residual, in different orders). Both adjacency encodings
 // are covered, plus one sync-mode (CAS gather) pass to exercise concurrent
-// queue pushes from scatter threads.
+// bitmap marks from scatter threads.
 TEST_P(DifferentialTest, AsyncMatchesBspFixedPoint) {
   Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 9973 + 101);
   graph::Csr g = random_graph(rng);
@@ -419,7 +419,8 @@ TEST_P(DifferentialTest, AsyncMatchesBspFixedPoint) {
   }
 
   // Sync-mode async: scatter threads apply gather_atomic directly, so
-  // queue pushes race across threads — the atomics-tolerant path.
+  // the updated-vertex marks race across threads — the atomics-tolerant
+  // path.
   {
     auto out_g = format::make_mem_graph(g);
     auto in_g = format::make_mem_graph(gt);

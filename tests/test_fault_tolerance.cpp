@@ -1,8 +1,9 @@
 // End-to-end failure handling: the io::IoError taxonomy, bounded retry of
 // transient faults, checksum-based corruption detection, corrupt page bytes
-// rejected by the page-scan kernel, and the buffer reclamation invariant —
-// after ANY propagated failure the IoBufferPool is back at full occupancy
-// and the Runtime runs the next query normally.
+// rejected by the page-scan kernel (FlashGraph's engine included), and the
+// buffer reclamation invariant — after ANY propagated failure the
+// IoBufferPool is back at full occupancy and the Runtime runs the next
+// query normally.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +15,10 @@
 #include <vector>
 
 #include "algorithms/bfs.h"
+#include "algorithms/drivers.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/wcc.h"
+#include "baselines/flashgraph.h"
 #include "baselines/inmem.h"
 #include "core/edge_map.h"
 #include "core/edge_map_pull.h"
@@ -567,6 +570,34 @@ TEST(FaultTolerance, CorruptPageRaisesCorruptionOnEveryPath) {
     expect_corruption_then_clean_bfs(
         rt, g, [&] { serve::run_fused(rt.default_context(), bad, specs); },
         what + ", fused");
+
+    // FlashGraph owns its pools and page cache, so its engine is the one
+    // that must stay usable: once its graph is whole again, the same
+    // engine answers a BFS.
+    format::OnDiskGraph fg_graph = corrupt_graph(g, how);
+    baseline::FlashGraphConfig fg_cfg;
+    fg_cfg.compute_workers = 3;
+    fg_cfg.cache_bytes = 1 << 20;
+    fg_cfg.io_buffer_bytes = 1 << 20;
+    baseline::FlashGraphEngine fg(fg_graph, fg_cfg);
+    try {
+      fg.edge_map(all, prog, /*output=*/false);
+      ADD_FAILURE() << what << ", FlashGraph: no error raised";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.kind(), io::ErrorKind::kCorruption)
+          << what << ", FlashGraph: " << e.what();
+    }
+    EXPECT_EQ(fg.io_pool().available(), fg.io_pool().num_buffers()) << what;
+    fg_graph = how == Corruption::kFlatDstOutOfRange
+                   ? format::make_mem_graph(g)
+                   : format::make_mem_graph(
+                         g, 1, format::AdjacencyEncoding::kDeltaVarint);
+    auto result = algorithms::run_bfs(fg, 0);
+    auto dist = testutil::reference_bfs_dist(g, 0);
+    for (vertex_t v = 0; v < n; ++v) {
+      ASSERT_EQ(result.parent[v] == kInvalidVertex, dist[v] == ~0u)
+          << what << ", FlashGraph: vertex " << v;
+    }
   }
 }
 

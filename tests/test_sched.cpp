@@ -2,10 +2,10 @@
 // improve-only (lazy-decrease) pushes, stale-entry dropping, the overflow
 // bucket's sliding-window redistribution, claim/compact accounting,
 // concurrent push/pop and push/claim/compact (the TSan targets), plus the
-// runner's round shapes (page coalescing), bytes against BSP, early stop,
-// and fault handling — transient faults are absorbed with identical
-// results, propagated faults leave the IO buffer pool whole and the
-// Runtime reusable.
+// runner's round shapes (page coalescing), filing each updated vertex
+// once per round, bytes against BSP, early stop, and fault handling —
+// transient faults are absorbed with identical results, propagated faults
+// leave the IO buffer pool whole and the Runtime reusable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,9 @@
 
 #include "algorithms/kcore.h"
 #include "algorithms/pagerank.h"
+#include "algorithms/programs.h"
 #include "algorithms/sssp.h"
+#include "core/edge_map.h"
 #include "core/runtime.h"
 #include "device/faulty_device.h"
 #include "device/mem_device.h"
@@ -368,6 +370,9 @@ TEST(BucketQueue, ClaimAndCompactRaceConcurrentPushes) {
 
 // ------------------------------------------------------------ AsyncRunner
 
+/// Priority for runs whose rounds update no vertex.
+priority_t no_filing(vertex_t) { return BucketQueue::kNotQueued; }
+
 TEST(AsyncRunner, SingleBucketRoundsProcessLevelsInOrder) {
   graph::Csr g = graph::generate_uniform(256, 1024, 42);
   core::Runtime rt(testutil::test_config());
@@ -388,7 +393,7 @@ TEST(AsyncRunner, SingleBucketRoundsProcessLevelsInOrder) {
     levels.push_back(level);
     seen += frontier.count();
     return static_cast<double>(frontier.count());
-  });
+  }, no_filing);
 
   EXPECT_EQ(seen, static_cast<std::uint64_t>(n));
   EXPECT_EQ(rs.popped, static_cast<std::uint64_t>(n));
@@ -413,9 +418,11 @@ TEST(AsyncRunner, MaxRoundsAndRequestStopEndTheRun) {
     opts.max_rounds = 2;
     sched::AsyncRunner runner(qc, odg, opts);
     for (vertex_t v = 0; v < n; ++v) runner.queue().push(v, v % 6);
-    auto rs = runner.run([&](const core::VertexSubset& f, priority_t) {
-      return static_cast<double>(f.count());
-    });
+    auto rs = runner.run(
+        [&](const core::VertexSubset& f, priority_t) {
+          return static_cast<double>(f.count());
+        },
+        no_filing);
     EXPECT_EQ(rs.rounds, 2u);
     EXPECT_FALSE(runner.queue().empty());  // work intentionally left behind
   }
@@ -424,10 +431,12 @@ TEST(AsyncRunner, MaxRoundsAndRequestStopEndTheRun) {
     opts.single_bucket_rounds = true;
     sched::AsyncRunner runner(qc, odg, opts);
     for (vertex_t v = 0; v < n; ++v) runner.queue().push(v, v % 6);
-    auto rs = runner.run([&](const core::VertexSubset& f, priority_t) {
-      runner.request_stop();  // stop after the first round, mid-queue
-      return static_cast<double>(f.count());
-    });
+    auto rs = runner.run(
+        [&](const core::VertexSubset& f, priority_t) {
+          runner.request_stop();  // stop after the first round, mid-queue
+          return static_cast<double>(f.count());
+        },
+        no_filing);
     EXPECT_EQ(rs.rounds, 1u);
   }
 }
@@ -468,7 +477,7 @@ std::vector<vertex_t> first_round(bool single_bucket_rounds,
       }
     }
     return static_cast<double>(frontier.count());
-  });
+  }, no_filing);
   EXPECT_TRUE(runner.queue().empty());
   return first;
 }
@@ -520,6 +529,59 @@ TEST(AsyncRunner, AsyncReadsStayNearBspBytes) {
   EXPECT_EQ(async_sssp.dist, bsp_sssp.dist);
   EXPECT_LE(static_cast<double>(async_sssp.stats.bytes_read),
             1.15 * static_cast<double>(bsp_sssp.stats.bytes_read));
+}
+
+TEST(AsyncRunner, RoundFilesEachUpdatedVertexOnce) {
+  // Eight sources each send 2^-10 to v0, so its residual crosses levels
+  // 9, 8, 7 and 6 within one round; v9 sends 2^-3 to v10 (level 2).
+  // Gathers only mark, and the runner files v0 and v10 once each, at the
+  // priority of their final residuals: two pushes, not one per level.
+  std::vector<std::uint64_t> offsets = {0};
+  std::vector<vertex_t> targets;
+  for (vertex_t v = 0; v < 11; ++v) {
+    if (v >= 1 && v <= 8) targets.push_back(0);
+    if (v == 9) targets.push_back(10);
+    offsets.push_back(targets.size());
+  }
+  graph::Csr g(offsets, targets);
+  auto odg = format::make_mem_graph(g);
+  const vertex_t n = g.num_vertices();
+
+  for (bool sync : {false, true}) {
+    SCOPED_TRACE(sync ? "sync_mode" : "binned");
+    auto cfg = testutil::test_config();
+    cfg.sync_mode = sync;
+    core::Runtime rt(cfg);
+    sched::AsyncOptions opts;
+    opts.max_rounds = 1;
+    sched::AsyncRunner runner(rt.default_context(), odg, opts);
+    std::vector<float> delta(n, 0.0f);
+    std::vector<float> residual(n, 0.0f);
+    for (vertex_t s = 1; s <= 8; ++s) delta[s] = std::ldexp(1.0f, -10);
+    delta[9] = 0.125f;
+    for (vertex_t s = 1; s <= 9; ++s) runner.queue().push(s, 0);
+    const std::uint64_t pushes_before = runner.queue().pushes();
+
+    sched::Enqueue<algorithms::PrProgram> prog{
+        {odg.index(), delta, residual}, runner.updated()};
+    auto rs = runner.run(
+        [&](const core::VertexSubset& frontier, priority_t) {
+          core::edge_map(rt, odg, frontier, prog, {.output = false});
+          return static_cast<double>(frontier.count());
+        },
+        [&](vertex_t d) {
+          return residual[d] > 0.0f ? sched::residual_priority(residual[d])
+                                    : BucketQueue::kNotQueued;
+        });
+
+    EXPECT_EQ(rs.rounds, 1u);
+    EXPECT_EQ(residual[0], std::ldexp(1.0f, -7));
+    EXPECT_EQ(runner.queue().priority_of(0), 6u);
+    EXPECT_EQ(runner.queue().priority_of(10), 2u);
+    EXPECT_EQ(runner.queue().pushes() - pushes_before, 2u);
+    EXPECT_EQ(runner.queue().size(), 2u);
+    EXPECT_EQ(runner.updated().count(), 0u);  // cleared for the next round
+  }
 }
 
 // ------------------------------------------------- faults & buffer safety
