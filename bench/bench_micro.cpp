@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the design choices DESIGN.md
 // calls out: the MPMC queue, online binning vs atomic updates, the dense
-// VertexMap, the indirection index vs flat offsets, and the
-// simulated-device model overhead.
+// VertexMap, the page frontier, the indirection index vs flat offsets, and
+// the simulated-device model overhead.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 
 #include "core/bins.h"
+#include "core/page_frontier.h"
 #include "core/vertex_map.h"
 #include "device/simulated_ssd.h"
 #include "format/graph_index.h"
@@ -106,6 +107,42 @@ void BM_VertexMapDense(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_VertexMapDense)->Arg(1 << 18);
+
+// ------------------------------------------------------- page frontier
+
+/// An r2-sized R-MAT (2^18 vertices, 4.2M edges, about 4100 flat pages),
+/// built once for every page-frontier run.
+const format::OnDiskGraph& page_frontier_graph() {
+  static const format::OnDiskGraph g =
+      format::make_mem_graph(graph::generate_rmat(18, 16, 0xB1A2E001));
+  return g;
+}
+
+/// EdgeMap step 1 on 3 workers: the pages a frontier's adjacency occupies,
+/// built a page-bitmap word at a time. `dense` is every vertex (PageRank's
+/// frontier), `sparse` every 97th (about 1%, a BFS level). Walking each
+/// member's index entry and setting its page bits with fetch_or instead
+/// measured about 180x slower on the dense frontier (3.6 ms against 20 us
+/// on a 4-vCPU VM) and 2x slower on the sparse one.
+void BM_PageFrontier(benchmark::State& state, bool dense) {
+  const format::OnDiskGraph& g = page_frontier_graph();
+  const vertex_t n = g.num_vertices();
+  core::VertexSubset frontier =
+      dense ? core::VertexSubset::all(n) : core::VertexSubset(n);
+  if (!dense) {
+    for (vertex_t v = 0; v < n; v += 97) frontier.add(v);
+  }
+  ThreadPool pool(3);
+  for (auto _ : state) {
+    ConcurrentBitmap pages = core::page_frontier(
+        pool, g, frontier, [](vertex_t) { return true; });
+    benchmark::DoNotOptimize(pages.word(0));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * g.num_pages()));
+}
+BENCHMARK_CAPTURE(BM_PageFrontier, dense, true);
+BENCHMARK_CAPTURE(BM_PageFrontier, sparse, false);
 
 // -------------------------------------------- index: indirection vs flat
 

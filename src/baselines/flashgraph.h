@@ -17,9 +17,12 @@
 
 #include <atomic>
 #include <exception>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "core/page_frontier.h"
 #include "core/stats.h"
 #include "core/vertex_map.h"
 #include "core/vertex_subset.h"
@@ -71,8 +74,8 @@ class FlashGraphEngine {
   const io::IoBufferPool& io_pool() const { return io_pool_; }
 
   /// Runs one message-passing iteration of `prog` over `frontier`. A page
-  /// that fails to scan raises its io::IoError once every buffer is back
-  /// in the pool, and the engine stays usable.
+  /// that fails to scan or to read raises its io::IoError once every buffer
+  /// is back in the pool, and the engine stays usable.
   template <typename Program>
   core::VertexSubset edge_map(const core::VertexSubset& frontier,
                               Program& prog, bool output,
@@ -86,15 +89,10 @@ class FlashGraphEngine {
     if (stats) ++stats->edge_map_calls;
     if (frontier.empty()) return out;
 
-    // Page frontier (vertex -> pages holding its adjacency).
-    ConcurrentBitmap page_bits(g_.num_pages());
-    frontier.for_each_parallel(pool_, [&](vertex_t v) {
-      if (g_.degree(v) == 0) return;
-      auto [first, last] = g_.page_range(v);
-      for (std::uint64_t p = first; p <= last; ++p) page_bits.set(p);
-    });
+    // Page frontier (the pages holding the frontier's adjacency).
     std::vector<std::uint64_t> need_io;
-    page_bits.for_each([&](std::size_t p) { need_io.push_back(p); });
+    core::page_frontier(pool_, g_, frontier, [](vertex_t) { return true; })
+        .for_each([&](std::size_t p) { need_io.push_back(p); });
 
     // ---- Phase A: IO + scatter into per-owner message queues -------------
     struct Message {
@@ -112,49 +110,79 @@ class FlashGraphEngine {
     // Per buffer: its page came from the device and is cached once it
     // scans cleanly, so a corrupt page never enters the cache.
     std::vector<std::uint8_t> from_device(io_pool_.num_buffers(), 0);
-    // The first scan error, stored by the worker that sets `failed`.
-    // Workers keep returning buffers after it, so the IO thread finishes
-    // and the buffer pool is whole when it is rethrown.
+    // The first error — a page that fails to scan, or a device read the
+    // IO thread could not complete — stored by whoever sets `failed`.
+    // Workers keep returning buffers after it and the IO thread reclaims
+    // its own, so the buffer pool is whole when it is rethrown.
     std::exception_ptr error;
     std::atomic<bool> failed{false};
 
     std::jthread io_thread([&] {
       // Cache-hit pages are served from DRAM; misses go to the device in
       // single-page requests (FlashGraph's page-grained IO).
-      auto channel = g_.device().open_channel();
+      std::unique_ptr<device::AsyncChannel> channel;
       std::vector<std::uint64_t> done;
+      std::size_t queued = 0;  // entries of `done` handed to the workers
+      std::optional<std::uint32_t> held;  // acquired, not submitted/queued
       auto reap = [&](std::size_t min_done) {
         done.clear();
+        queued = 0;
         channel->wait(min_done, done);
-        for (std::uint64_t user : done) {
-          auto id = static_cast<std::uint32_t>(user);
+        for (; queued < done.size(); ++queued) {
+          auto id = static_cast<std::uint32_t>(done[queued]);
           while (!filled.push(id)) std::this_thread::yield();
         }
       };
-      for (std::uint64_t p : need_io) {
-        if (failed.load(std::memory_order_relaxed)) break;
-        std::uint32_t buf = io_pool_.acquire_blocking();
-        io::BufferMeta& meta = io_pool_.meta(buf);
-        meta.first_page = p;
-        meta.num_pages = 1;
-        from_device[buf] = !cache_.lookup(p, io_pool_.data(buf));
-        if (!from_device[buf]) {
-          while (!filled.push(buf)) std::this_thread::yield();
-          continue;
+      try {
+        channel = g_.device().open_channel();
+        for (std::uint64_t p : need_io) {
+          if (failed.load(std::memory_order_relaxed)) break;
+          held = io_pool_.acquire_blocking();
+          const std::uint32_t buf = *held;
+          io::BufferMeta& meta = io_pool_.meta(buf);
+          meta.first_page = p;
+          meta.num_pages = 1;
+          from_device[buf] = !cache_.lookup(p, io_pool_.data(buf));
+          if (!from_device[buf]) {
+            while (!filled.push(buf)) std::this_thread::yield();
+            held.reset();
+            continue;
+          }
+          device::AsyncRead req;
+          req.offset = p * kPageSize;
+          req.length = kPageSize;
+          req.buffer = io_pool_.data(buf);
+          req.user = buf;
+          channel->submit(req);
+          held.reset();  // the channel owns it until completion
+          io_bytes += kPageSize;
+          ++io_pages;
+          ++io_requests;
+          if (channel->pending() >= io::kMaxInflightIo) reap(1);
+          else reap(0);
         }
-        device::AsyncRead req;
-        req.offset = p * kPageSize;
-        req.length = kPageSize;
-        req.buffer = io_pool_.data(buf);
-        req.user = buf;
-        channel->submit(req);
-        io_bytes += kPageSize;
-        ++io_pages;
-        ++io_requests;
-        if (channel->pending() >= io::kMaxInflightIo) reap(1);
-        else reap(0);
+        while (channel->pending() > 0) reap(1);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+        // Every buffer this thread holds goes back to the pool: the one
+        // not yet submitted, completions not yet queued, and all reads
+        // still in flight.
+        if (held) io_pool_.release(*held);
+        for (; queued < done.size(); ++queued) {
+          io_pool_.release(static_cast<std::uint32_t>(done[queued]));
+        }
+        while (channel && channel->pending() > 0) {
+          done.clear();
+          try {
+            channel->wait(1, done);
+          } catch (...) {
+            break;  // the channel is unusable; nothing more to reap
+          }
+          for (std::uint64_t id : done) {
+            io_pool_.release(static_cast<std::uint32_t>(id));
+          }
+        }
       }
-      while (channel->pending() > 0) reap(1);
       io_done.store(true, std::memory_order_release);
     });
 

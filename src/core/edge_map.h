@@ -4,9 +4,11 @@
 // in one graph or in a short list of graphs sharing one vertex space (an
 // out-graph and its transpose, for the undirected algorithms):
 //
-//   1. The frontier is transformed in parallel into a page frontier per
-//      graph (the on-disk pages holding the frontier vertices' adjacency),
-//      all graphs in one walk over the frontier.
+//   1. The frontier is transformed into a page frontier per graph (the
+//      on-disk pages holding the frontier vertices' adjacency) by one
+//      parallel pass over each graph's pages: a page is read when its
+//      page-to-vertex range holds a frontier member with edges
+//      (core/page_frontier.h).
 //   2. Every graph's page frontier is posted at once, through one
 //      io::IoPipeline::submit(), to the Runtime's persistent pipeline: one
 //      reader thread per device streams its pages into buffers from the
@@ -44,6 +46,7 @@
 #include <vector>
 
 #include "core/core_metrics.h"
+#include "core/page_frontier.h"
 #include "core/query_context.h"
 #include "core/runtime.h"
 #include "core/stats.h"
@@ -89,32 +92,16 @@ inline std::vector<device::BlockDevice*> leaf_devices(
   return {&dev};
 }
 
-/// Computes the page frontier of `subset` over every graph of `graphs` in
-/// one parallel walk and returns per-device read batches, each tagged with
-/// its graph's position in `graphs` and its RAID-0 stripe: logical page p
-/// of a graph striped over D devices lives on device p % D as that
+/// Computes the page frontier of `subset` over every graph of `graphs`
+/// (core/page_frontier.h) and returns per-device read batches, each tagged
+/// with its graph's position in `graphs` and its RAID-0 stripe: logical
+/// page p of a graph striped over D devices lives on device p % D as that
 /// device's page p / D. `filter(v)` additionally gates membership.
 template <typename Filter>
 std::vector<io::ReadBatch> page_frontier_batches(QueryContext& qc,
                                                  GraphList graphs,
                                                  const VertexSubset& subset,
                                                  Filter&& filter) {
-  std::vector<ConcurrentBitmap> page_bits;
-  page_bits.reserve(graphs.size());
-  for (const format::OnDiskGraph* g : graphs) {
-    page_bits.emplace_back(g->num_pages());
-  }
-  subset.for_each_parallel(qc.pool(), [&](vertex_t v) {
-    if (!filter(v)) return;
-    ConcurrentBitmap* bits = page_bits.data();
-    for (const format::OnDiskGraph* g : graphs) {
-      if (g->degree(v) != 0) {
-        auto [first, last] = g->page_range(v);
-        for (std::uint64_t p = first; p <= last; ++p) bits->set(p);
-      }
-      ++bits;
-    }
-  });
   std::vector<io::ReadBatch> batches;
   for (std::uint32_t s = 0; s < graphs.size(); ++s) {
     const format::OnDiskGraph& g = *graphs.begin()[s];
@@ -129,7 +116,7 @@ std::vector<io::ReadBatch> page_frontier_batches(QueryContext& qc,
       // OnDiskGraph::set_page_verifier).
       if (g.page_verifier()) b.verifier = g.page_verifier();
     }
-    page_bits[s].for_each([&](std::size_t p) {
+    page_frontier(qc.pool(), g, subset, filter).for_each([&](std::size_t p) {
       batches[first_batch + p % width].pages.push_back(p / width);
     });
   }

@@ -78,8 +78,8 @@ class OnDiskGraph {
   std::pair<std::uint64_t, std::uint64_t> page_range(vertex_t v) const {
     BLAZE_CHECK(index_.degree(v) != 0,
                 "page_range is undefined for a degree-0 vertex");
-    std::uint64_t b = index_.byte_offset(v);
-    std::uint64_t e = index_.byte_end(v);
+    const std::uint64_t b = index_.byte_offset(v);  // one group walk
+    const std::uint64_t e = b + index_.byte_length(v);
     return {b / kPageSize, (e - 1) / kPageSize};
   }
 

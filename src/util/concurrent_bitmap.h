@@ -1,8 +1,8 @@
 // Concurrent fixed-size bitmap.
 //
-// Backs the dense representation of VertexSubset / PageSubset: gather
-// threads set bits for the output frontier concurrently, and the page
-// frontier transform tests bits from many threads.
+// Backs VertexSubset and the page frontier: gather threads set bits for
+// the output frontier concurrently, and the page-frontier pass
+// (core/page_frontier.h) stores whole words, one owner per word.
 #pragma once
 
 #include <atomic>

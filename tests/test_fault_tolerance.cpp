@@ -601,5 +601,41 @@ TEST(FaultTolerance, CorruptPageRaisesCorruptionOnEveryPath) {
   }
 }
 
+/// A device read FlashGraph's IO thread cannot complete raises its IoError
+/// from the query (it used to escape the thread and terminate the process).
+/// Every buffer is back in the engine's pool, and once the device works
+/// again the same engine answers a BFS.
+TEST(FaultTolerance, FlashGraphDeviceFaultKeepsEngineReusable) {
+  graph::Csr g = graph::generate_rmat(11, 16, 817);
+  const vertex_t n = g.num_vertices();
+  std::atomic<bool> broken{true};
+  std::shared_ptr<FaultyDevice> faulty;
+  auto odg = faulty_graph(
+      g, &faulty,
+      [&](std::uint64_t off, std::uint64_t) {
+        return broken.load() && off >= 5 * kPageSize;
+      },
+      FaultMode::kPermanent);
+  ASSERT_GT(odg.num_pages(), 10u);
+
+  baseline::FlashGraphConfig cfg;
+  cfg.compute_workers = 3;
+  cfg.cache_bytes = 1 << 20;
+  cfg.io_buffer_bytes = 1 << 20;
+  baseline::FlashGraphEngine fg(odg, cfg);
+  EXPECT_THROW(algorithms::run_bfs(fg, 0), io::IoError);
+  EXPECT_GE(faulty->injected_failures(), 1u);
+  EXPECT_EQ(fg.io_pool().available(), fg.io_pool().num_buffers());
+
+  broken.store(false);
+  auto result = algorithms::run_bfs(fg, 0);
+  auto dist = testutil::reference_bfs_dist(g, 0);
+  for (vertex_t v = 0; v < n; ++v) {
+    ASSERT_EQ(result.parent[v] == kInvalidVertex, dist[v] == ~0u)
+        << "vertex " << v;
+  }
+  EXPECT_EQ(fg.io_pool().available(), fg.io_pool().num_buffers());
+}
+
 }  // namespace
 }  // namespace blaze

@@ -2,15 +2,21 @@
 // patterns constructed to hit every page-boundary case exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 
 #include "core/edge_map.h"
+#include "core/page_frontier.h"
 #include "core/runtime.h"
 #include "format/on_disk_graph.h"
 #include "format/page_scan.h"
 #include "graph/csr.h"
+#include "graph/weighted.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace blaze::format {
 namespace {
@@ -256,6 +262,169 @@ TEST(PageLayoutAdversarial, EngineEdgeCountsMatchScanner) {
                    opts);
     EXPECT_EQ(stats.edges_scattered, g.num_edges());
     EXPECT_EQ(stats.records_binned, g.num_edges());
+  }
+}
+
+// ---------------------------------------------------------- page frontier
+
+/// Every page-boundary case the page-frontier pass must get right, in one
+/// layout: a list ending exactly on a page boundary, runs of zero-degree
+/// vertices, a hub spanning ten pages, a random mix of lists with
+/// zero-degree vertices among them, and a partial (clamped) tail page
+/// followed by trailing zero-degree vertices. Flat and weighted, it spans
+/// more than the 1024 pages one parallel task builds.
+std::vector<std::uint32_t> page_frontier_degrees() {
+  std::vector<std::uint32_t> d{1000, 24};  // flat: ends page 0 exactly
+  d.insert(d.end(), 150, 0);
+  d.push_back(9 * kPerPage + 300);  // the hub, vertex 152
+  Xoshiro256 rng(7);
+  for (std::uint64_t max_degree : {60, 400}) {
+    for (int i = 0; i < 12000; ++i) {
+      d.push_back(rng.next_below(4) == 0 ? 0
+                                         : static_cast<std::uint32_t>(
+                                               1 + rng.next_below(max_degree)));
+    }
+  }
+  d.insert(d.end(), 70, 0);
+  d.push_back(3 * kPerPage + 5);
+  d.push_back(37);
+  d.insert(d.end(), 90, 0);
+  return d;
+}
+constexpr vertex_t kHub = 152;
+
+using FilterFn = std::function<bool(vertex_t)>;
+
+/// The pages the per-member definition gives: the union of page_range(v)
+/// over members with edges that pass the filter.
+std::vector<std::uint64_t> union_of_page_ranges(const OnDiskGraph& odg,
+                                                const core::VertexSubset& f,
+                                                const FilterFn& filter) {
+  std::set<std::uint64_t> pages;
+  f.for_each([&](vertex_t v) {
+    if (odg.degree(v) == 0 || !filter(v)) return;
+    const auto [first, last] = odg.page_range(v);
+    for (std::uint64_t p = first; p <= last; ++p) pages.insert(p);
+  });
+  return {pages.begin(), pages.end()};
+}
+
+struct FrontierCase {
+  std::string name;
+  core::VertexSubset frontier;
+  FilterFn filter;
+};
+
+std::vector<FrontierCase> frontier_cases(vertex_t n) {
+  const FilterFn pass = [](vertex_t) { return true; };
+  std::vector<FrontierCase> cases;
+  cases.push_back({"empty", core::VertexSubset(n), pass});
+  cases.push_back({"single hub", core::VertexSubset::single(n, kHub), pass});
+  cases.push_back(
+      {"single zero-degree", core::VertexSubset::single(n, 5), pass});
+  core::VertexSubset sparse(n);
+  for (vertex_t v = 3; v < n; v += 211) sparse.add(v);
+  sparse.add(n - 1);  // trailing zero-degree vertex
+  cases.push_back({"sparse", std::move(sparse), pass});
+  core::VertexSubset dense(n);
+  Xoshiro256 rng(11);
+  for (vertex_t v = 0; v < n; ++v) {
+    if (rng.next_below(2) == 0) dense.add(v);
+  }
+  cases.push_back({"dense", dense.clone(), pass});
+  cases.push_back({"all", core::VertexSubset::all(n), pass});
+  cases.push_back({"all, filter rejects v % 3 == 0",
+                   core::VertexSubset::all(n),
+                   [](vertex_t v) { return v % 3 != 0; }});
+  cases.push_back({"dense, filter rejects the hub and v % 5 == 0",
+                   std::move(dense),
+                   [](vertex_t v) { return v != kHub && v % 5 != 0; }});
+  cases.push_back({"all, filter rejects every member",
+                   core::VertexSubset::all(n),
+                   [](vertex_t) { return false; }});
+  return cases;
+}
+
+/// The page-frontier pass equals the union of its members' page ranges on
+/// every encoding's byte layout, for every frontier shape, and asks the
+/// filter only about members with edges.
+TEST(PageFrontier, EqualsUnionOfMemberPageRanges) {
+  graph::Csr g = from_degrees(page_frontier_degrees());
+  const vertex_t n = g.num_vertices();
+  std::vector<float> weights(g.num_edges());
+  for (std::size_t e = 0; e < weights.size(); ++e) {
+    weights[e] = static_cast<float>(e % 17);
+  }
+  struct Layout {
+    std::string name;
+    OnDiskGraph odg;
+  };
+  std::vector<Layout> layouts;
+  layouts.push_back({"flat", make_mem_graph(g)});
+  layouts.push_back(
+      {"dvarint", make_mem_graph(g, 1, AdjacencyEncoding::kDeltaVarint)});
+  layouts.push_back(
+      {"weighted", make_mem_graph(graph::WeightedCsr(g, std::move(weights)))});
+  // The layout's boundary cases, on the flat bytes.
+  const OnDiskGraph& flat = layouts[0].odg;
+  ASSERT_EQ(flat.index().byte_end(1) % kPageSize, 0u);
+  ASSERT_GT(flat.page_range(kHub).second - flat.page_range(kHub).first, 8u);
+  ASSERT_NE(flat.index().total_adjacency_bytes() % kPageSize, 0u);
+  ASSERT_GT(flat.num_pages(), 1024u);  // more than one task: on the pool
+
+  ThreadPool pool(3);
+  for (const Layout& l : layouts) {
+    for (const FrontierCase& c : frontier_cases(n)) {
+      std::atomic<bool> asked_non_member{false};
+      ConcurrentBitmap bits = core::page_frontier(
+          pool, l.odg, c.frontier, [&](vertex_t v) {
+            if (!c.frontier.contains(v) || l.odg.degree(v) == 0) {
+              asked_non_member.store(true);
+            }
+            return c.filter(v);
+          });
+      ASSERT_EQ(bits.size(), l.odg.num_pages()) << l.name;
+      std::vector<std::uint64_t> got;
+      bits.for_each([&](std::size_t p) { got.push_back(p); });
+      EXPECT_EQ(got, union_of_page_ranges(l.odg, c.frontier, c.filter))
+          << l.name << ", " << c.name;
+      EXPECT_EQ(bits.count(), got.size()) << l.name << ", " << c.name;
+      EXPECT_FALSE(asked_non_member.load()) << l.name << ", " << c.name;
+    }
+  }
+}
+
+/// Striped 3 ways, the same pages leave in per-device batches: logical
+/// page p on device p % 3 as its page p / 3, in ascending order, tagged
+/// with the graph's position in the list.
+TEST(PageFrontier, StripedBatchesSplitTheSamePages) {
+  graph::Csr g = from_degrees(page_frontier_degrees());
+  const vertex_t n = g.num_vertices();
+  const OnDiskGraph striped_flat = make_mem_graph(g, 3);
+  const OnDiskGraph striped_dvarint =
+      make_mem_graph(g, 3, AdjacencyEncoding::kDeltaVarint);
+  core::Runtime rt(testutil::test_config());
+  for (const FrontierCase& c : frontier_cases(n)) {
+    auto batches = core::detail::page_frontier_batches(
+        rt.default_context(), {&striped_flat, &striped_dvarint}, c.frontier,
+        c.filter);
+    ASSERT_EQ(batches.size(), 6u) << c.name;
+    for (std::uint32_t s = 0; s < 2; ++s) {
+      const OnDiskGraph& odg = s == 0 ? striped_flat : striped_dvarint;
+      const auto want = union_of_page_ranges(odg, c.frontier, c.filter);
+      for (std::uint32_t d = 0; d < 3; ++d) {
+        const io::ReadBatch& b = batches[s * 3 + d];
+        EXPECT_EQ(b.origin.source, s);
+        EXPECT_EQ(b.origin.stripe_width, 3u);
+        EXPECT_EQ(b.origin.stripe_index, d);
+        std::vector<std::uint64_t> want_d;
+        for (std::uint64_t p : want) {
+          if (p % 3 == d) want_d.push_back(p / 3);
+        }
+        EXPECT_EQ(b.pages, want_d)
+            << c.name << ", graph " << s << ", device " << d;
+      }
+    }
   }
 }
 
