@@ -51,16 +51,13 @@ inline baseline::FlashGraphConfig bench_fg_config(
   cfg.cache_bytes = std::max<std::size_t>(
       128u << 10, static_cast<std::size_t>(g.input_bytes() / 32));
   cfg.io_buffer_bytes = 16u << 20;
-  cfg.model_straggler = true;  // single-core host; see FlashGraphConfig
   return cfg;
 }
 
-/// Graphene config at bench scale, with the modeled CAS contention cost
-/// its compute threads would pay on a multi-core machine.
+/// Graphene config at bench scale.
 inline baseline::GrapheneConfig bench_graphene_config() {
   baseline::GrapheneConfig cfg;
   cfg.vertex_map_workers = bench_workers();
-  cfg.sim_atomic_contention_ns = bench_cas_ns();
   return cfg;
 }
 

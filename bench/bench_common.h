@@ -6,8 +6,6 @@
 //   BLAZE_BENCH_SHIFT        extra power-of-two dataset shrink (default 3)
 //   BLAZE_BENCH_DEVICE_SCALE bandwidth divisor for device profiles
 //                            (default 20; see EXPERIMENTS.md calibration)
-//   BLAZE_BENCH_CAS_NS       modeled cross-core CAS contention cost used
-//                            by the sync-variant benches (default 25)
 //   BLAZE_BENCH_WORKERS      compute workers (default 16, as in the paper)
 #pragma once
 
@@ -41,8 +39,8 @@ inline long env_long(const char* name, long def) {
   return v ? std::atol(v) : def;
 }
 
-/// Extra shrink applied to the DESIGN.md dataset table for bench runtime
-/// control on the 1-core test environment.
+/// Extra shrink applied to the DESIGN.md dataset table, to keep bench
+/// runtimes short.
 inline unsigned bench_shift() {
   return static_cast<unsigned>(env_long("BLAZE_BENCH_SHIFT", 3));
 }
@@ -51,11 +49,6 @@ inline unsigned bench_shift() {
 /// testbed's compute speed (the paper's ratio of 20 cores : 2.5 GB/s).
 inline double device_scale() {
   return env_double("BLAZE_BENCH_DEVICE_SCALE", 20.0);
-}
-
-/// Modeled per-update CAS contention cost for sync-variant benches.
-inline std::uint64_t bench_cas_ns() {
-  return static_cast<std::uint64_t>(env_long("BLAZE_BENCH_CAS_NS", 25));
 }
 
 inline std::size_t bench_workers() {

@@ -28,10 +28,6 @@ int main() {
         auto in_g = format::make_simulated_graph(ds.transpose, profile);
         auto cfg = bench_config(out_g);
         cfg.sync_mode = sync;
-        // Cross-core CAS contention cannot materialize on one core; burn
-        // the modeled cost explicitly (see Config::sim_atomic_contention_ns
-        // and EXPERIMENTS.md).
-        if (sync) cfg.sim_atomic_contention_ns = bench_cas_ns();
         core::Runtime rt(cfg);
         auto r = run_blaze_query(rt, out_g, in_g, query, pr_iters);
         // Bandwidth comes from the unified PipelineStats record threaded

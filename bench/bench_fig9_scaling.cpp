@@ -1,16 +1,15 @@
 // Figure 9: thread scaling.
 //
-// IMPORTANT CAVEAT (EXPERIMENTS.md): this container has ONE CPU core, so
-// measured wall time cannot improve with thread count; the measured series
-// documents that honestly. The `modeled` series is the projection the
-// paper's 20-core testbed realizes: it combines the per-thread compute
-// rate measured here (one worker, memory-backed graph, no device waits)
-// with the UNSCALED Optane bandwidth —
-//     time(p) = max( bytes / optane_bw , bytes / (rate_1 * p) )
-// — which produces the paper's shape: near-linear scaling until the device
-// saturates, and immediate saturation for high-locality workloads (sk)
-// whose per-thread compute is already close to the device line.
+// Thread counts up to std::thread::hardware_concurrency() are measured, on
+// a memory-backed graph (`measured_mem`: compute alone, no device waits)
+// and on the scaled Optane profile (`measured_ssd`), each with its speedup
+// over one worker. Only the counts above that (more workers than cores
+// would be oversubscribed) print a `modeled` row instead, projected from
+// the one-worker memory-backed time and the UNSCALED Optane bandwidth:
+//     time(p) = max( bytes / optane_bw , mem_time_1 / p )
+// Its speedup is over the same projection at one thread.
 #include <cstdio>
+#include <thread>
 
 #include "bench/bench_common.h"
 
@@ -20,45 +19,60 @@ int main() {
 
   const auto scaled_profile = bench_optane();
   const double optane_bw = device::optane_p4800x().rand_read_mbps * 1e6;
-  std::printf("# Figure 9: thread scaling (measured on 1 core + modeled "
-              "multi-core projection at unscaled Optane bandwidth)\n");
-  std::printf("query,graph,threads,measured_s,modeled_s,modeled_speedup\n");
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  std::printf("# Figure 9: thread scaling (measured up to %zu threads, "
+              "modeled at unscaled Optane bandwidth above)\n",
+              cores);
+  std::printf("query,graph,threads,series,seconds,speedup\n");
 
   const unsigned pr_iters = 5;
   for (const auto& query : queries5()) {
     for (const std::string gname : {"r2", "ur", "sk"}) {
       const auto& ds = dataset(gname);
-
-      // Calibration run: one worker, no device waits.
-      double rate1 = 0;  // bytes/s one worker consumes
-      std::uint64_t bytes = 0;
-      {
-        auto mem_out = format::make_mem_graph(ds.csr);
-        auto mem_in = format::make_mem_graph(ds.transpose);
-        auto cfg = bench_config(mem_out);
-        cfg.compute_workers = 1;
-        core::Runtime rt(cfg);
-        auto r = run_blaze_query(rt, mem_out, mem_in, query, pr_iters);
-        bytes = r.stats.bytes_read;
-        rate1 = static_cast<double>(bytes) / r.seconds;
-      }
-
-      auto out_g = format::make_simulated_graph(ds.csr, scaled_profile);
-      auto in_g = format::make_simulated_graph(ds.transpose, scaled_profile);
-      const double io_time = static_cast<double>(bytes) / optane_bw;
-      double modeled1 = 0;
-      for (std::size_t threads : {1, 2, 4, 8, 16}) {
+      const auto mem_out = format::make_mem_graph(ds.csr);
+      const auto mem_in = format::make_mem_graph(ds.transpose);
+      const auto ssd_out = format::make_simulated_graph(ds.csr, scaled_profile);
+      const auto ssd_in =
+          format::make_simulated_graph(ds.transpose, scaled_profile);
+      // Min-of-3: the first run in the process also pays for cold caches.
+      auto run = [&](const format::OnDiskGraph& out_g,
+                     const format::OnDiskGraph& in_g, std::size_t threads) {
         auto cfg = bench_config(out_g);
         cfg.compute_workers = threads;
-        core::Runtime rt(cfg);
-        auto r = run_blaze_query(rt, out_g, in_g, query, pr_iters);
-        double compute = static_cast<double>(bytes) /
-                         (rate1 * static_cast<double>(threads));
-        double modeled = std::max(io_time, compute);
-        if (threads == 1) modeled1 = modeled;
-        std::printf("%s,%s,%zu,%.3f,%.4f,%.2f\n", query.c_str(),
-                    gname.c_str(), threads, r.seconds, modeled,
-                    modeled1 / modeled);
+        RunResult best;
+        for (int rep = 0; rep < 3; ++rep) {
+          core::Runtime rt(cfg);
+          auto r = run_blaze_query(rt, out_g, in_g, query, pr_iters);
+          if (rep == 0 || r.seconds < best.seconds) best = r;
+        }
+        return best;
+      };
+
+      // Set by the one-worker memory-backed run, which comes first.
+      std::uint64_t bytes = 0;
+      double mem1 = 0, ssd1 = 0;
+      auto modeled_s = [&](std::size_t threads) {
+        return std::max(static_cast<double>(bytes) / optane_bw,
+                        mem1 / static_cast<double>(threads));
+      };
+      for (std::size_t threads : {1, 2, 4, 8, 16}) {
+        if (threads > cores) {
+          std::printf("%s,%s,%zu,modeled,%.4f,%.2f\n", query.c_str(),
+                      gname.c_str(), threads, modeled_s(threads),
+                      modeled_s(1) / modeled_s(threads));
+          continue;
+        }
+        const auto mem = run(mem_out, mem_in, threads);
+        const auto ssd = run(ssd_out, ssd_in, threads);
+        if (threads == 1) {
+          bytes = mem.stats.bytes_read;
+          mem1 = mem.seconds;
+          ssd1 = ssd.seconds;
+        }
+        std::printf("%s,%s,%zu,measured_mem,%.4f,%.2f\n", query.c_str(),
+                    gname.c_str(), threads, mem.seconds, mem1 / mem.seconds);
+        std::printf("%s,%s,%zu,measured_ssd,%.4f,%.2f\n", query.c_str(),
+                    gname.c_str(), threads, ssd.seconds, ssd1 / ssd.seconds);
         std::fflush(stdout);
       }
     }

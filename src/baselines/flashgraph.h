@@ -31,7 +31,6 @@
 #include "format/page_scan.h"
 #include "io/buffer_pool.h"
 #include "io/read_engine.h"
-#include "util/busy_wait.h"
 #include "util/mpmc_queue.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -42,16 +41,6 @@ struct FlashGraphConfig {
   std::size_t compute_workers = 4;
   std::size_t cache_bytes = 16ull << 20;      ///< LRU page cache (min 4 pages)
   std::size_t io_buffer_bytes = 16ull << 20;  ///< in-flight page buffers
-
-  /// Straggler equivalence model for single-core hosts. On FlashGraph's
-  /// real multi-core testbed the message-drain barrier lasts as long as
-  /// the busiest owner (max over owners), with the other cores idle. A
-  /// single-core host serializes the drain, so it pays the *sum* instead —
-  /// which understates the skew penalty by the idle-core waste
-  /// (workers x max - sum). When enabled, that shortfall is burned
-  /// explicitly, self-calibrated from the measured drain rate. Leave off
-  /// when running on a real multi-core machine.
-  bool model_straggler = false;
 };
 
 /// FlashGraph-style engine over an on-disk graph. Programs use the same
@@ -229,7 +218,6 @@ class FlashGraphEngine {
     // This is where the straggler effect lives: the owner of the hub-heavy
     // range processes far more messages than the rest while the device
     // idles.
-    Timer drain_timer;
     pool_.run_on_all([&](std::size_t owner) {
       for (std::size_t producer = 0; producer < workers; ++producer) {
         for (const Message& m : msgs[producer * workers + owner]) {
@@ -240,28 +228,6 @@ class FlashGraphEngine {
         }
       }
     });
-    if (cfg_.model_straggler) {
-      std::uint64_t total = 0, max_owner = 0;
-      for (std::size_t owner = 0; owner < workers; ++owner) {
-        std::uint64_t own = 0;
-        for (std::size_t producer = 0; producer < workers; ++producer) {
-          own += msgs[producer * workers + owner].size();
-        }
-        total += own;
-        max_owner = std::max(max_owner, own);
-      }
-      if (total > 0) {
-        const double per_msg_ns = drain_timer.seconds() * 1e9 /
-                                  static_cast<double>(total);
-        const double shortfall =
-            static_cast<double>(workers) * static_cast<double>(max_owner) -
-            static_cast<double>(total);
-        if (shortfall > 0) {
-          busy_spin_ns(static_cast<std::uint64_t>(shortfall * per_msg_ns));
-        }
-      }
-    }
-
     if (stats) {
       stats->bytes_read += io_bytes;
       stats->pages_read += io_pages;

@@ -30,7 +30,6 @@
 #include "core/vertex_map.h"
 #include "core/vertex_subset.h"
 #include "format/partitioner.h"
-#include "util/busy_wait.h"
 #include "util/mpmc_queue.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -46,11 +45,6 @@ struct GrapheneConfig {
   /// Extra workers for the in-memory VertexMap phase only (the per-device
   /// pairing is fixed by design).
   std::size_t vertex_map_workers = 4;
-
-  /// Modeled per-update cost of cross-core CAS contention (see
-  /// core::Config::sim_atomic_contention_ns — Graphene's compute threads
-  /// use the same contended atomics as Blaze's sync variant). 0 disables.
-  std::uint64_t sim_atomic_contention_ns = 0;
 };
 
 /// Graphene-style engine over a topology-partitioned graph.
@@ -172,7 +166,6 @@ class GrapheneEngine {
                 if (!prog.cond(dst)) continue;
                 const value_type val = prog.scatter(m.v, dst);
                 if (prog.gather_atomic(dst, val) && output) out.add(dst);
-                busy_spin_ns(cfg_.sim_atomic_contention_ns);
               }
             }
             pair->free.release(*slot);

@@ -124,14 +124,6 @@ struct Config {
   /// default (PR 9 behavior: budgets are advisory).
   bool catalog_enforce_budgets = false;
 
-  /// Modeled per-update cost of cross-core atomic contention, applied only
-  /// in sync_mode. On the paper's 16-core testbed contended CAS lines
-  /// bounce between cores (tens of ns per update); this single-core
-  /// container cannot produce that physically, so the Figure 8 bench burns
-  /// the equivalent CPU time explicitly. 0 (the default) disables the
-  /// model entirely.
-  std::uint64_t sim_atomic_contention_ns = 0;
-
   std::size_t scatter_threads() const {
     if (compute_workers <= 1) return 1;
     auto s = static_cast<std::size_t>(

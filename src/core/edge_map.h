@@ -57,7 +57,6 @@
 #include "format/page_scan.h"
 #include "io/io_pipeline.h"
 #include "util/backoff.h"
-#include "util/busy_wait.h"
 #include "util/timer.h"
 
 namespace blaze::core {
@@ -195,7 +194,6 @@ VertexSubset edge_map(QueryContext& qc, GraphList graphs,
                           vertex_t dst, value_type val) {
     if (sync_mode) {
       if (prog.gather_atomic(dst, val) && opts.output) out.add(dst);
-      busy_spin_ns(cfg.sim_atomic_contention_ns);
     } else {
       sbuf->append(*bins, dst, std::bit_cast<bin_value_t>(val),
                    help_gather_once);

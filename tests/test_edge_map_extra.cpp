@@ -162,48 +162,6 @@ TEST(EdgeMapExtra, StatsAccumulateAcrossCalls) {
   EXPECT_EQ(stats.bytes_read, 2 * bytes_once);
 }
 
-TEST(EdgeMapExtra, SimulatedContentionSlowsSyncMode) {
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-  GTEST_SKIP() << "timing assertion: sanitizer instrumentation overhead "
-                  "swamps the modeled contention delta";
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-  GTEST_SKIP() << "timing assertion: sanitizer instrumentation overhead "
-                  "swamps the modeled contention delta";
-#endif
-#endif
-  graph::Csr g = graph::generate_rmat(10, 8, 905);
-  auto odg = format::make_mem_graph(g);
-  std::vector<std::uint32_t> acc(g.num_vertices(), 0);
-
-  auto run_with = [&](std::uint64_t contention_ns) {
-    auto cfg = testutil::test_config(2);
-    cfg.sync_mode = true;
-    cfg.sim_atomic_contention_ns = contention_ns;
-    Runtime rt(cfg);
-    std::fill(acc.begin(), acc.end(), 0);
-    CountProgram prog{acc};
-    QueryStats stats;
-    EdgeMapOptions opts;
-    opts.stats = &stats;
-    edge_map(rt, odg, VertexSubset::all(g.num_vertices()), prog, opts);
-    return stats.seconds;
-  };
-  // Min-of-3 filters scheduler hiccups on a loaded 1-core host: a single
-  // stalled baseline run would otherwise dwarf the modeled contention.
-  auto min_of = [&](std::uint64_t contention_ns) {
-    double best = run_with(contention_ns);
-    for (int i = 0; i < 2; ++i) best = std::min(best, run_with(contention_ns));
-    return best;
-  };
-  double fast = min_of(0);
-  double slow = min_of(2000);
-  // 8,192 edges * 2000 ns is ~16 ms of modeled contention: enough to
-  // dominate the baseline even in an unoptimised (-O0 --coverage) build.
-  EXPECT_GT(slow, fast * 2);
-  EXPECT_EQ(acc, in_degrees(g));  // and results stay correct
-}
-
 TEST(EdgeMapExtra, ScatterRatioExtremesStillCorrect) {
   graph::Csr g = graph::generate_rmat(9, 8, 906);
   auto odg = format::make_mem_graph(g);

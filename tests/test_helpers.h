@@ -53,8 +53,8 @@ inline std::vector<vertex_t> reference_components(const graph::Csr& g) {
   return parent;
 }
 
-/// Small default engine config for tests (the testbed has one core, so
-/// tests keep thread counts modest but still exercise concurrency).
+/// Small default engine config for tests (a few workers: enough to
+/// exercise concurrency without oversubscribing a small CI runner).
 inline core::Config test_config(std::size_t workers = 3,
                                 std::size_t bin_count = 64) {
   core::Config cfg;

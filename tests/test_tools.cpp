@@ -296,6 +296,24 @@ TEST_F(ToolsTest, AsyncModeRunsAndReports) {
       << output();
 }
 
+TEST_F(ToolsTest, LiveReporterAndScrapeEndpointAnnounceOnStderr) {
+  // Port 0 binds an ephemeral port. The sampler's final tick on stop()
+  // guarantees at least one [live] line however fast the query finishes.
+  const std::string err_path = "/tmp/blaze_tool_err.txt";
+  ASSERT_EQ(std::system((std::string(BLAZE_RUN_PATH) +
+                         " -query pr -computeWorkers 2 -maxIterations 3 "
+                         "--live --metricsSampleMs 5 --metrics-port 0 " +
+                         prefix_ + ".gr.index " + prefix_ +
+                         ".gr.adj.0 > /dev/null 2> " + err_path)
+                            .c_str()),
+            0);
+  const std::string err = read_file(err_path);
+  std::remove(err_path.c_str());
+  EXPECT_NE(err.find("[live] read "), std::string::npos) << err;
+  EXPECT_NE(err.find("metrics: http://localhost:"), std::string::npos)
+      << err;
+}
+
 TEST_F(ToolsTest, UnknownModeRejected) {
   EXPECT_NE(run(std::string(BLAZE_RUN_PATH) + " -query pr --mode nope " +
                 prefix_ + ".gr.index " + prefix_ + ".gr.adj.0"),
