@@ -183,7 +183,6 @@ int main() {
 
       auto acfg = bench_config(*q_out);
       acfg.execution_mode = core::ExecutionMode::kAsync;
-      acfg.async_epsilon = pr_epsilon_async;
       core::Runtime async_rt(acfg);
       auto asy = run_query(async_rt, *q_out, in_g, query, pr_epsilon_async);
 

@@ -27,9 +27,7 @@ KcoreResult kcore_async(core::QueryContext& qc,
     residual[v] = out_g.degree(v) + in_g.degree(v);
   }
 
-  const core::Config& cfg = qc.config();
   sched::AsyncOptions aopts;
-  aopts.num_buckets = cfg.async_buckets;
   aopts.single_bucket_rounds = true;
   sched::AsyncRunner runner(qc, out_g, aopts);
   for (vertex_t v = 0; v < n; ++v) {

@@ -73,9 +73,7 @@ Result run_sssp(core::QueryContext& qc, const format::OnDiskGraph& g,
         &result.stats);
     return result;
   }
-  sched::AsyncOptions aopts;
-  aopts.num_buckets = qc.config().async_buckets;
-  sched::AsyncRunner runner(qc, g, aopts);
+  sched::AsyncRunner runner(qc, g);
   runner.queue().push(source, 0);
   sched::Enqueue<Program> async_prog{prog, runner.updated()};
   auto rs = runner.run(

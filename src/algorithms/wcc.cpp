@@ -26,11 +26,8 @@ WccResult wcc_async(core::QueryContext& qc,
   result.ids.resize(n);
   for (vertex_t v = 0; v < n; ++v) result.ids[v] = v;
 
-  const core::Config& cfg = qc.config();
-  sched::AsyncOptions aopts;
-  aopts.num_buckets = cfg.async_buckets;
-  sched::AsyncRunner runner(qc, out_g, aopts);
-  const std::uint32_t shift = label_shift(n, cfg.async_buckets);
+  sched::AsyncRunner runner(qc, out_g);
+  const std::uint32_t shift = label_shift(n, runner.queue().num_buckets());
   for (vertex_t v = 0; v < n; ++v) {
     runner.queue().push(v, v >> shift);
   }

@@ -93,17 +93,6 @@ struct Config {
   /// (--mode on the CLI).
   ExecutionMode execution_mode = ExecutionMode::kBsp;
 
-  /// Async-mode convergence epsilon (--epsilon). For PageRank-delta this
-  /// is the per-vertex activation threshold relative to the current rank
-  /// (the same rule the BSP variant uses, so both modes share a fixed
-  /// point) and doubles as the global residual stop. The exact algorithms
-  /// (SSSP/WCC/k-core) terminate on queue drain and ignore it.
-  double async_epsilon = 1e-3;
-
-  /// Bucket count for the async priority queue, including the overflow
-  /// slot (--async-buckets).
-  std::uint32_t async_buckets = 64;
-
   /// Enables the workload profiler (prof::WorkloadProfiler): per-namespace
   /// miss-ratio curves sampled from the page-cache access stream, exported
   /// via --profile and the metric registry. Off by default — a disabled

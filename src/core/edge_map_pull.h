@@ -1,4 +1,4 @@
-// Pull-direction and direction-optimized EDGEMAP (extension).
+// Pull-direction EDGEMAP (extension).
 //
 // Blaze's engine is push-only: the frontier's out-edges are scattered
 // through the bins. Ligra — whose API the paper adopts — additionally
@@ -8,6 +8,8 @@
 // adjacency of the candidate destinations instead of the frontier's
 // out-adjacency, which is cheaper exactly when the frontier's out-edge
 // volume exceeds the candidates' in-edge volume (classic BFS mid-rounds).
+// algorithms::bfs_hybrid makes that per-round switch with
+// frontier_out_edges() below.
 //
 // Pull needs no bins: each destination accumulates locally while its page
 // is scanned. Pages arrive through the same io::ReadHandle::consume() loop
@@ -131,48 +133,6 @@ inline std::uint64_t frontier_out_edges(QueryContext& qc,
     sum.fetch_add(g.degree(v), std::memory_order_relaxed);
   });
   return sum.load(std::memory_order_relaxed);
-}
-
-/// Single-query convenience: runs on the Runtime's default context.
-inline std::uint64_t frontier_out_edges(Runtime& rt,
-                                        const format::OnDiskGraph& g,
-                                        const VertexSubset& frontier) {
-  return frontier_out_edges(rt.default_context(), g, frontier);
-}
-
-/// Direction-optimized EdgeMap: pushes through the bins when the frontier
-/// is sparse, pulls over the transpose when the frontier's out-edge volume
-/// crosses |E| / threshold_div (Ligra's default 20). `candidates` is the
-/// pull-side filter (e.g. the unvisited set for BFS).
-template <typename Program>
-VertexSubset edge_map_hybrid(QueryContext& qc,
-                             const format::OnDiskGraph& out_g,
-                             const format::OnDiskGraph& in_g,
-                             const VertexSubset& frontier,
-                             const VertexSubset& candidates, Program& prog,
-                             const EdgeMapOptions& opts = {},
-                             std::uint64_t threshold_div = 20,
-                             bool* used_pull = nullptr) {
-  const std::uint64_t push_volume = frontier_out_edges(qc, out_g, frontier);
-  const bool pull = push_volume > out_g.num_edges() / threshold_div;
-  if (used_pull) *used_pull = pull;
-  if (pull) {
-    return edge_map_pull(qc, in_g, frontier, candidates, prog, opts);
-  }
-  return edge_map(qc, out_g, frontier, prog, opts);
-}
-
-/// Single-query convenience: runs on the Runtime's default context.
-template <typename Program>
-VertexSubset edge_map_hybrid(Runtime& rt, const format::OnDiskGraph& out_g,
-                             const format::OnDiskGraph& in_g,
-                             const VertexSubset& frontier,
-                             const VertexSubset& candidates, Program& prog,
-                             const EdgeMapOptions& opts = {},
-                             std::uint64_t threshold_div = 20,
-                             bool* used_pull = nullptr) {
-  return edge_map_hybrid(rt.default_context(), out_g, in_g, frontier,
-                         candidates, prog, opts, threshold_div, used_pull);
 }
 
 }  // namespace blaze::core

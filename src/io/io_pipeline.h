@@ -155,7 +155,7 @@ class ReadHandle {
 
 /// Persistent per-device-slot reader threads plus the submit API.
 /// One instance lives inside core::Runtime; readers are shared by every
-/// EdgeMap variant (push, pull, hybrid) run on that Runtime. Thread-safe
+/// EdgeMap variant (push, pull) run on that Runtime. Thread-safe
 /// for submissions; each ReadHandle expects a single logical consumer side.
 class IoPipeline {
  public:

@@ -41,8 +41,6 @@
 namespace blaze::sched {
 
 struct AsyncOptions {
-  /// Physical buckets (including the overflow slot).
-  std::uint32_t num_buckets = 64;
   /// Rounds keep popping buckets until their vertices span at least this
   /// many pages. 0 = derive from the query's IO buffer (half of it), so a
   /// round roughly fills the pipeline without thrashing the pool.
@@ -74,8 +72,6 @@ struct AsyncRunStats {
   std::uint64_t stale_drops = 0;   ///< entries superseded before pop
   std::uint64_t pages_spanned = 0; ///< sum of each round's distinct pages
   std::uint64_t unique_pages = 0;  ///< distinct pages ever spanned
-  double final_residual = 0.0;
-  std::vector<double> residual_curve;  ///< round body's return, per round
 
   /// Pages a later round read again. The BSP-vs-async total-bytes
   /// comparison lives in bench_async; this is the per-run view.
@@ -116,8 +112,8 @@ class AsyncRunner {
       : qc_(qc),
         g_(g),
         opts_(std::move(opts)),
-        queue_(g.num_vertices(), opts_.num_buckets),
-        touched_(g.num_pages()),
+        queue_(g.num_vertices()),
+        touched_(g.num_pages(), 0),
         round_marked_(g.num_pages(), 0),
         updated_(g.num_vertices()) {}
 
@@ -133,8 +129,9 @@ class AsyncRunner {
   /// Drives rounds until termination. `round` is invoked as
   /// `double round(const core::VertexSubset& frontier, priority_t level)`
   /// where `level` is the minimum priority claimed this round; its return
-  /// value feeds the residual curve (algorithm-defined scale: remaining
-  /// residual mass for PageRank, frontier size for the exact algorithms).
+  /// value feeds the blaze_sched_residual gauge (algorithm-defined scale:
+  /// remaining residual mass for PageRank, frontier size for the exact
+  /// algorithms).
   /// After each round, every vertex marked in updated() is pushed once, in
   /// vertex order, at `priority_t priority(vertex_t)` read then, unless
   /// that returns BucketQueue::kNotQueued.
@@ -169,7 +166,10 @@ class AsyncRunner {
       if (!opts_.single_bucket_rounds) rs.coalesced += coalesce(popped);
       rs.pages_spanned += round_pages_.size();
       for (std::uint64_t p : round_pages_) {
-        if (touched_.set(p)) ++rs.unique_pages;
+        if (!touched_[p]) {
+          touched_[p] = 1;
+          ++rs.unique_pages;
+        }
         round_marked_[p] = 0;
       }
       round_pages_.clear();
@@ -194,8 +194,6 @@ class AsyncRunner {
       if (queue_.entries() > 2 * queue_.size()) queue_.compact();
 
       ++rs.rounds;
-      rs.residual_curve.push_back(residual);
-      rs.final_residual = residual;
       trace::instant(trace::Name::kSchedResidual, queue_.size());
       if (sm) {
         sm->rounds->inc();
@@ -274,7 +272,7 @@ class AsyncRunner {
   const format::OnDiskGraph& g_;
   AsyncOptions opts_;
   BucketQueue queue_;
-  ConcurrentBitmap touched_;
+  std::vector<std::uint8_t> touched_;       ///< pages any round read
   std::vector<std::uint8_t> round_marked_;  ///< this round's pages
   std::vector<std::uint64_t> round_pages_;  ///< the marked pages, listed
   ConcurrentBitmap updated_;                ///< this round's updated vertices

@@ -743,7 +743,6 @@ int main(int argc, char** argv) {
         "bsp (default) or async (priority bucket queue, no barriers)\n"
         "  --epsilon E         convergence threshold: PageRank-delta "
         "activation/termination (default 1e-2)\n"
-        "  --async-buckets N   async priority-queue buckets (default 64)\n"
         "  --cacheMB N         shared page-cache pool budget in MiB "
         "(0 = off, the default)\n"
         "  --cache-policy P    pool eviction policy: s3fifo (default), "
@@ -882,12 +881,8 @@ int main(int argc, char** argv) {
                  mode_name.c_str());
     return 2;
   }
-  cfg.async_epsilon = opt.get_double("epsilon", cfg.async_epsilon);
-  cfg.async_buckets = static_cast<std::uint32_t>(
-      opt.get_int("async-buckets", cfg.async_buckets));
   if (cfg.execution_mode == core::ExecutionMode::kAsync) {
-    std::printf("mode: async (epsilon %g, %u buckets)\n", cfg.async_epsilon,
-                cfg.async_buckets);
+    std::printf("mode: async\n");
   }
 
   // Shared page-cache pool knobs (Runtime::page_cache()).
