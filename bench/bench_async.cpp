@@ -2,43 +2,39 @@
 // same simulated device — once through the BSP edge_map loop, once through
 // the sched::AsyncRunner priority loop — and prints one JSON row per pair:
 //
-//   {"bench":"async","graph":"r2","query":"PR","bsp_bytes":...,
-//    "async_bytes":...,"bytes_ratio":1.42,"bsp_seconds":...,
-//    "async_seconds":...,"time_ratio":1.51,"bsp_iterations":34,
-//    "async_rounds":57,"matches_bsp":true}
+//   {"bench":"async","graph":"r2","query":"WCC","bsp_bytes":...,
+//    "async_bytes":...,"bytes_ratio":1.11,"bsp_seconds":...,
+//    "async_seconds":...,"time_ratio":1.17,"bsp_iterations":3,
+//    "async_rounds":4,"matches_bsp":true}
 //
 // bytes_ratio = bsp_bytes / async_bytes: > 1 means the priority order
 // reached the fixed point on fewer total bytes read. On the power-law
 // family WCC wins — min-label flooding in label order settles each
 // vertex's final label sooner, cutting the relabel cascades BSP
-// re-streams. PageRank-delta, SSSP and WCC run page-coalesced rounds
-// (every queued vertex on a page the round reads joins it); the floors
-// hold PageRank to at most 1.25x and SSSP to 1.05x of BSP's bytes
-// (DESIGN.md section 10.4).
+// re-streams. SSSP and WCC run page-coalesced rounds (every queued vertex
+// on a page the round reads joins it); the SSSP floor holds it to 1.05x
+// of BSP's bytes (DESIGN.md section 10.4). PageRank and k-core have no
+// async form (they run BSP in async mode), so they are not swept.
 // time_ratio = async_seconds / bsp_seconds: < 1 means async converged
 // sooner in wall time. check_bench_baseline.py prints it ungated.
 // matches_bsp asserts the fixed point itself: exact equality for
-// SSSP/WCC/k-core, relative-L1 within 1e-2 for PageRank-delta.
+// SSSP/WCC, within 1e-4 relative for stored-weight SSSP.
 // check_bench_baseline.py --async gates each query's bytes ratio on the
 // power-law graphs (r2/r3) against its own floor and requires every
 // matches_bsp to be true.
 //
 // Environment overrides (besides the bench_common set):
 //   BLAZE_BENCH_ASYNC_GRAPHS   comma list (default "r2,r3")
-//   BLAZE_BENCH_ASYNC_QUERIES  comma list of PR,SSSP,WSSSP,WCC,KCORE
-//                              (default "PR,SSSP,WCC")
-//   BLAZE_BENCH_ASYNC_EPSILON  PageRank epsilon (default 1e-3)
-//   BLAZE_BENCH_ASYNC_PR_EPS   async-side PR epsilon override (default =
-//                              BLAZE_BENCH_ASYNC_EPSILON; looser values
-//                              trade fixed-point agreement for bytes)
+//   BLAZE_BENCH_ASYNC_QUERIES  comma list of SSSP,WSSSP,WCC
+//                              (default "SSSP,WCC")
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "algorithms/kcore.h"
 #include "algorithms/sssp.h"
+#include "algorithms/wcc.h"
 #include "bench/bench_common.h"
 #include "graph/weighted.h"
 
@@ -73,26 +69,16 @@ struct QueryRun {
   double seconds = 0;
   std::uint64_t bytes = 0;
   std::uint32_t iterations = 0;
-  std::vector<float> pr_rank;
   std::vector<std::uint32_t> sssp_dist;
   std::vector<float> wsssp_dist;
   std::vector<vertex_t> wcc_ids;
-  std::vector<std::uint32_t> coreness;
 };
 
 QueryRun run_query(core::Runtime& rt, const format::OnDiskGraph& out_g,
-                   const format::OnDiskGraph& in_g, const std::string& query,
-                   double pr_epsilon) {
+                   const format::OnDiskGraph& in_g, const std::string& query) {
   QueryRun r;
   Timer t;
-  if (query == "PR") {
-    algorithms::PageRankOptions opts;
-    opts.epsilon = pr_epsilon;
-    auto res = algorithms::pagerank(rt, out_g, opts);
-    r.bytes = res.stats.bytes_read;
-    r.iterations = res.iterations;
-    r.pr_rank = std::move(res.rank);
-  } else if (query == "SSSP") {
+  if (query == "SSSP") {
     auto res = algorithms::sssp(rt, out_g, 0);
     r.bytes = res.stats.bytes_read;
     r.iterations = res.iterations;
@@ -107,11 +93,6 @@ QueryRun run_query(core::Runtime& rt, const format::OnDiskGraph& out_g,
     r.bytes = res.stats.bytes_read;
     r.iterations = res.iterations;
     r.wcc_ids = std::move(res.ids);
-  } else if (query == "KCORE") {
-    auto res = algorithms::kcore(rt, out_g, in_g);
-    r.bytes = res.stats.bytes_read;
-    r.iterations = res.max_core;
-    r.coreness = std::move(res.coreness);
   } else {
     std::fprintf(stderr, "unknown query %s\n", query.c_str());
     std::abort();
@@ -120,18 +101,9 @@ QueryRun run_query(core::Runtime& rt, const format::OnDiskGraph& out_g,
   return r;
 }
 
-/// Fixed-point agreement: exact for the integer-valued algorithms,
-/// relative-L1 within 1e-2 for PageRank (both modes truncate sub-epsilon
-/// residual, in different orders).
+/// Fixed-point agreement: exact for integer distances and labels, within
+/// float rounding for stored-weight distances.
 bool matches(const QueryRun& bsp, const QueryRun& async_run) {
-  if (!bsp.pr_rank.empty()) {
-    double err = 0, norm = 1e-12;
-    for (std::size_t v = 0; v < bsp.pr_rank.size(); ++v) {
-      err += std::fabs(async_run.pr_rank[v] - bsp.pr_rank[v]);
-      norm += std::fabs(bsp.pr_rank[v]);
-    }
-    return err / norm < 1e-2;
-  }
   if (!bsp.wsssp_dist.empty()) {
     for (std::size_t v = 0; v < bsp.wsssp_dist.size(); ++v) {
       const float want = bsp.wsssp_dist[v];
@@ -145,23 +117,17 @@ bool matches(const QueryRun& bsp, const QueryRun& async_run) {
     return true;
   }
   return bsp.sssp_dist == async_run.sssp_dist &&
-         bsp.wcc_ids == async_run.wcc_ids &&
-         bsp.coreness == async_run.coreness;
+         bsp.wcc_ids == async_run.wcc_ids;
 }
 
 }  // namespace
 
 int main() {
   const auto graphs = env_list("BLAZE_BENCH_ASYNC_GRAPHS", {"r2", "r3"});
-  const auto queries =
-      env_list("BLAZE_BENCH_ASYNC_QUERIES", {"PR", "SSSP", "WCC"});
-  const double pr_epsilon = env_double("BLAZE_BENCH_ASYNC_EPSILON", 1e-3);
+  const auto queries = env_list("BLAZE_BENCH_ASYNC_QUERIES", {"SSSP", "WCC"});
 
-  std::printf("# bench_async: BSP vs priority-driven async to convergence "
-              "(PR epsilon %g)\n", pr_epsilon);
-
-  const double pr_epsilon_async =
-      env_double("BLAZE_BENCH_ASYNC_PR_EPS", pr_epsilon);
+  std::printf("# bench_async: BSP vs priority-driven async to "
+              "convergence\n");
 
   for (const auto& gname : graphs) {
     const BenchDataset& ds = dataset(gname);
@@ -179,12 +145,12 @@ int main() {
       }
 
       core::Runtime bsp_rt(bench_config(*q_out));
-      auto bsp = run_query(bsp_rt, *q_out, in_g, query, pr_epsilon);
+      auto bsp = run_query(bsp_rt, *q_out, in_g, query);
 
       auto acfg = bench_config(*q_out);
       acfg.execution_mode = core::ExecutionMode::kAsync;
       core::Runtime async_rt(acfg);
-      auto asy = run_query(async_rt, *q_out, in_g, query, pr_epsilon_async);
+      auto asy = run_query(async_rt, *q_out, in_g, query);
 
       const double ratio =
           asy.bytes > 0

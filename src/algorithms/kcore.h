@@ -2,7 +2,9 @@
 //
 // Extension query: computes each vertex's coreness over the undirected
 // closure of the graph (degrees count both directions, so both the graph
-// and its transpose are consumed, like WCC).
+// and its transpose are consumed, like WCC). ExecutionMode::kAsync runs
+// the same BSP peel: exact coreness needs level-at-a-time peeling, which
+// a priority queue could only replay round for round.
 #pragma once
 
 #include <vector>

@@ -2,7 +2,8 @@
 //
 // Vertices stay active only while their rank keeps changing by more than
 // epsilon relative to their current rank, so later iterations touch only a
-// shrinking frontier (selective scheduling).
+// shrinking frontier (selective scheduling). ExecutionMode::kAsync runs
+// this same BSP loop: residual-priority rounds read more bytes than it.
 #pragma once
 
 #include <vector>

@@ -77,9 +77,8 @@ Result run_sssp(core::QueryContext& qc, const format::OnDiskGraph& g,
   runner.queue().push(source, 0);
   sched::Enqueue<Program> async_prog{prog, runner.updated()};
   auto rs = runner.run(
-      [&](const core::VertexSubset& frontier, sched::priority_t) {
+      [&](const core::VertexSubset& frontier) {
         eng.edge_map(frontier, async_prog, /*output=*/false, &result.stats);
-        return static_cast<double>(frontier.count());
       },
       [&dist = result.dist, dist_priority](vertex_t d) {
         return dist_priority(dist[d]);

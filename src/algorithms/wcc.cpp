@@ -36,9 +36,8 @@ WccResult wcc_async(core::QueryContext& qc,
   BlazeEngine eng(qc, out_g, in_g);
   // Lowered labels flood further, smallest first.
   auto rs = runner.run(
-      [&](const core::VertexSubset& frontier, sched::priority_t) {
+      [&](const core::VertexSubset& frontier) {
         eng.edge_map(frontier, prog, /*output=*/false, &result.stats);
-        return static_cast<double>(frontier.count());
       },
       [&ids = result.ids, shift](vertex_t d) { return ids[d] >> shift; });
   result.iterations = static_cast<std::uint32_t>(rs.rounds);

@@ -13,12 +13,12 @@
 
 namespace blaze::core {
 
-/// How the monotone algorithms drive the engine. kBsp is the classic
-/// barriered loop (one edge_map sweep per iteration); kAsync routes them
-/// through sched::AsyncRunner — a priority bucket queue picks the
-/// highest-residual vertices and only their pages are fetched, no
-/// iteration barrier. Algorithms without an async formulation ignore the
-/// knob and stay BSP.
+/// How SSSP and WCC drive the engine. kBsp is the classic barriered loop
+/// (one edge_map sweep per iteration); kAsync routes them through
+/// sched::AsyncRunner — a priority bucket queue picks the most urgent
+/// vertices and only their pages are fetched, no iteration barrier. Every
+/// other algorithm (PageRank and k-core included) ignores the knob and
+/// stays BSP.
 enum class ExecutionMode { kBsp, kAsync };
 
 /// How serve::GraphCatalog splits the shared cache budget across resident
@@ -88,9 +88,8 @@ struct Config {
   /// small/main/ghost queues keep cross-query hot pages resident.
   device::EvictionPolicy cache_policy = device::EvictionPolicy::kS3Fifo;
 
-  /// Execution mode for the monotone algorithms (PageRank-delta, SSSP,
-  /// WCC, k-core): BSP sweeps vs the sched::AsyncRunner priority loop
-  /// (--mode on the CLI).
+  /// Execution mode for SSSP and WCC: BSP sweeps vs the
+  /// sched::AsyncRunner priority loop (--mode on the CLI).
   ExecutionMode execution_mode = ExecutionMode::kBsp;
 
   /// Enables the workload profiler (prof::WorkloadProfiler): per-namespace

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "device/file_device.h"
@@ -239,8 +240,10 @@ void write_graph_files(const graph::WeightedCsr& g,
 
 OnDiskGraph load_graph_files(const std::string& index_path,
                              const std::string& adj_path) {
-  std::ifstream idx(index_path, std::ios::binary);
+  std::ifstream idx(index_path, std::ios::binary | std::ios::ate);
   if (!idx) throw std::runtime_error("cannot open " + index_path);
+  const auto file_size = static_cast<std::uint64_t>(idx.tellg());
+  idx.seekg(0);
   std::uint32_t magic = 0, version = 0;
   std::uint64_t v = 0, e = 0;
   idx.read(reinterpret_cast<char*>(&magic), sizeof(magic));
@@ -253,27 +256,41 @@ OnDiskGraph load_graph_files(const std::string& index_path,
        version != kIndexVersionDvarint)) {
     throw std::runtime_error("bad index file header: " + index_path);
   }
-  std::vector<std::uint32_t> degrees(v);
-  idx.read(reinterpret_cast<char*>(degrees.data()),
-           static_cast<std::streamsize>(degrees.size() *
-                                        sizeof(std::uint32_t)));
-  if (!idx) throw std::runtime_error("truncated index file: " + index_path);
-
-  if (version == kIndexVersionDvarint) {
-    std::vector<std::uint32_t> enc_lengths(v);
-    idx.read(reinterpret_cast<char*>(enc_lengths.data()),
-             static_cast<std::streamsize>(enc_lengths.size() *
-                                          sizeof(std::uint32_t)));
-    std::uint64_t num_carries = 0;
-    idx.read(reinterpret_cast<char*>(&num_carries), sizeof(num_carries));
-    if (!idx || num_carries > (std::uint64_t{1} << 40)) {
+  if (v > std::numeric_limits<vertex_t>::max()) {
+    throw std::runtime_error("index vertex count exceeds vertex_t: " +
+                             index_path);
+  }
+  // Every array is sized from the file's own counts: check each against
+  // the bytes left before allocating it.
+  auto read_array = [&]<typename T>(std::vector<T>& out,
+                                    std::uint64_t count) {
+    const auto pos = static_cast<std::uint64_t>(idx.tellg());
+    if (!idx || pos > file_size || count > (file_size - pos) / sizeof(T)) {
       throw std::runtime_error("truncated index file: " + index_path);
     }
-    std::vector<PageCarry> carries(num_carries);
-    idx.read(reinterpret_cast<char*>(carries.data()),
-             static_cast<std::streamsize>(carries.size() *
-                                          sizeof(PageCarry)));
+    out.resize(count);
+    idx.read(reinterpret_cast<char*>(out.data()),
+             static_cast<std::streamsize>(count * sizeof(T)));
     if (!idx) throw std::runtime_error("truncated index file: " + index_path);
+  };
+  std::vector<std::uint32_t> degrees;
+  read_array(degrees, v);
+
+  if (version == kIndexVersionDvarint) {
+    std::vector<std::uint32_t> enc_lengths;
+    read_array(enc_lengths, v);
+    std::uint64_t enc_bytes = 0;
+    for (std::uint32_t len : enc_lengths) enc_bytes += len;
+    std::uint64_t num_carries = 0;
+    idx.read(reinterpret_cast<char*>(&num_carries), sizeof(num_carries));
+    if (!idx) throw std::runtime_error("truncated index file: " + index_path);
+    if (num_carries < ceil_div<std::uint64_t>(enc_bytes, kPageSize)) {
+      throw std::runtime_error(
+          "index carry table shorter than its adjacency pages: " +
+          index_path);
+    }
+    std::vector<PageCarry> carries;
+    read_array(carries, num_carries);
     GraphIndex index(degrees, std::move(enc_lengths), std::move(carries));
     if (index.num_edges() != e) {
       throw std::runtime_error("index degree sum mismatch: " + index_path);

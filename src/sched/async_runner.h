@@ -4,30 +4,32 @@
 // iteration and barriers, the AsyncRunner keeps a BucketQueue of vertices
 // ordered by how much unconverged work they carry and repeatedly:
 //
-//   1. pops the highest-priority bucket(s) into a round frontier: one
-//      priority level, or levels up to a page budget widened to every
-//      queued vertex whose adjacency lies on pages the round already reads
-//      (page coalescing);
+//   1. pops the lowest priority buckets into a round frontier until their
+//      adjacency spans a page budget, then widens it to every queued
+//      vertex whose adjacency lies on pages the round already reads (page
+//      coalescing);
 //   2. runs the algorithm's round body — an edge_map over the round
 //      frontier whose gather applies an atomics-tolerant monotone update
 //      and marks the destination in a per-round bitmap — then files each
 //      marked vertex once, at its priority read after the round;
 //   3. compacts the queue (drops stale and duplicate entries) once stale
 //      entries outnumber live ones;
-//   4. repeats until the queue drains (every per-vertex residual is below
-//      its activation threshold) or an optional global residual probe
-//      falls under epsilon.
+//   4. repeats until the queue drains.
+//
+// Only algorithms that reach the same fixed point in any order run here
+// (SSSP and WCC: monotone min relaxations). PageRank-delta and k-core run
+// their BSP loops in async mode; async forms of both read more bytes and
+// took longer than BSP.
 //
 // The runner owns round pacing, trace spans (kSchedRound / kSchedResidual)
 // and the sched metrics series; the algorithm supplies the round body and
-// the priority function. Priorities are monotone within a round
-// (distances, labels and residual degrees only fall, PageRank residuals
-// only grow), so the one priority filed after the round is the best any
-// of the round's updates reached, and gathers never touch the queue.
+// the priority function. Priorities only fall within a round (distances
+// and labels only fall), so the one priority filed after the round is the
+// best any of the round's updates reached, and gathers never touch the
+// queue.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/query_context.h"
@@ -45,23 +47,6 @@ struct AsyncOptions {
   /// many pages. 0 = derive from the query's IO buffer (half of it), so a
   /// round roughly fills the pipeline without thrashing the pool.
   std::size_t round_page_budget = 0;
-  /// Pop exactly one priority level per round, for algorithms whose answer
-  /// depends on processing levels in order (k-core peels exact residual
-  /// levels). Otherwise a round pops levels up to the page budget and then
-  /// coalesces: every other queued vertex whose adjacency lies entirely on
-  /// pages the round already reads joins it, as do queued degree-0
-  /// vertices found on those pages, instead of waiting for a later round
-  /// that reads those pages again. That suits every algorithm that reaches
-  /// the same fixed point in any order (PageRank-delta, SSSP, WCC).
-  bool single_bucket_rounds = false;
-  /// Safety valve; 0 = run to convergence.
-  std::uint64_t max_rounds = 0;
-  /// Optional global termination: when `total_residual` is set and drops
-  /// below `stop_residual`, the run ends even with a non-empty queue.
-  /// (The queue draining — every vertex under its activation threshold —
-  /// is the primary termination; this is the explicit epsilon form.)
-  double stop_residual = 0.0;
-  std::function<double()> total_residual;
 };
 
 struct AsyncRunStats {
@@ -105,8 +90,8 @@ struct Enqueue : Program {
 
 class AsyncRunner {
  public:
-  /// `g` is the graph the rounds read (for WCC/k-core, the out-graph; the
-  /// round body may map further graphs). The queue spans its vertex space.
+  /// `g` is the graph the rounds read (for WCC, the out-graph; the round
+  /// body may map further graphs). The queue spans its vertex space.
   AsyncRunner(core::QueryContext& qc, const format::OnDiskGraph& g,
               AsyncOptions opts = {})
       : qc_(qc),
@@ -120,21 +105,12 @@ class AsyncRunner {
   BucketQueue& queue() { return queue_; }
   /// The vertices this round's gathers updated (what Enqueue marks).
   ConcurrentBitmap& updated() { return updated_; }
-  const AsyncOptions& options() const { return opts_; }
 
-  /// Body-driven early stop (k-core's max_k bound): the current round
-  /// finishes normally, no further round starts.
-  void request_stop() { stop_ = true; }
-
-  /// Drives rounds until termination. `round` is invoked as
-  /// `double round(const core::VertexSubset& frontier, priority_t level)`
-  /// where `level` is the minimum priority claimed this round; its return
-  /// value feeds the blaze_sched_residual gauge (algorithm-defined scale:
-  /// remaining residual mass for PageRank, frontier size for the exact
-  /// algorithms).
-  /// After each round, every vertex marked in updated() is pushed once, in
-  /// vertex order, at `priority_t priority(vertex_t)` read then, unless
-  /// that returns BucketQueue::kNotQueued.
+  /// Drives rounds until the queue drains. `round` is invoked as
+  /// `void round(const core::VertexSubset& frontier)`. After each round,
+  /// every vertex marked in updated() is pushed once, in vertex order, at
+  /// `priority_t priority(vertex_t)` read then, unless that returns
+  /// BucketQueue::kNotQueued.
   template <typename RoundFn, typename PriorityFn>
   AsyncRunStats run(RoundFn&& round, PriorityFn&& priority) {
     trace::ScopedQuery trace_scope(qc_.trace_id());
@@ -144,26 +120,20 @@ class AsyncRunner {
     const std::size_t budget = page_budget();
     std::vector<vertex_t> popped;
     while (!queue_.empty()) {
-      if (opts_.max_rounds != 0 && rs.rounds >= opts_.max_rounds) break;
       popped.clear();
-      priority_t level = BucketQueue::kNotQueued;
+      // Pop the lowest buckets until the round's adjacency spans the page
+      // budget, then claim what else lies on the pages it reads.
       std::size_t pages = 0;
-      // Pop the lowest bucket; keep popping until the page budget is met
-      // unless the algorithm needs strict level-at-a-time rounds.
-      do {
+      while (pages < budget && !queue_.empty()) {
         const std::size_t before = popped.size();
-        auto l = queue_.pop_bucket(popped);
-        if (!l) break;
-        level = std::min(level, *l);
+        queue_.pop_bucket(popped);
         for (std::size_t i = before; i < popped.size(); ++i) {
           pages += mark_pages(popped[i]);
         }
-      } while (!opts_.single_bucket_rounds && pages < budget &&
-               !queue_.empty());
-      if (popped.empty()) break;
+      }
       const std::size_t bucket_pops = popped.size();
       rs.popped += bucket_pops;
-      if (!opts_.single_bucket_rounds) rs.coalesced += coalesce(popped);
+      rs.coalesced += coalesce(popped);
       rs.pages_spanned += round_pages_.size();
       for (std::uint64_t p : round_pages_) {
         if (!touched_[p]) {
@@ -176,10 +146,9 @@ class AsyncRunner {
 
       core::VertexSubset frontier(n);
       for (vertex_t v : popped) frontier.add(v);
-      double residual = 0.0;
       {
         trace::Span span(trace::Name::kSchedRound, rs.rounds);
-        residual = round(frontier, level);
+        round(frontier);
         updated_.for_each([&](std::size_t v) {
           const priority_t p = priority(static_cast<vertex_t>(v));
           if (p != BucketQueue::kNotQueued) {
@@ -199,12 +168,6 @@ class AsyncRunner {
         sm->rounds->inc();
         sm->popped->add(bucket_pops);
         sm->occupancy->set(static_cast<double>(queue_.size()));
-        sm->residual->set(residual);
-      }
-      if (stop_) break;
-      if (opts_.stop_residual > 0.0 && opts_.total_residual &&
-          opts_.total_residual() < opts_.stop_residual) {
-        break;
       }
     }
     queue_.compact();  // makes stale_drops() exact
@@ -276,7 +239,6 @@ class AsyncRunner {
   std::vector<std::uint8_t> round_marked_;  ///< this round's pages
   std::vector<std::uint64_t> round_pages_;  ///< the marked pages, listed
   ConcurrentBitmap updated_;                ///< this round's updated vertices
-  bool stop_ = false;
   std::uint64_t pushes_reported_ = 0;
   std::uint64_t stale_reported_ = 0;
 };

@@ -1,8 +1,8 @@
 // sched::BucketQueue: the priority frontier behind asynchronous execution.
 //
 // A bucket queue in the delta-stepping tradition: vertices are keyed by a
-// small integer priority (quantized residual, tentative distance, residual
-// degree — lower is more urgent), and the consumer always drains the lowest
+// small integer priority (bucketed tentative distance, quantized label —
+// lower is more urgent), and the consumer always drains the lowest
 // non-empty bucket. Four properties make it fit the async EdgeMap loop:
 //
 //  * Single-threaded. Every push, pop, claim and compact runs on the
@@ -15,8 +15,8 @@
 //    the record (claim = record -> kNotQueued), so stale entries are
 //    dropped for free and each queued vertex is delivered exactly once per
 //    enqueue generation.
-//  * Overflow bucket. Priorities are unbounded (residual degrees, long
-//    distances); everything at or beyond the physical bucket range parks
+//  * Overflow bucket. Priorities are unbounded (long distances, large
+//    labels); everything at or beyond the physical bucket range parks
 //    in the last slot. When the regular slots drain, the base advances to
 //    the minimum live priority and the overflow redistributes — the
 //    classic sliding-window bucket structure.
@@ -27,10 +27,8 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -77,19 +75,17 @@ class BucketQueue {
 
   /// Drains the lowest non-empty bucket into `out` (appended), claiming
   /// each live vertex (its record resets to kNotQueued, so a later push
-  /// re-enqueues it). Returns the minimum priority among the claimed
-  /// vertices, or nullopt when the queue is empty.
-  std::optional<priority_t> pop_bucket(std::vector<vertex_t>& out) {
+  /// re-enqueues it). Returns false when the queue is empty.
+  bool pop_bucket(std::vector<vertex_t>& out) {
     for (;;) {
-      priority_t level = kNotQueued;
       for (std::uint32_t s = 0; s + 1 < num_buckets_; ++s) {
-        if (drain_slot(s, out, &level)) return level;
+        if (drain_slot(s, out)) return true;
       }
       // Regular slots are all empty (or all-stale): slide the base to the
       // overflow bucket's minimum live priority and redistribute; entries
       // still past the new window stay parked. No live entry left means
       // the queue is drained.
-      if (!redistribute_overflow()) return std::nullopt;
+      if (!redistribute_overflow()) return false;
     }
   }
 
@@ -183,10 +179,8 @@ class BucketQueue {
   }
 
   /// Empties slot `s` and claims its live entries into `out`. Returns true
-  /// if anything was claimed; `*level` receives the minimum claimed
-  /// priority.
-  bool drain_slot(std::uint32_t s, std::vector<vertex_t>& out,
-                  priority_t* level) {
+  /// if anything was claimed.
+  bool drain_slot(std::uint32_t s, std::vector<vertex_t>& out) {
     const std::vector<Entry> items = std::exchange(buckets_[s], {});
     const std::size_t before = out.size();
     for (const Entry& e : items) {
@@ -194,7 +188,6 @@ class BucketQueue {
         pri_[e.vertex] = kNotQueued;
         --live_;
         out.push_back(e.vertex);
-        *level = std::min(*level, e.priority);
       } else {
         ++dropped_;
       }
@@ -236,19 +229,5 @@ class BucketQueue {
   std::uint64_t dropped_ = 0;       ///< entries pop/compact discarded
   std::vector<std::uint64_t> seen_;  ///< compact()'s dedup bitmap
 };
-
-/// Quantizes a positive residual magnitude into a bucket level: residuals
-/// >= 1 map to 0 and each halving adds a level, so draining level order is
-/// draining residual mass in descending order. Non-positive residuals map
-/// to the worst level.
-inline priority_t residual_priority(double r) {
-  if (!(r > 0.0)) return BucketQueue::kNotQueued - 1;
-  if (r >= 1.0) return 0;
-  int exp = 0;
-  std::frexp(r, &exp);  // r = m * 2^exp with m in [0.5, 1)
-  const std::int64_t level = -static_cast<std::int64_t>(exp);
-  return static_cast<priority_t>(std::min<std::int64_t>(
-      level, static_cast<std::int64_t>(BucketQueue::kNotQueued) - 1));
-}
 
 }  // namespace blaze::sched

@@ -3,8 +3,8 @@
 // Same cost discipline as core_metrics.h: sched_metrics() is the only
 // entry point, a metrics-off run pays one relaxed load plus a predicted
 // branch, and binding happens once via a thread-safe static local. The
-// sampler turns these into the residual-curve and bucket-occupancy time
-// series the async mode's convergence story is told with.
+// sampler turns these into the round and bucket-occupancy time series the
+// async mode's convergence story is told with.
 #pragma once
 
 #include "metrics/metrics.h"
@@ -20,7 +20,6 @@ struct SchedMetrics {
   metrics::Counter* stale_drops;  ///< blaze_sched_stale_drops_total
   metrics::Counter* refetches;    ///< blaze_sched_page_refetches_total
   metrics::Gauge* occupancy;      ///< blaze_sched_queue_occupancy
-  metrics::Gauge* residual;       ///< blaze_sched_residual (last round's)
 };
 
 /// The lazily bound handle block, or nullptr while metrics are off.
@@ -33,8 +32,7 @@ inline const SchedMetrics* sched_metrics() {
                         reg.counter("blaze_sched_pushes_total"),
                         reg.counter("blaze_sched_stale_drops_total"),
                         reg.counter("blaze_sched_page_refetches_total"),
-                        reg.gauge("blaze_sched_queue_occupancy"),
-                        reg.gauge("blaze_sched_residual")};
+                        reg.gauge("blaze_sched_queue_occupancy")};
   }();
   return &m;
 }

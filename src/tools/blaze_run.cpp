@@ -739,8 +739,9 @@ int main(int argc, char** argv) {
         "  --format F          run with adjacency encoding flat|dvarint; "
         "a graph stored in the other format is transcoded in memory "
         "(weighted graphs are flat-only, as in blaze-gen)\n"
-        "  --mode M            execution mode for pr/sssp/wcc/kcore: "
-        "bsp (default) or async (priority bucket queue, no barriers)\n"
+        "  --mode M            execution mode: bsp (default) or async "
+        "(priority bucket queue, no barriers) for sssp/wcc; pr and kcore "
+        "run BSP\n"
         "  --epsilon E         convergence threshold: PageRank-delta "
         "activation/termination (default 1e-2)\n"
         "  --cacheMB N         shared page-cache pool budget in MiB "
@@ -871,8 +872,8 @@ int main(int argc, char** argv) {
   cfg.scatter_ratio = opt.get_double("binningRatio", 0.5);
   cfg.sync_mode = opt.get_bool("sync", false);
 
-  // Execution mode for the monotone algorithms (pr/sssp/wcc/kcore route
-  // through sched::AsyncRunner under async; everything else ignores it).
+  // Execution mode: sssp and wcc route through sched::AsyncRunner under
+  // async; pr, kcore and everything else run BSP either way.
   const std::string mode_name = opt.get_string("mode", "bsp");
   if (mode_name == "async") {
     cfg.execution_mode = core::ExecutionMode::kAsync;

@@ -322,13 +322,13 @@ TEST_P(DifferentialTest, DvarintMatchesFlatAndOracle) {
   }
 }
 
-// Async-vs-BSP differential: the four monotone algorithms run through the
-// sched::AsyncRunner priority loop and must land on the BSP fixed point —
-// exactly for SSSP/WCC/k-core (monotone min/peeling has one fixed point),
-// within epsilon-scale tolerance for PageRank-delta (both modes truncate
-// sub-threshold residual, in different orders). Both adjacency encodings
-// are covered, plus one sync-mode (CAS gather) pass to exercise concurrent
-// bitmap marks from scatter threads.
+// Async-vs-BSP differential: SSSP and WCC run through the
+// sched::AsyncRunner priority loop and must land exactly on the BSP fixed
+// point (monotone min has one fixed point). k-core and PageRank-delta
+// ignore the async mode and run their BSP loops: the same coreness, EdgeMap
+// calls and bytes, and the same PageRank iterations, as a BSP runtime.
+// Both adjacency encodings are covered, plus one sync-mode (CAS gather)
+// pass to exercise concurrent bitmap marks from scatter threads.
 TEST_P(DifferentialTest, AsyncMatchesBspFixedPoint) {
   Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 9973 + 101);
   graph::Csr g = random_graph(rng);
@@ -346,18 +346,27 @@ TEST_P(DifferentialTest, AsyncMatchesBspFixedPoint) {
     cfg.sync_mode = sync;
     return cfg;
   };
-  // PageRank-delta: same fixed-point family, epsilon-scale differences.
-  auto expect_rank_close = [&](core::Runtime& async_rt, core::Runtime& bsp_rt,
-                               const format::OnDiskGraph& out_g,
-                               const char* label) {
-    auto bsp_rank = algorithms::pagerank(bsp_rt, out_g, pr_opts).rank;
-    auto async_rank = algorithms::pagerank(async_rt, out_g, pr_opts).rank;
-    double err = 0, norm = 1e-12;
-    for (std::size_t v = 0; v < bsp_rank.size(); ++v) {
-      err += std::fabs(async_rank[v] - bsp_rank[v]);
-      norm += std::fabs(bsp_rank[v]);
-    }
-    EXPECT_LT(err / norm, 1e-2) << label;
+  // k-core and PageRank-delta run BSP under kAsync.
+  auto expect_runs_bsp = [&](core::Runtime& async_rt, core::Runtime& bsp_rt,
+                             const format::OnDiskGraph& out_g,
+                             const format::OnDiskGraph& in_g,
+                             const char* label) {
+    auto bsp_core = algorithms::kcore(bsp_rt, out_g, in_g);
+    auto async_core = algorithms::kcore(async_rt, out_g, in_g);
+    EXPECT_EQ(async_core.coreness, bsp_core.coreness) << label;
+    EXPECT_EQ(async_core.max_core, bsp_core.max_core) << label;
+    EXPECT_EQ(async_core.stats.edge_map_calls, bsp_core.stats.edge_map_calls)
+        << label;
+    EXPECT_EQ(async_core.stats.bytes_read, bsp_core.stats.bytes_read)
+        << label;
+    // And the bounded sweep peels the same truncated shells.
+    EXPECT_EQ(algorithms::kcore(async_rt, out_g, in_g, 2).coreness,
+              algorithms::kcore(bsp_rt, out_g, in_g, 2).coreness)
+        << label;
+
+    auto bsp_pr = algorithms::pagerank(bsp_rt, out_g, pr_opts);
+    auto async_pr = algorithms::pagerank(async_rt, out_g, pr_opts);
+    EXPECT_EQ(async_pr.iterations, bsp_pr.iterations) << label;
   };
   // Stored-weight SSSP (weighted files are flat-only): every tentative
   // distance is the same sum along the same shortest path in either mode.
@@ -398,18 +407,7 @@ TEST_P(DifferentialTest, AsyncMatchesBspFixedPoint) {
               algorithms::wcc(bsp_rt, out_g, in_g).ids)
         << label;
 
-    // k-core: peeling level-at-a-time is exact in both modes.
-    auto bsp_core = algorithms::kcore(bsp_rt, out_g, in_g);
-    auto async_core = algorithms::kcore(async_rt, out_g, in_g);
-    EXPECT_EQ(async_core.coreness, bsp_core.coreness) << label;
-    EXPECT_EQ(async_core.max_core, bsp_core.max_core) << label;
-
-    // And the bounded sweep peels the same truncated shells.
-    EXPECT_EQ(algorithms::kcore(async_rt, out_g, in_g, 2).coreness,
-              algorithms::kcore(bsp_rt, out_g, in_g, 2).coreness)
-        << label;
-
-    expect_rank_close(async_rt, bsp_rt, out_g, label);
+    expect_runs_bsp(async_rt, bsp_rt, out_g, in_g, label);
   }
 
   {
@@ -429,13 +427,10 @@ TEST_P(DifferentialTest, AsyncMatchesBspFixedPoint) {
     EXPECT_EQ(algorithms::sssp(async_rt, out_g, source).dist,
               algorithms::sssp(bsp_rt, out_g, source).dist)
         << "sync-async";
-    EXPECT_EQ(algorithms::kcore(async_rt, out_g, in_g).coreness,
-              algorithms::kcore(bsp_rt, out_g, in_g).coreness)
-        << "sync-async";
     EXPECT_EQ(algorithms::wcc(async_rt, out_g, in_g).ids,
               algorithms::wcc(bsp_rt, out_g, in_g).ids)
         << "sync-async";
-    expect_rank_close(async_rt, bsp_rt, out_g, "sync-async");
+    expect_runs_bsp(async_rt, bsp_rt, out_g, in_g, "sync-async");
     expect_weighted_close(async_rt, bsp_rt, "sync-async");
   }
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <numeric>
 
@@ -155,6 +156,70 @@ TEST(OnDiskGraph, LoadRejectsCorruptIndex) {
   }
   EXPECT_THROW(load_graph_files(path, path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+/// Index file bytes, and writing them back.
+std::vector<char> read_all(const std::string& path) {
+  std::vector<char> bytes;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + n);
+    }
+    std::fclose(f);
+  }
+  return bytes;
+}
+
+void write_all(const std::string& path, const std::vector<char>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
+TEST(OnDiskGraph, LoadRejectsTamperedVertexCount) {
+  // Header: magic, version (4 B each), vertex count, edge count (8 B each).
+  graph::Csr g = graph::generate_rmat(8, 6, 104);
+  const std::string prefix = "/tmp/blaze_test_tampered_v";
+  const std::string index = prefix + ".gr.index";
+  const std::string adj = prefix + ".gr.adj.0";
+  write_graph_files(g, prefix);
+  const std::vector<char> good = read_all(index);
+  ASSERT_GT(good.size(), 24u);
+  // Past vertex_t, then within vertex_t but past the file's bytes.
+  for (std::uint64_t v : {std::uint64_t{1} << 40, std::uint64_t{1} << 20}) {
+    std::vector<char> bad = good;
+    std::memcpy(bad.data() + 8, &v, sizeof(v));
+    write_all(index, bad);
+    EXPECT_THROW(load_graph_files(index, adj), std::runtime_error) << v;
+  }
+  std::remove(index.c_str());
+  std::remove(adj.c_str());
+}
+
+TEST(OnDiskGraph, LoadRejectsShortDvarintCarryTable) {
+  // A v3 index ends with the carry count and one 16-byte carry per
+  // adjacency page; cut the table one page short.
+  graph::Csr g = graph::generate_rmat(9, 8, 109);
+  const std::string prefix = "/tmp/blaze_test_short_carries";
+  const std::string index = prefix + ".gr.index";
+  const std::string adj = prefix + ".gr.adj.0";
+  write_graph_files(g, prefix, AdjacencyEncoding::kDeltaVarint);
+  const std::uint64_t pages = ceil_div<std::uint64_t>(
+      load_graph_files(index, adj).index().total_adjacency_bytes(),
+      kPageSize);
+  ASSERT_GE(pages, 2u);
+  std::vector<char> bytes = read_all(index);
+  const std::size_t count_at = 24 + 8 * std::size_t{g.num_vertices()};
+  const std::uint64_t num_carries = pages - 1;
+  std::memcpy(bytes.data() + count_at, &num_carries, sizeof(num_carries));
+  bytes.resize(count_at + 8 + 16 * num_carries);
+  write_all(index, bytes);
+  EXPECT_THROW(load_graph_files(index, adj), std::runtime_error);
+  std::remove(index.c_str());
+  std::remove(adj.c_str());
 }
 
 TEST(OnDiskGraph, RaidStripingPreservesData) {

@@ -2,21 +2,18 @@
 // improve-only (lazy-decrease) pushes, stale-entry dropping, the overflow
 // bucket's sliding-window redistribution, claim/compact accounting, a
 // seeded random-operation run against a reference model, plus the
-// runner's round shapes (page coalescing), filing each updated vertex
-// once per round, bytes against BSP, early stop, and fault handling —
+// runner's round shape (page coalescing), filing each updated vertex
+// once per round, bytes against BSP, and fault handling —
 // transient faults are absorbed with identical results, propagated faults
 // leave the IO buffer pool whole and the Runtime reusable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <vector>
 
-#include "algorithms/kcore.h"
-#include "algorithms/pagerank.h"
 #include "algorithms/programs.h"
 #include "algorithms/sssp.h"
+#include "algorithms/wcc.h"
 #include "core/edge_map.h"
 #include "core/runtime.h"
 #include "device/faulty_device.h"
@@ -46,7 +43,7 @@ TEST(BucketQueue, EmptyQueuePopsNothing) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
   std::vector<vertex_t> out;
-  EXPECT_FALSE(q.pop_bucket(out).has_value());
+  EXPECT_FALSE(q.pop_bucket(out));
   EXPECT_TRUE(out.empty());
   EXPECT_FALSE(q.claim(3));
   EXPECT_EQ(q.priority_of(3), BucketQueue::kNotQueued);
@@ -61,25 +58,19 @@ TEST(BucketQueue, PopsBucketsInPriorityOrder) {
   EXPECT_EQ(q.size(), 4u);
 
   std::vector<vertex_t> out;
-  auto level = q.pop_bucket(out);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_EQ(*level, 0u);
+  ASSERT_TRUE(q.pop_bucket(out));
   EXPECT_EQ(out, (std::vector<vertex_t>{20}));
 
   out.clear();
-  level = q.pop_bucket(out);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_EQ(*level, 3u);
+  ASSERT_TRUE(q.pop_bucket(out));
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out, (std::vector<vertex_t>{10, 30}));
 
   out.clear();
-  level = q.pop_bucket(out);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_EQ(*level, 5u);
+  ASSERT_TRUE(q.pop_bucket(out));
   EXPECT_EQ(out, (std::vector<vertex_t>{40}));
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.pop_bucket(out).has_value());
+  EXPECT_FALSE(q.pop_bucket(out));
 }
 
 TEST(BucketQueue, WorsePushAfterEnqueueIsIgnored) {
@@ -93,11 +84,9 @@ TEST(BucketQueue, WorsePushAfterEnqueueIsIgnored) {
   EXPECT_EQ(q.size(), 1u);
 
   std::vector<vertex_t> out;
-  auto level = q.pop_bucket(out);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_EQ(*level, 2u);
+  ASSERT_TRUE(q.pop_bucket(out));
   EXPECT_EQ(out, (std::vector<vertex_t>{1}));
-  EXPECT_FALSE(q.pop_bucket(out).has_value());
+  EXPECT_FALSE(q.pop_bucket(out));
 
   // Once claimed, the vertex can be enqueued again at any level.
   EXPECT_TRUE(q.push(1, 5));
@@ -112,14 +101,12 @@ TEST(BucketQueue, ImprovedPushDeliversOnceAndDropsTheStaleEntry) {
   EXPECT_EQ(q.priority_of(1), 1u);
 
   std::vector<vertex_t> out;
-  auto level = q.pop_bucket(out);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_EQ(*level, 1u);
+  ASSERT_TRUE(q.pop_bucket(out));
   EXPECT_EQ(out, (std::vector<vertex_t>{1}));
 
   // The entry parked at level 6 is provably stale and dropped at pop.
   out.clear();
-  EXPECT_FALSE(q.pop_bucket(out).has_value());
+  EXPECT_FALSE(q.pop_bucket(out));
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(q.stale_drops(), 1u);
 }
@@ -136,29 +123,21 @@ TEST(BucketQueue, OverflowBucketRedistributesInOrder) {
   EXPECT_EQ(q.base(), 0u);
 
   std::vector<vertex_t> out;
-  auto level = q.pop_bucket(out);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_EQ(*level, 40u);
+  ASSERT_TRUE(q.pop_bucket(out));
   EXPECT_EQ(out, (std::vector<vertex_t>{2}));
   EXPECT_EQ(q.base(), 40u);  // window slid to the minimum live priority
 
   out.clear();
-  level = q.pop_bucket(out);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_EQ(*level, 41u);
+  ASSERT_TRUE(q.pop_bucket(out));
   EXPECT_EQ(out, (std::vector<vertex_t>{3}));
 
   out.clear();
-  level = q.pop_bucket(out);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_EQ(*level, 500u);
+  ASSERT_TRUE(q.pop_bucket(out));
   EXPECT_EQ(out, (std::vector<vertex_t>{4}));
   EXPECT_EQ(q.base(), 500u);
 
   out.clear();
-  level = q.pop_bucket(out);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_EQ(*level, 900u);
+  ASSERT_TRUE(q.pop_bucket(out));
   EXPECT_EQ(out, (std::vector<vertex_t>{1}));
   EXPECT_TRUE(q.empty());
 }
@@ -167,15 +146,13 @@ TEST(BucketQueue, PushBelowBaseClampsToLowestSlotAndPopsFirst) {
   BucketQueue q(100, 4);
   q.push(1, 80);
   std::vector<vertex_t> out;
-  ASSERT_TRUE(q.pop_bucket(out).has_value());  // slides base to 80
+  ASSERT_TRUE(q.pop_bucket(out));  // slides base to 80
   EXPECT_EQ(q.base(), 80u);
 
   q.push(2, 90);
   q.push(3, 5);  // below the window base: clamps to slot 0
   out.clear();
-  auto level = q.pop_bucket(out);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_EQ(*level, 5u);  // the clamped entry still pops first
+  ASSERT_TRUE(q.pop_bucket(out));
   EXPECT_EQ(out, (std::vector<vertex_t>{3}));
 }
 
@@ -188,28 +165,10 @@ TEST(BucketQueue, ClearResetsEverything) {
   EXPECT_EQ(q.priority_of(1), BucketQueue::kNotQueued);
   EXPECT_EQ(q.base(), 0u);
   std::vector<vertex_t> out;
-  EXPECT_FALSE(q.pop_bucket(out).has_value());
+  EXPECT_FALSE(q.pop_bucket(out));
   // Usable again after clear.
   EXPECT_TRUE(q.push(1, 0));
   EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(BucketQueue, ResidualPriorityQuantizesByHalving) {
-  using sched::residual_priority;
-  EXPECT_EQ(residual_priority(2.0), 0u);
-  EXPECT_EQ(residual_priority(1.0), 0u);
-  EXPECT_EQ(residual_priority(0.75), 0u);   // [0.5, 1) -> level 0
-  EXPECT_EQ(residual_priority(0.3), 1u);    // [0.25, 0.5) -> level 1
-  EXPECT_EQ(residual_priority(0.125), 2u);  // [0.125, 0.25) -> level 2
-  EXPECT_EQ(residual_priority(0.0), BucketQueue::kNotQueued - 1);
-  EXPECT_EQ(residual_priority(-1.0), BucketQueue::kNotQueued - 1);
-  // Monotone: larger residual never lands in a later bucket.
-  double prev = residual_priority(1.0);
-  for (double r = 0.5; r > 1e-12; r /= 1.7) {
-    const double level = residual_priority(r);
-    EXPECT_GE(level, prev) << r;
-    prev = level;
-  }
 }
 
 TEST(BucketQueue, ClaimAndCompactKeepAccounting) {
@@ -277,22 +236,20 @@ TEST(BucketQueue, RandomOperationsMatchAReferenceModel) {
       ASSERT_LE(delivered + q.claims() + q.stale_drops() + q.size(),
                 q.pushes());
     };
-    // Pops once; checks the level is the minimum recorded priority, every
-    // vertex at it is delivered, and each delivery was queued.
+    // Pops once; checks every vertex at the minimum recorded priority is
+    // delivered and each delivery was queued.
     auto pop_and_check = [&] {
       out.clear();
-      const auto level = q.pop_bucket(out);
+      const bool popped = q.pop_bucket(out);
       if (queued == 0) {
-        ASSERT_FALSE(level.has_value());
+        ASSERT_FALSE(popped);
         ASSERT_TRUE(out.empty());
         return;
       }
-      ASSERT_TRUE(level.has_value());
+      ASSERT_TRUE(popped);
       const priority_t min_ref = *std::min_element(ref.begin(), ref.end());
-      ASSERT_EQ(*level, min_ref);
       for (vertex_t v : out) {
         ASSERT_NE(ref[v], BucketQueue::kNotQueued) << "vertex " << v;
-        ASSERT_GE(ref[v], *level);
         ref[v] = BucketQueue::kNotQueued;  // a second delivery fails above
         --queued;
         ++delivered;
@@ -366,72 +323,6 @@ TEST(BucketQueue, RandomOperationsMatchAReferenceModel) {
 /// Priority for runs whose rounds update no vertex.
 priority_t no_filing(vertex_t) { return BucketQueue::kNotQueued; }
 
-TEST(AsyncRunner, SingleBucketRoundsProcessLevelsInOrder) {
-  graph::Csr g = graph::generate_uniform(256, 1024, 42);
-  core::Runtime rt(testutil::test_config());
-  auto odg = format::make_mem_graph(g);
-  auto& qc = rt.default_context();
-
-  sched::AsyncOptions opts;
-  opts.single_bucket_rounds = true;
-  sched::AsyncRunner runner(qc, odg, opts);
-  const vertex_t n = g.num_vertices();
-  for (vertex_t v = 0; v < n; ++v) runner.queue().push(v, v % 5);
-
-  std::vector<priority_t> levels;
-  std::uint64_t seen = 0;
-  auto rs = runner.run([&](const core::VertexSubset& frontier,
-                           priority_t level) {
-    levels.push_back(level);
-    seen += frontier.count();
-    return static_cast<double>(frontier.count());
-  }, no_filing);
-
-  EXPECT_EQ(seen, static_cast<std::uint64_t>(n));
-  EXPECT_EQ(rs.popped, static_cast<std::uint64_t>(n));
-  ASSERT_EQ(levels.size(), 5u);  // one round per distinct level
-  EXPECT_TRUE(std::is_sorted(levels.begin(), levels.end()));
-  EXPECT_EQ(rs.rounds, levels.size());
-  EXPECT_GT(rs.unique_pages, 0u);
-  EXPECT_GE(rs.pages_spanned, rs.unique_pages);
-}
-
-TEST(AsyncRunner, MaxRoundsAndRequestStopEndTheRun) {
-  graph::Csr g = graph::generate_uniform(128, 512, 43);
-  core::Runtime rt(testutil::test_config());
-  auto odg = format::make_mem_graph(g);
-  auto& qc = rt.default_context();
-  const vertex_t n = g.num_vertices();
-
-  {
-    sched::AsyncOptions opts;
-    opts.single_bucket_rounds = true;
-    opts.max_rounds = 2;
-    sched::AsyncRunner runner(qc, odg, opts);
-    for (vertex_t v = 0; v < n; ++v) runner.queue().push(v, v % 6);
-    auto rs = runner.run(
-        [&](const core::VertexSubset& f, priority_t) {
-          return static_cast<double>(f.count());
-        },
-        no_filing);
-    EXPECT_EQ(rs.rounds, 2u);
-    EXPECT_FALSE(runner.queue().empty());  // work intentionally left behind
-  }
-  {
-    sched::AsyncOptions opts;
-    opts.single_bucket_rounds = true;
-    sched::AsyncRunner runner(qc, odg, opts);
-    for (vertex_t v = 0; v < n; ++v) runner.queue().push(v, v % 6);
-    auto rs = runner.run(
-        [&](const core::VertexSubset& f, priority_t) {
-          runner.request_stop();  // stop after the first round, mid-queue
-          return static_cast<double>(f.count());
-        },
-        no_filing);
-    EXPECT_EQ(rs.rounds, 1u);
-  }
-}
-
 /// Six vertices with hand-placed flat adjacency (4 B records, 1024 per
 /// page): v0 [0,800) and v2 [800,1600) lie on page 0, v1 has degree 0
 /// inside page 0's vertex range, v3 spans pages 0-1, v4 pages 1-3 and v5
@@ -444,8 +335,7 @@ graph::Csr page_placed_graph() {
 
 /// First-round frontier of an AsyncRunner run over page_placed_graph()
 /// with v0 at level 0 and v1, v2, v3, v5 at level 6.
-std::vector<vertex_t> first_round(bool single_bucket_rounds,
-                                  sched::AsyncRunStats* rs) {
+std::vector<vertex_t> first_round(sched::AsyncRunStats* rs) {
   graph::Csr g = page_placed_graph();
   core::Runtime rt(testutil::test_config());
   auto odg = format::make_mem_graph(g);
@@ -454,19 +344,17 @@ std::vector<vertex_t> first_round(bool single_bucket_rounds,
 
   sched::AsyncOptions opts;
   opts.round_page_budget = 1;  // v0's single page meets it
-  opts.single_bucket_rounds = single_bucket_rounds;
   sched::AsyncRunner runner(rt.default_context(), odg, opts);
   runner.queue().push(0, 0);
   for (vertex_t v : {1u, 2u, 3u, 5u}) runner.queue().push(v, 6);
 
   std::vector<vertex_t> first;
-  *rs = runner.run([&](const core::VertexSubset& frontier, priority_t) {
+  *rs = runner.run([&](const core::VertexSubset& frontier) {
     if (first.empty()) {
       for (vertex_t v = 0; v < frontier.universe(); ++v) {
         if (frontier.contains(v)) first.push_back(v);
       }
     }
-    return static_cast<double>(frontier.count());
   }, no_filing);
   EXPECT_TRUE(runner.queue().empty());
   return first;
@@ -483,36 +371,24 @@ TEST(AsyncRunner, CoalescedRoundClaimsQueuedVerticesOnItsPages) {
           "blaze_sched_popped_vertices_total");
   const std::uint64_t popped_before = popped_total->value();
   sched::AsyncRunStats rs;
-  EXPECT_EQ(first_round(false, &rs), (std::vector<vertex_t>{0, 1, 2}));
+  EXPECT_EQ(first_round(&rs), (std::vector<vertex_t>{0, 1, 2}));
   EXPECT_EQ(rs.coalesced, 2u);
   EXPECT_EQ(rs.popped, 3u);  // v0, then v3 and v5 in the second round
   EXPECT_EQ(rs.rounds, 2u);
   EXPECT_EQ(popped_total->value() - popped_before, rs.popped);
-
-  // One level per round (k-core) takes only what it pops.
-  EXPECT_EQ(first_round(true, &rs), (std::vector<vertex_t>{0}));
-  EXPECT_EQ(rs.coalesced, 0u);
-  EXPECT_EQ(rs.popped, 5u);
 }
 
 TEST(AsyncRunner, AsyncReadsStayNearBspBytes) {
   // Regression guard for rounds that re-read the pages they just read.
-  // Without page coalescing this graph costs async PageRank-delta 4.8x
-  // and async SSSP 1.58x BSP's bytes; with it about 1.18x and 0.95x. One
-  // compute worker keeps the push order deterministic.
+  // Without page coalescing this graph costs async SSSP 1.58x BSP's
+  // bytes; with it about 0.95x. One compute worker keeps the push order
+  // deterministic.
   graph::Csr g = graph::generate_rmat(14, 16, 4242);
   auto odg = format::make_mem_graph(g);
   auto acfg = testutil::test_config(1);
   acfg.execution_mode = core::ExecutionMode::kAsync;
   core::Runtime async_rt(acfg);
   core::Runtime bsp_rt(testutil::test_config(1));
-
-  algorithms::PageRankOptions pr;
-  pr.epsilon = 1e-3;
-  const auto bsp_pr = algorithms::pagerank(bsp_rt, odg, pr);
-  const auto async_pr = algorithms::pagerank(async_rt, odg, pr);
-  EXPECT_LE(static_cast<double>(async_pr.stats.bytes_read),
-            1.5 * static_cast<double>(bsp_pr.stats.bytes_read));
 
   const auto bsp_sssp = algorithms::sssp(bsp_rt, odg, 0);
   const auto async_sssp = algorithms::sssp(async_rt, odg, 0);
@@ -522,10 +398,11 @@ TEST(AsyncRunner, AsyncReadsStayNearBspBytes) {
 }
 
 TEST(AsyncRunner, RoundFilesEachUpdatedVertexOnce) {
-  // Eight sources each send 2^-10 to v0, so its residual crosses levels
-  // 9, 8, 7 and 6 within one round; v9 sends 2^-3 to v10 (level 2).
-  // Gathers only mark, and the runner files v0 and v10 once each, at the
-  // priority of their final residuals: two pushes, not one per level.
+  // Eight sources each peel one unit off v0's residual degree, so it falls
+  // 10 -> 2 through eight priorities within one round, whatever order the
+  // gathers run in; v9 takes v10 from 5 to 4. Gathers only mark, and the
+  // runner files v0 and v10 once each, at their final residuals: two
+  // pushes, not one per update.
   std::vector<std::uint64_t> offsets = {0};
   std::vector<vertex_t> targets;
   for (vertex_t v = 0; v < 11; ++v) {
@@ -542,35 +419,37 @@ TEST(AsyncRunner, RoundFilesEachUpdatedVertexOnce) {
     auto cfg = testutil::test_config();
     cfg.sync_mode = sync;
     core::Runtime rt(cfg);
-    sched::AsyncOptions opts;
-    opts.max_rounds = 1;
-    sched::AsyncRunner runner(rt.default_context(), odg, opts);
-    std::vector<float> delta(n, 0.0f);
-    std::vector<float> residual(n, 0.0f);
-    for (vertex_t s = 1; s <= 8; ++s) delta[s] = std::ldexp(1.0f, -10);
-    delta[9] = 0.125f;
+    sched::AsyncRunner runner(rt.default_context(), odg);
+    std::vector<std::uint32_t> residual(n, 1);
+    residual[0] = 10;
+    residual[10] = 5;
+    const std::vector<std::uint32_t> coreness(n, algorithms::PeelProgram::kAlive);
     for (vertex_t s = 1; s <= 9; ++s) runner.queue().push(s, 0);
     const std::uint64_t pushes_before = runner.queue().pushes();
 
-    sched::Enqueue<algorithms::PrProgram> prog{
-        {odg.index(), delta, residual}, runner.updated()};
+    sched::Enqueue<algorithms::PeelProgram> prog{{residual, coreness},
+                                                 runner.updated()};
+    std::vector<std::uint64_t> round_sizes;
+    std::vector<std::pair<vertex_t, priority_t>> filed;
     auto rs = runner.run(
-        [&](const core::VertexSubset& frontier, priority_t) {
+        [&](const core::VertexSubset& frontier) {
+          round_sizes.push_back(frontier.count());
           core::edge_map(rt, odg, frontier, prog, {.output = false});
-          return static_cast<double>(frontier.count());
         },
         [&](vertex_t d) {
-          return residual[d] > 0.0f ? sched::residual_priority(residual[d])
-                                    : BucketQueue::kNotQueued;
+          filed.emplace_back(d, residual[d]);
+          return residual[d];
         });
 
-    EXPECT_EQ(rs.rounds, 1u);
-    EXPECT_EQ(residual[0], std::ldexp(1.0f, -7));
-    EXPECT_EQ(runner.queue().priority_of(0), 6u);
-    EXPECT_EQ(runner.queue().priority_of(10), 2u);
+    // The second round pops the two filed vertices; they update nothing.
+    EXPECT_EQ(rs.rounds, 2u);
+    EXPECT_EQ(round_sizes, (std::vector<std::uint64_t>{9, 2}));
+    EXPECT_EQ(residual[0], 2u);
+    EXPECT_EQ(filed, (std::vector<std::pair<vertex_t, priority_t>>{
+                         {0, 2}, {10, 4}}));
     EXPECT_EQ(runner.queue().pushes() - pushes_before, 2u);
-    EXPECT_EQ(runner.queue().size(), 2u);
-    EXPECT_EQ(runner.updated().count(), 0u);  // cleared for the next round
+    EXPECT_TRUE(runner.queue().empty());
+    EXPECT_EQ(runner.updated().count(), 0u);  // cleared after each round
   }
 }
 
@@ -637,14 +516,14 @@ TEST(AsyncRunner, PropagatedFaultLeavesPoolWholeAndRuntimeReusable) {
   rt.io_pipeline().quiesce();
   EXPECT_EQ(rt.io_pool().available(), rt.io_pool().num_buffers());
 
-  // Same runtime, clean graph: the async k-core (out+in maps, exact
-  // levels) still matches BSP.
+  // Same runtime, clean graph: async WCC (rounds over the graph and its
+  // transpose) still matches BSP.
   auto clean = format::make_mem_graph(g);
   graph::Csr gt = graph::transpose(g);
   auto clean_t = format::make_mem_graph(gt);
   core::Runtime bsp_rt(testutil::test_config());
-  EXPECT_EQ(algorithms::kcore(rt, clean, clean_t).coreness,
-            algorithms::kcore(bsp_rt, clean, clean_t).coreness);
+  EXPECT_EQ(algorithms::wcc(rt, clean, clean_t).ids,
+            algorithms::wcc(bsp_rt, clean, clean_t).ids);
   EXPECT_EQ(rt.io_pool().available(), rt.io_pool().num_buffers());
 }
 

@@ -12,9 +12,10 @@
 //     every FAILED query failed for the injected reason, typed.
 //
 // Two of the rounds (including one corruption + chaos-drain round) run the
-// engine in async execution mode, so the sched::AsyncRunner loop is
-// exercised under injected faults and mid-stream drain too: it must
-// neither deadlock nor leak pool buffers.
+// engine in async execution mode, where SSSP takes PageRank's slot and WCC
+// takes k-core's, so the sched::AsyncRunner loop is exercised under
+// injected faults and mid-stream drain too: it must neither deadlock nor
+// leak pool buffers, and its answers must match the in-memory oracle.
 // BLAZE_STRESS_ASYNC=1 switches EVERY round to async (the nightly matrix
 // leg).
 //
@@ -36,6 +37,8 @@
 #include "algorithms/bfs.h"
 #include "algorithms/kcore.h"
 #include "algorithms/pagerank.h"
+#include "algorithms/sssp.h"
+#include "algorithms/wcc.h"
 #include "baselines/inmem.h"
 #include "device/faulty_device.h"
 #include "device/mem_device.h"
@@ -85,9 +88,10 @@ struct MismatchLog {
 struct Oracle {
   std::vector<vertex_t> bfs_sources;
   std::vector<std::vector<std::uint32_t>> bfs_dist;  ///< per source
-  std::vector<float> pr_rank;        ///< clean BSP engine run
-  std::vector<float> pr_rank_async;  ///< clean async engine run
+  std::vector<float> pr_rank;  ///< clean engine run
   std::vector<std::uint32_t> coreness;
+  std::vector<std::uint32_t> sssp_dist;  ///< from bfs_sources[0]
+  std::vector<vertex_t> wcc_ids;
 };
 
 constexpr std::uint32_t kUnreached = ~0u;
@@ -119,16 +123,15 @@ void check_bfs(const std::vector<vertex_t>& parent, const Oracle& oracle,
   }
 }
 
-/// BSP replays its fixed 8 iterations exactly (tight tolerance). Async runs
-/// to the epsilon fixed point, where thread interleaving moves the exact
-/// stopping state by epsilon-scale mass — the loose tolerance covers that;
-/// chaos invariants (no deadlock, no leaked buffers) are the real target.
+/// The engine replays its fixed 8 iterations exactly; the tolerance only
+/// covers float summation order.
 void check_pagerank(const std::vector<float>& rank,
-                    const std::vector<float>& want_rank, float tol,
-                    MismatchLog& log, const std::string& label) {
+                    const std::vector<float>& want_rank, MismatchLog& log,
+                    const std::string& label) {
+  constexpr float kTol = 1e-4f;
   for (std::size_t v = 0; v < rank.size(); ++v) {
     const float want = want_rank[v];
-    if (std::fabs(rank[v] - want) > tol * (1.0f + std::fabs(want))) {
+    if (std::fabs(rank[v] - want) > kTol * (1.0f + std::fabs(want))) {
       log.note(label + ": rank of v" + std::to_string(v));
       return;
     }
@@ -145,7 +148,7 @@ io::ErrorKind kind_of(std::exception_ptr err) {
 
 /// One planned submission: which algorithm, and (for BFS) which source.
 struct PlannedQuery {
-  int kind = 0;  ///< 0 bfs, 1 pagerank, 2 kcore
+  int kind = 0;  ///< 0 bfs, 1 pagerank (sssp when async), 2 kcore (wcc)
   std::size_t src_idx = 0;
 };
 
@@ -182,15 +185,12 @@ TEST(ServeStress, ChaosRoundsReconcileAgainstOracle) {
         baseline::inmem::bfs_dist(g, oracle.bfs_sources.back()));
   }
   oracle.coreness = baseline::inmem::coreness(g, gt);
+  oracle.sssp_dist = baseline::inmem::sssp_dist(g, oracle.bfs_sources[0]);
+  oracle.wcc_ids = baseline::inmem::wcc(g);
   {
     auto clean = format::make_mem_graph(g);
     core::Runtime rt(testutil::test_config());
     oracle.pr_rank = algorithms::pagerank(rt, clean, pr_options()).rank;
-    auto acfg = testutil::test_config();
-    acfg.execution_mode = core::ExecutionMode::kAsync;
-    core::Runtime art(acfg);
-    oracle.pr_rank_async =
-        algorithms::pagerank(art, clean, pr_options()).rank;
   }
 
   constexpr int kRounds = 6;
@@ -271,26 +271,41 @@ TEST(ServeStress, ChaosRoundsReconcileAgainstOracle) {
                 };
                 break;
               case 1:
-                spec.run = [&, label, async_round](core::QueryContext& qc) {
-                  auto r = algorithms::pagerank(qc, out_g, pr_options());
-                  if (async_round) {
-                    check_pagerank(r.rank, oracle.pr_rank_async, 2e-2f,
-                                   mismatch, label);
-                  } else {
-                    check_pagerank(r.rank, oracle.pr_rank, 1e-4f, mismatch,
-                                   label);
-                  }
-                  return r.stats;
-                };
+                if (async_round) {
+                  spec.run = [&, label](core::QueryContext& qc) {
+                    auto r = algorithms::sssp(qc, out_g,
+                                              oracle.bfs_sources[0]);
+                    if (r.dist != oracle.sssp_dist) {
+                      mismatch.note(label + ": sssp distances diverged");
+                    }
+                    return r.stats;
+                  };
+                } else {
+                  spec.run = [&, label](core::QueryContext& qc) {
+                    auto r = algorithms::pagerank(qc, out_g, pr_options());
+                    check_pagerank(r.rank, oracle.pr_rank, mismatch, label);
+                    return r.stats;
+                  };
+                }
                 break;
               default:
-                spec.run = [&, label](core::QueryContext& qc) {
-                  auto r = algorithms::kcore(qc, out_g, in_g);
-                  if (r.coreness != oracle.coreness) {
-                    mismatch.note(label + ": coreness diverged");
-                  }
-                  return r.stats;
-                };
+                if (async_round) {
+                  spec.run = [&, label](core::QueryContext& qc) {
+                    auto r = algorithms::wcc(qc, out_g, in_g);
+                    if (r.ids != oracle.wcc_ids) {
+                      mismatch.note(label + ": wcc labels diverged");
+                    }
+                    return r.stats;
+                  };
+                } else {
+                  spec.run = [&, label](core::QueryContext& qc) {
+                    auto r = algorithms::kcore(qc, out_g, in_g);
+                    if (r.coreness != oracle.coreness) {
+                      mismatch.note(label + ": coreness diverged");
+                    }
+                    return r.stats;
+                  };
+                }
             }
             try {
               auto t = engine.submit(std::move(spec));

@@ -314,6 +314,29 @@ TEST_F(ToolsTest, LiveReporterAndScrapeEndpointAnnounceOnStderr) {
       << err;
 }
 
+TEST_F(ToolsTest, ServingModeLiveReportShowsQueueGauges) {
+  // In serving mode the engine's sampler feeds the live reporter, so its
+  // lines carry the serve queue gauges; the final tick on shutdown
+  // guarantees at least one line.
+  const std::string err_path = "/tmp/blaze_tool_err.txt";
+  ASSERT_EQ(std::system((std::string(BLAZE_RUN_PATH) +
+                         " -query bfs --clients 2 --queries 2 --live "
+                         "--metricsSampleMs 5 " +
+                         prefix_ + ".gr.index " + prefix_ +
+                         ".gr.adj.0 > /dev/null 2> " + err_path)
+                            .c_str()),
+            0);
+  const std::string err = read_file(err_path);
+  std::remove(err_path.c_str());
+  bool queued_line = false;
+  for (std::size_t pos = err.find("[live] "); pos != std::string::npos;
+       pos = err.find("[live] ", pos + 1)) {
+    const std::string line = err.substr(pos, err.find('\n', pos) - pos);
+    queued_line = queued_line || line.find("| queued") != std::string::npos;
+  }
+  EXPECT_TRUE(queued_line) << err;
+}
+
 TEST_F(ToolsTest, UnknownModeRejected) {
   EXPECT_NE(run(std::string(BLAZE_RUN_PATH) + " -query pr --mode nope " +
                 prefix_ + ".gr.index " + prefix_ + ".gr.adj.0"),
