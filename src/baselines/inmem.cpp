@@ -5,7 +5,6 @@
 #include <limits>
 #include <queue>
 
-#include "algorithms/mis.h"
 #include "algorithms/spmv.h"
 #include "algorithms/sssp.h"
 #include "util/timer.h"
@@ -254,39 +253,6 @@ std::vector<std::uint32_t> coreness(const graph::Csr& g,
     ++k;
   }
   return core;
-}
-
-std::vector<std::uint32_t> radii_from_sources(
-    const graph::Csr& g, const std::vector<vertex_t>& sources) {
-  std::vector<std::uint32_t> radii(g.num_vertices(), ~0u);
-  for (vertex_t s : sources) {
-    auto dist = bfs_dist(g, s);
-    for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-      if (dist[v] == ~0u) continue;
-      if (radii[v] == ~0u || dist[v] > radii[v]) radii[v] = dist[v];
-    }
-  }
-  return radii;
-}
-
-std::vector<char> greedy_mis(const graph::Csr& g, const graph::Csr& gt) {
-  const vertex_t n = g.num_vertices();
-  std::vector<vertex_t> order(n);
-  for (vertex_t v = 0; v < n; ++v) order[v] = v;
-  std::sort(order.begin(), order.end(), [](vertex_t a, vertex_t b) {
-    return algorithms::mis_priority(a) > algorithms::mis_priority(b);
-  });
-  std::vector<char> in(n, 0), blocked(n, 0);
-  for (vertex_t v : order) {
-    if (blocked[v]) continue;
-    in[v] = 1;
-    auto knock = [&](vertex_t w) {
-      if (w != v) blocked[w] = 1;
-    };
-    for (vertex_t w : g.neighbors(v)) knock(w);
-    for (vertex_t w : gt.neighbors(v)) knock(w);
-  }
-  return in;
 }
 
 double bfs_edges_per_second(const graph::Csr& g, vertex_t source) {

@@ -54,17 +54,6 @@ std::vector<float> sssp_dist_weighted(const graph::WeightedCsr& g,
 std::vector<std::uint32_t> coreness(const graph::Csr& g,
                                     const graph::Csr& gt);
 
-/// Exact eccentricity lower bound from the same sample sources the
-/// out-of-core radii estimator uses: per-vertex max BFS distance over the
-/// samples that reach it (~0u when none does).
-std::vector<std::uint32_t> radii_from_sources(
-    const graph::Csr& g, const std::vector<vertex_t>& sources);
-
-/// Greedy MIS by descending priority (the fixed point of Luby's algorithm
-/// with unique priorities), ignoring self-loops. Returns an in-set flag
-/// per vertex; adjacency is the undirected closure of (g, gt).
-std::vector<char> greedy_mis(const graph::Csr& g, const graph::Csr& gt);
-
 /// Edges traversed per second by a sequential BFS sweep (Figure 4's
 /// "single-threaded graph computation speed"; multiply by 4 bytes/edge to
 /// compare with device bandwidth).

@@ -322,13 +322,7 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
   return edge_map(qc, {&g}, frontier, prog, opts);
 }
 
-/// Single-query conveniences: run on the Runtime's default context.
-template <typename Program>
-VertexSubset edge_map(Runtime& rt, GraphList graphs,
-                      const VertexSubset& frontier, Program& prog,
-                      const EdgeMapOptions& opts = {}) {
-  return edge_map(rt.default_context(), graphs, frontier, prog, opts);
-}
+/// Single-query convenience: runs on the Runtime's default context.
 template <typename Program>
 VertexSubset edge_map(Runtime& rt, const format::OnDiskGraph& g,
                       const VertexSubset& frontier, Program& prog,
@@ -341,14 +335,6 @@ template <typename Fn>
 VertexSubset vertex_map(QueryContext& qc, const VertexSubset& frontier,
                         Fn&& f, QueryStats* stats = nullptr) {
   return vertex_map(qc.pool(), frontier, std::forward<Fn>(f), stats);
-}
-
-/// Single-query convenience: runs on the Runtime's default context.
-template <typename Fn>
-VertexSubset vertex_map(Runtime& rt, const VertexSubset& frontier, Fn&& f,
-                        QueryStats* stats = nullptr) {
-  return vertex_map(rt.default_context(), frontier, std::forward<Fn>(f),
-                    stats);
 }
 
 }  // namespace blaze::core

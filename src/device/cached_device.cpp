@@ -46,14 +46,6 @@ CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
       stats_(0) {}
 
 CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
-                           PageCacheOptions opts)
-    : name_(inner->name() + "+cache"),
-      inner_(std::move(inner)),
-      pool_(std::make_shared<ShardedPageCache>(std::move(opts))),
-      ns_(pool_->register_device(inner_->name())),
-      stats_(0) {}
-
-CachedDevice::CachedDevice(std::shared_ptr<BlockDevice> inner,
                            std::shared_ptr<ShardedPageCache> pool)
     : name_(inner->name() + "+cache"),
       inner_(std::move(inner)),

@@ -36,9 +36,6 @@ class CachedDevice : public BlockDevice {
   CachedDevice(std::shared_ptr<BlockDevice> inner,
                std::size_t capacity_bytes, EvictionPolicy policy);
 
-  /// Private pool built from `opts` (capacity/policy/shards).
-  CachedDevice(std::shared_ptr<BlockDevice> inner, PageCacheOptions opts);
-
   /// Adapter over a shared pool: this device registers its key namespace
   /// with `pool` and competes for the pool's byte budget with every other
   /// device registered there.

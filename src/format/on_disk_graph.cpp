@@ -291,6 +291,32 @@ OnDiskGraph load_graph_files(const std::string& index_path,
     }
     std::vector<PageCarry> carries;
     read_array(carries, num_carries);
+    // A page's decode resumes from its carry: the shift counts whole 7-bit
+    // groups of a varint of at most 5 bytes, the partial value fits in
+    // that shift, and a list that crosses into the page still has
+    // neighbors left there.
+    for (const PageCarry& c : carries) {
+      if (c.partial_shift % 7 != 0 || c.partial_shift > 28) {
+        throw std::runtime_error("index carry shift not 0-28 in 7s: " +
+                                 index_path);
+      }
+      if ((c.partial_acc >> c.partial_shift) != 0) {
+        throw std::runtime_error("index carry wider than its shift: " +
+                                 index_path);
+      }
+    }
+    std::uint64_t start = 0;
+    for (vertex_t u = 0; u < v; ++u) {
+      const std::uint64_t end = start + enc_lengths[u];
+      for (std::uint64_t p = start / kPageSize + 1; p * kPageSize < end;
+           ++p) {
+        if (carries[p].edges_done >= degrees[u]) {
+          throw std::runtime_error(
+              "index carry past the end of its list: " + index_path);
+        }
+      }
+      start = end;
+    }
     GraphIndex index(degrees, std::move(enc_lengths), std::move(carries));
     if (index.num_edges() != e) {
       throw std::runtime_error("index degree sum mismatch: " + index_path);

@@ -21,7 +21,7 @@
 // their BSP loops in async mode; async forms of both read more bytes and
 // took longer than BSP.
 //
-// The runner owns round pacing, trace spans (kSchedRound / kSchedResidual)
+// The runner owns round pacing, trace spans (kSchedRound / kSchedQueue)
 // and the sched metrics series; the algorithm supplies the round body and
 // the priority function. Priorities only fall within a round (distances
 // and labels only fall), so the one priority filed after the round is the
@@ -163,7 +163,7 @@ class AsyncRunner {
       if (queue_.entries() > 2 * queue_.size()) queue_.compact();
 
       ++rs.rounds;
-      trace::instant(trace::Name::kSchedResidual, queue_.size());
+      trace::instant(trace::Name::kSchedQueue, queue_.size());
       if (sm) {
         sm->rounds->inc();
         sm->popped->add(bucket_pops);

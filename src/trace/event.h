@@ -54,7 +54,7 @@ enum class Name : std::uint8_t {
   kFusedRound,      ///< one fused lockstep iteration; arg = union pages
   // sched::AsyncRunner
   kSchedRound,      ///< one async priority round; arg = round index
-  kSchedResidual,   ///< instant after a round; arg = queue occupancy
+  kSchedQueue,      ///< instant after a round; arg = queue occupancy
   kNumNames
 };
 
@@ -82,7 +82,7 @@ constexpr const char* to_string(Name n) {
     case Name::kCatalogRebalance: return "catalog_rebalance";
     case Name::kFusedRound: return "fused_round";
     case Name::kSchedRound: return "sched_round";
-    case Name::kSchedResidual: return "sched_residual";
+    case Name::kSchedQueue: return "sched_queue";
     case Name::kNumNames: break;
   }
   return "unknown";
@@ -111,7 +111,7 @@ constexpr const char* category_of(Name n) {
     case Name::kCatalogRebalance:
     case Name::kFusedRound: return "serve";
     case Name::kSchedRound:
-    case Name::kSchedResidual: return "sched";
+    case Name::kSchedQueue: return "sched";
     case Name::kNumNames: break;
   }
   return "other";

@@ -29,6 +29,18 @@ struct Workload {
   graph::Csr g;
 };
 
+/// Inputs that stress the two-graph EdgeMap (graph + transpose in one
+/// pass): an all-vertex frontier over a graph with no edges, and
+/// self-loops next to ordinary edges. Both queries must terminate.
+std::vector<Workload> two_graph_edge_cases() {
+  std::vector<Workload> w;
+  w.push_back({"edgeless", graph::build_csr(50, {})});
+  std::vector<std::pair<vertex_t, vertex_t>> loops = {
+      {0, 0}, {0, 1}, {1, 2}, {2, 2}};
+  w.push_back({"self-loops", graph::build_csr(3, loops)});
+  return w;
+}
+
 class AlgoTest : public ::testing::TestWithParam<bool /*sync_mode*/> {
  protected:
   core::Runtime make_runtime() {
@@ -81,14 +93,16 @@ TEST_P(AlgoTest, PageRankCorrelatesWithPowerIteration) {
 }
 
 TEST_P(AlgoTest, WccMatchesUnionFind) {
-  graph::Csr g = graph::generate_uniform(3000, 9000, 602);  // fragmented
-  graph::Csr gt = graph::transpose(g);
-  auto out_g = format::make_mem_graph(g);
-  auto in_g = format::make_mem_graph(gt);
-  auto rt = make_runtime();
-  auto result = wcc(rt, out_g, in_g);
-  auto want = baseline::inmem::wcc(g);
-  EXPECT_EQ(result.ids, want);
+  std::vector<Workload> inputs = two_graph_edge_cases();
+  inputs.push_back({"fragmented", graph::generate_uniform(3000, 9000, 602)});
+  for (const auto& [name, g] : inputs) {
+    graph::Csr gt = graph::transpose(g);
+    auto out_g = format::make_mem_graph(g);
+    auto in_g = format::make_mem_graph(gt);
+    auto rt = make_runtime();
+    auto result = wcc(rt, out_g, in_g);
+    EXPECT_EQ(result.ids, baseline::inmem::wcc(g)) << name;
+  }
 }
 
 TEST_P(AlgoTest, WccSingleComponentOnConnectedGraph) {
@@ -146,14 +160,16 @@ TEST_P(AlgoTest, SsspMatchesDijkstra) {
 }
 
 TEST_P(AlgoTest, KcoreMatchesPeeling) {
-  graph::Csr g = graph::generate_rmat(9, 6, 607);
-  graph::Csr gt = graph::transpose(g);
-  auto out_g = format::make_mem_graph(g);
-  auto in_g = format::make_mem_graph(gt);
-  auto rt = make_runtime();
-  auto result = kcore(rt, out_g, in_g);
-  auto want = baseline::inmem::coreness(g, gt);
-  EXPECT_EQ(result.coreness, want);
+  std::vector<Workload> inputs = two_graph_edge_cases();
+  inputs.push_back({"rmat", graph::generate_rmat(9, 6, 607)});
+  for (const auto& [name, g] : inputs) {
+    graph::Csr gt = graph::transpose(g);
+    auto out_g = format::make_mem_graph(g);
+    auto in_g = format::make_mem_graph(gt);
+    auto rt = make_runtime();
+    auto result = kcore(rt, out_g, in_g);
+    EXPECT_EQ(result.coreness, baseline::inmem::coreness(g, gt)) << name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, AlgoTest, ::testing::Values(false, true),

@@ -410,7 +410,8 @@ TEST(VertexMap, FiltersMembers) {
   VertexSubset in = VertexSubset::all(100);
   QueryStats stats;
   VertexSubset out = vertex_map(
-      rt, in, [](vertex_t v) { return v % 3 == 0; }, &stats);
+      rt.default_context(), in, [](vertex_t v) { return v % 3 == 0; },
+      &stats);
   EXPECT_EQ(out.count(), 34u);  // 0,3,...,99
   EXPECT_TRUE(out.contains(99));
   EXPECT_FALSE(out.contains(1));

@@ -233,7 +233,7 @@ PassResult run_passes(Runtime& rt,
   opts.stats = &stats;
   SourceSumProgram prog{r.acc};
   for (GraphList graphs : passes) {
-    edge_map(rt, graphs, frontier, prog, opts)
+    edge_map(rt.default_context(), graphs, frontier, prog, opts)
         .for_each([&](vertex_t v) { activated.add(v); });
   }
   activated.for_each([&](vertex_t v) { r.activated.push_back(v); });
@@ -311,7 +311,7 @@ TEST(EdgeMapExtra, TwoGraphPassOverlapsDevices) {
   CountProgram prog{acc};
   auto wall_s = [&](GraphList graphs) {
     const auto t0 = std::chrono::steady_clock::now();
-    edge_map(rt, graphs, all, prog, {});
+    edge_map(rt.default_context(), graphs, all, prog, {});
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          t0)
         .count();

@@ -347,7 +347,8 @@ TEST(FaultTolerance, TransposeFaultInTwoGraphPassKeepsRuntimeReusable) {
   std::vector<std::uint32_t> acc(n, 0);
   CountProgram prog{acc};
   EXPECT_THROW(
-      core::edge_map(rt, {&out_g, &bad_t}, VertexSubset::all(n), prog, {}),
+      core::edge_map(rt.default_context(), {&out_g, &bad_t},
+                     VertexSubset::all(n), prog, {}),
       io::IoError);
   EXPECT_GE(faulty->injected_failures(), 1u);
   rt.io_pipeline().quiesce();
@@ -562,7 +563,11 @@ TEST(FaultTolerance, CorruptPageRaisesCorruptionOnEveryPath) {
         what + ", pull");
     // One pass over a clean graph and a corrupt transpose.
     expect_corruption_then_clean_bfs(
-        rt, g, [&] { core::edge_map(rt, {&clean, &bad_t}, all, prog, {}); },
+        rt, g,
+        [&] {
+          core::edge_map(rt.default_context(), {&clean, &bad_t}, all, prog,
+                         {});
+        },
         what + ", two-graph push");
     // PageRank streams every page each round; BFS rides along.
     std::vector<serve::FusedQuerySpec> specs(2);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -220,6 +221,88 @@ TEST(OnDiskGraph, LoadRejectsShortDvarintCarryTable) {
   EXPECT_THROW(load_graph_files(index, adj), std::runtime_error);
   std::remove(index.c_str());
   std::remove(adj.c_str());
+}
+
+/// A delta+varint graph written to disk, for tampering its carry table:
+/// the table follows the header (24 B), the degrees and encoded lengths
+/// (4 B per vertex each) and the carry count (8 B), 16 B per carry.
+struct DvarintFiles {
+  graph::Csr g = graph::generate_rmat(9, 8, 109);
+  std::string index, adj;
+  std::vector<char> good;
+
+  explicit DvarintFiles(const std::string& prefix)
+      : index(prefix + ".gr.index"), adj(prefix + ".gr.adj.0") {
+    write_graph_files(g, prefix, AdjacencyEncoding::kDeltaVarint);
+    good = read_all(index);
+  }
+  ~DvarintFiles() {
+    std::remove(index.c_str());
+    std::remove(adj.c_str());
+  }
+
+  /// Loads the index as written.
+  OnDiskGraph load() const {
+    write_all(index, good);
+    return load_graph_files(index, adj);
+  }
+
+  /// Loads the index with the 4-byte carry field at `field` (an offset
+  /// into PageCarry) of page `page` set to `value`.
+  OnDiskGraph load_with(std::uint64_t page, std::size_t field,
+                        std::uint32_t value) const {
+    std::vector<char> bad = good;
+    const std::size_t at =
+        24 + 8 * std::size_t{g.num_vertices()} + 8 + 16 * page + field;
+    std::memcpy(bad.data() + at, &value, sizeof(value));
+    write_all(index, bad);
+    return load_graph_files(index, adj);
+  }
+};
+
+TEST(OnDiskGraph, LoadRejectsCarryShiftOutsideVarintGroups) {
+  DvarintFiles f("/tmp/blaze_test_carry_shift");
+  const std::size_t field = offsetof(PageCarry, partial_shift);
+  for (std::uint32_t shift : {3u, 35u}) {
+    EXPECT_THROW(f.load_with(1, field, shift), std::runtime_error) << shift;
+  }
+  // Every whole 7-bit group that page 1's partial value fits in loads.
+  const std::uint32_t acc = f.load().index().page_carry(1).partial_acc;
+  for (std::uint32_t shift = 0; shift <= 28; shift += 7) {
+    if ((acc >> shift) != 0) continue;
+    EXPECT_NO_THROW(f.load_with(1, field, shift)) << shift;
+  }
+}
+
+TEST(OnDiskGraph, LoadRejectsCarryWiderThanItsShift) {
+  DvarintFiles f("/tmp/blaze_test_carry_acc");
+  const std::size_t field = offsetof(PageCarry, partial_acc);
+  const std::uint32_t shift = f.load().index().page_carry(1).partial_shift;
+  EXPECT_THROW(f.load_with(1, field, 1u << shift), std::runtime_error);
+  EXPECT_NO_THROW(f.load_with(1, field, (1u << shift) - 1));
+}
+
+TEST(OnDiskGraph, LoadRejectsCarryPastTheEndOfItsList) {
+  // Find a list that crosses into a page; its carry there must leave
+  // neighbors to decode.
+  DvarintFiles f("/tmp/blaze_test_carry_done");
+  const OnDiskGraph odg = f.load();
+  const GraphIndex& idx = odg.index();
+  vertex_t crossing = 0;
+  std::uint64_t page = 0;
+  for (vertex_t u = 0; u < idx.num_vertices() && page == 0; ++u) {
+    const std::uint64_t next =
+        (idx.byte_offset(u) / kPageSize + 1) * kPageSize;
+    if (idx.byte_offset(u) + idx.encoded_length(u) > next) {
+      crossing = u;
+      page = next / kPageSize;
+    }
+  }
+  ASSERT_NE(page, 0u);
+  const std::uint32_t deg = idx.degree(crossing);
+  const std::size_t field = offsetof(PageCarry, edges_done);
+  EXPECT_THROW(f.load_with(page, field, deg), std::runtime_error);
+  EXPECT_NO_THROW(f.load_with(page, field, deg - 1));
 }
 
 TEST(OnDiskGraph, RaidStripingPreservesData) {

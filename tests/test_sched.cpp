@@ -3,7 +3,8 @@
 // bucket's sliding-window redistribution, claim/compact accounting, a
 // seeded random-operation run against a reference model, plus the
 // runner's round shape (page coalescing), filing each updated vertex
-// once per round, bytes against BSP, and fault handling —
+// once per round, bytes against BSP, the queue occupancy each round
+// traces, and fault handling —
 // transient faults are absorbed with identical results, propagated faults
 // leave the IO buffer pool whole and the Runtime reusable.
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "sched/async_runner.h"
 #include "sched/bucket_queue.h"
 #include "test_helpers.h"
+#include "trace/tracer.h"
 #include "util/rng.h"
 
 namespace blaze {
@@ -451,6 +453,60 @@ TEST(AsyncRunner, RoundFilesEachUpdatedVertexOnce) {
     EXPECT_TRUE(runner.queue().empty());
     EXPECT_EQ(runner.updated().count(), 0u);  // cleared after each round
   }
+}
+
+TEST(AsyncRunner, EachRoundTracesTheQueueItLeaves) {
+  // One async SSSP run: every sched_round span is followed by one
+  // sched_queue instant carrying the queue's occupancy. A round's
+  // frontier is exactly what it took off the queue, so the occupancy
+  // round r left is the queue's size in round r + 1's body plus that
+  // frontier; the last round leaves an empty queue.
+  graph::Csr g = graph::generate_rmat(10, 8, 817);
+  auto odg = format::make_mem_graph(g);
+  core::Runtime rt(testutil::test_config());
+  sched::AsyncRunner runner(rt.default_context(), odg);
+  std::vector<std::uint32_t> dist(g.num_vertices(), algorithms::kInfDist);
+  dist[0] = 0;
+  runner.queue().push(0, 0);
+  sched::Enqueue<algorithms::SsspProgram> prog{{dist}, runner.updated()};
+
+  std::vector<std::uint64_t> round_start_size;
+  trace::reset();
+  trace::set_enabled(true);
+  auto rs = runner.run(
+      [&](const core::VertexSubset& frontier) {
+        round_start_size.push_back(runner.queue().size() + frontier.count());
+        core::edge_map(rt, odg, frontier, prog, {.output = false});
+      },
+      [&](vertex_t d) { return dist[d] >> 2; });
+  trace::set_enabled(false);
+  ASSERT_EQ(trace::dropped_events(), 0u);
+  const auto events = trace::collect();
+  trace::reset();
+
+  // The runner emits on this thread, so the collected order is its order.
+  std::vector<trace::Phase> phases;
+  std::vector<std::uint64_t> occupancy;
+  for (const auto& e : events) {
+    if (e.name == trace::Name::kSchedRound) phases.push_back(e.phase);
+    if (e.name != trace::Name::kSchedQueue) continue;
+    phases.push_back(e.phase);
+    occupancy.push_back(e.arg);
+  }
+  ASSERT_GT(rs.rounds, 1u);
+  std::vector<trace::Phase> want;
+  for (std::uint64_t r = 0; r < rs.rounds; ++r) {
+    want.insert(want.end(), {trace::Phase::kBegin, trace::Phase::kEnd,
+                             trace::Phase::kInstant});
+  }
+  EXPECT_EQ(phases, want);
+  ASSERT_EQ(occupancy.size(), rs.rounds);
+  for (std::uint64_t r = 0; r + 1 < rs.rounds; ++r) {
+    EXPECT_EQ(occupancy[r], round_start_size[r + 1]) << "round " << r;
+  }
+  EXPECT_EQ(occupancy.back(), 0u);
+  EXPECT_TRUE(runner.queue().empty());
+  EXPECT_STREQ(trace::to_string(trace::Name::kSchedQueue), "sched_queue");
 }
 
 // ------------------------------------------------- faults & buffer safety
