@@ -39,10 +39,8 @@
 // one GraphCatalog, three weighted tenants (one quota-capped), and a
 // seeded Poisson arrival process that submits WITHOUT waiting — arrivals
 // the engine cannot admit are dropped and counted, exactly like a real
-// front door. The row reports achieved throughput, p50/p95 against an SLO,
-// and the cross-query fusion ratio (K=8 same-source BFS fused into one
-// batch vs one BFS, demand bytes) for the check_bench_baseline.py
-// --openloop gate. Extra knobs:
+// front door. The row reports achieved throughput and p50/p95 against an
+// SLO for the check_bench_baseline.py --openloop gate. Extra knobs:
 //   BLAZE_BENCH_OPENLOOP          1 = run the open-loop pass instead
 //   BLAZE_BENCH_ARRIVALS          total arrivals (default 96)
 //   BLAZE_BENCH_RATE_QPS          Poisson arrival rate (default 150)
@@ -77,7 +75,6 @@
 #include "metrics/metrics.h"
 #include "serve/graph_catalog.h"
 #include "serve/query_engine.h"
-#include "serve/query_fusion.h"
 #include "trace/chrome_export.h"
 #include "trace/tracer.h"
 
@@ -272,8 +269,8 @@ int run_apportion_ab() {
 }
 
 /// Open-loop catalog serving: seeded Poisson arrivals over two resident
-/// graphs and three weighted tenants, plus the fused-BFS IO ratio. One
-/// "serving_openloop" JSON row; returns the process exit code.
+/// graphs and three weighted tenants. One "serving_openloop" JSON row;
+/// returns the process exit code.
 int run_openloop() {
   const auto arrivals =
       static_cast<std::size_t>(env_long("BLAZE_BENCH_ARRIVALS", 96));
@@ -378,53 +375,26 @@ int run_openloop() {
   const bool budget_sum_ok = budget_sum == cache_bytes;
   engine.drain();
 
-  // Fusion ratio on a raw (uncached) graph so bytes_read is pure demand
-  // IO: K=8 same-source BFS fused into one batch vs a single BFS.
-  auto fused_g = format::make_simulated_graph(main_ds.csr, profile);
-  core::Runtime fused_rt(bench_config(fused_g));
-  serve::FusedQuerySpec fspec;
-  fspec.kind = serve::FusedQuerySpec::Kind::kBfs;
-  fspec.source = 0;
-  core::QueryStats one_stats, batch_stats;
-  const auto solo = serve::run_fused(fused_rt.default_context(), fused_g,
-                                     {fspec}, &one_stats);
-  const auto fused = serve::run_fused(
-      fused_rt.default_context(), fused_g,
-      std::vector<serve::FusedQuerySpec>(8, fspec), &batch_stats);
-  for (const auto& r : fused) {
-    if (r.bfs_dist != solo[0].bfs_dist) mismatch = true;
-  }
-  const double fused_ratio =
-      one_stats.bytes_read > 0
-          ? static_cast<double>(batch_stats.bytes_read) /
-                static_cast<double>(one_stats.bytes_read)
-          : 0.0;
-
   const double p95 = stats.p95_ms();
   std::printf(
       "{\"bench\":\"serving_openloop\",\"graphs\":2,\"tenants\":3,"
       "\"arrivals\":%zu,\"rate_qps\":%.1f,\"seed\":%llu,\"sessions\":%zu,"
       "\"cache_mib\":%.1f,\"admitted\":%llu,\"completed\":%llu,"
-      "\"failed\":%llu,\"expired\":%llu,\"quota_dropped\":%llu,"
+      "\"failed\":%llu,\"quota_dropped\":%llu,"
       "\"overload_dropped\":%llu,\"quota_rejected\":%llu,"
       "\"wall_s\":%.3f,\"achieved_qps\":%.2f,\"p50_ms\":%.2f,"
       "\"p95_ms\":%.2f,\"slo_ms\":%.1f,\"p95_within_slo\":%s,"
-      "\"fused_k\":8,\"fused_single_bytes\":%llu,"
-      "\"fused_batch_bytes\":%llu,\"fused_bytes_ratio\":%.4f,"
       "\"budget_sum_ok\":%s,\"results_match\":%s}\n",
       arrivals, rate_qps, static_cast<unsigned long long>(seed), inflight,
       static_cast<double>(cache_bytes) / (1 << 20),
       static_cast<unsigned long long>(stats.admitted),
       static_cast<unsigned long long>(stats.completed),
       static_cast<unsigned long long>(stats.failed),
-      static_cast<unsigned long long>(stats.expired),
       static_cast<unsigned long long>(quota_dropped),
       static_cast<unsigned long long>(overload_dropped),
       static_cast<unsigned long long>(stats.quota_rejected), wall_s,
       wall_s > 0 ? static_cast<double>(stats.completed) / wall_s : 0.0,
       stats.p50_ms(), p95, slo_ms, p95 <= slo_ms ? "true" : "false",
-      static_cast<unsigned long long>(one_stats.bytes_read),
-      static_cast<unsigned long long>(batch_stats.bytes_read), fused_ratio,
       budget_sum_ok ? "true" : "false",
       !mismatch.load() ? "true" : "false");
   std::fflush(stdout);
@@ -646,7 +616,7 @@ int main() {
           "{\"bench\":\"serving\",\"graph\":\"%s\",\"clients\":%zu,"
           "\"policy\":\"%s\",\"shards\":%zu,\"cache_mib\":%.1f,"
           "\"sessions\":%zu,\"queries_per_client\":%zu,\"admitted\":%llu,"
-          "\"completed\":%llu,\"failed\":%llu,\"expired\":%llu,"
+          "\"completed\":%llu,\"failed\":%llu,"
           "\"overload_retries\":%llu,\"wall_s\":%.3f,\"qps\":%.2f,"
           "\"p50_ms\":%.2f,\"p95_ms\":%.2f,\"cache_hit_rate\":%.4f,"
           "\"cache_dedup_hits\":%llu,\"cache_ghost_hits\":%llu,"
@@ -663,7 +633,6 @@ int main() {
           static_cast<unsigned long long>(stats.admitted),
           static_cast<unsigned long long>(stats.completed),
           static_cast<unsigned long long>(stats.failed),
-          static_cast<unsigned long long>(stats.expired),
           static_cast<unsigned long long>(overload_retries.load()), wall_s,
           wall_s > 0 ? static_cast<double>(stats.completed) / wall_s : 0.0,
           stats.p50_ms(), stats.p95_ms(), stats.cache.hit_rate(),

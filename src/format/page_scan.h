@@ -1,6 +1,6 @@
 // The page-scan kernel (paper Sections IV-B and IV-C).
 //
-// Every EdgeMap path (push, pull, fused serving, the FlashGraph baseline)
+// Every EdgeMap path (push, pull, the FlashGraph baseline)
 // does one job on a fetched 4 kB adjacency page: find the page's active
 // sources through the page-to-vertex map, then visit their edges. That job
 // is for_each_edge(), for every on-disk encoding. The vertex-range walk and

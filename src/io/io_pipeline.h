@@ -14,8 +14,8 @@
 //     graphs read in one pass (an out-graph and its transpose) — and
 //     returns a ReadHandle: a filled-buffer queue plus completion/error
 //     state and the batches' unified PipelineStats. Consumers drain it with
-//     ReadHandle::consume(), the one page-consumer loop (push, pull and
-//     fused EdgeMap all use it), which maps every page back to its graph
+//     ReadHandle::consume(), the one page-consumer loop (push and pull
+//     EdgeMap both use it), which maps every page back to its graph
 //     and logical page from the PageOrigin each batch stamps on its buffers.
 //
 // Backpressure is explicit and observable: the buffer pool bounds memory,

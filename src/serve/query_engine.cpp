@@ -1,6 +1,6 @@
 #include "serve/query_engine.h"
 
-#include <algorithm>
+#include <stdexcept>
 
 #include "serve/graph_catalog.h"
 #include "util/timer.h"
@@ -11,6 +11,10 @@ namespace {
 
 core::Config session_config(const core::Config& base,
                             const EngineOptions& opts) {
+  if (opts.max_inflight_queries == 0) {
+    throw std::invalid_argument(
+        "QueryEngine needs max_inflight_queries >= 1");
+  }
   core::Config cfg = base;
   if (opts.workers_per_query != 0) {
     cfg.compute_workers = opts.workers_per_query;
@@ -18,12 +22,7 @@ core::Config session_config(const core::Config& base,
   // Partition the paper's static IO buffer budget across the admission
   // slots: each session's backpressure is then private to it, so one
   // pool-starved query can never stall another query's reads.
-  if (opts.io_buffer_bytes_per_query != 0) {
-    cfg.io_buffer_bytes = opts.io_buffer_bytes_per_query;
-  } else {
-    cfg.io_buffer_bytes =
-        base.io_buffer_bytes / std::max<std::size_t>(1, opts.max_inflight_queries);
-  }
+  cfg.io_buffer_bytes = base.io_buffer_bytes / opts.max_inflight_queries;
   return cfg;
 }
 
@@ -54,7 +53,6 @@ QueryEngine::QueryEngine(core::Config config, EngineOptions opts)
   metrics_.quota_rejected = reg.counter("blaze_serve_quota_rejected_total");
   metrics_.completed = reg.counter("blaze_serve_completed_total");
   metrics_.failed = reg.counter("blaze_serve_failed_total");
-  metrics_.expired = reg.counter("blaze_serve_expired_total");
   metrics_.latency_us = reg.histogram("blaze_serve_latency_us");
   metrics_.io_stall_ns = reg.counter("blaze_serve_io_stall_ns_total");
   metrics_.compute_ns = reg.counter("blaze_serve_compute_ns_total");
@@ -130,13 +128,13 @@ void QueryEngine::attach_catalog(GraphCatalog* catalog) {
 
 std::shared_ptr<QueryTicket> QueryEngine::submit(QuerySpec spec) {
   auto ticket = std::shared_ptr<QueryTicket>(new QueryTicket(spec.label));
-  // Registry + catalog work happens before the queue lock: the catalog
+  // Registry + catalog work happens outside the queue lock: the catalog
   // resolution pins the graph, so a close() racing this submit either
   // sees the query not yet admitted or finds the handle already taken.
   TenantMetrics& tm = tenant_metrics(spec.tenant);
   std::shared_ptr<const format::OnDiskGraph> graph;
+  GraphCatalog* cat = nullptr;
   if (!spec.graph.empty()) {
-    GraphCatalog* cat;
     {
       std::lock_guard lock(mu_);
       cat = catalog_;
@@ -147,8 +145,8 @@ std::shared_ptr<QueryTicket> QueryEngine::submit(QuerySpec spec) {
           "' but no catalog is attached");
     }
     graph = cat->lookup(spec.graph);  // throws for unknown graphs
-    cat->note_query(spec.graph);
   }
+  const std::string graph_name = spec.graph;
   {
     std::lock_guard lock(mu_);
     if (draining_) {
@@ -170,8 +168,7 @@ std::shared_ptr<QueryTicket> QueryEngine::submit(QuerySpec spec) {
                            "' not admitted");
     }
     const std::uint64_t id = next_entry_id_++;
-    if (sched_.push(spec.tenant, id, spec.priority) ==
-        TenantScheduler::Push::kQuota) {
+    if (sched_.push(spec.tenant, id) == TenantScheduler::Push::kQuota) {
       trace::instant(trace::Name::kQuotaReject, 0);
       tm.quota_rejected->inc();
       std::lock_guard slock(stats_mu_);
@@ -188,11 +185,6 @@ std::shared_ptr<QueryTicket> QueryEngine::submit(QuerySpec spec) {
     Entry entry;
     entry.submit_ns = Timer::now_ns();
     entry.query_id = trace::next_query_id();
-    entry.deadline_ns =
-        spec.deadline_s > 0
-            ? entry.submit_ns +
-                  static_cast<std::uint64_t>(spec.deadline_s * 1e9)
-            : 0;
     entry.spec = std::move(spec);
     entry.ticket = ticket;
     entry.graph = std::move(graph);
@@ -205,22 +197,9 @@ std::shared_ptr<QueryTicket> QueryEngine::submit(QuerySpec spec) {
     tm.admitted->inc();
   }
   work_cv_.notify_one();
+  // Only admitted queries weigh in the catalog's cache split.
+  if (cat != nullptr) cat->note_query(graph_name);
   return ticket;
-}
-
-std::shared_ptr<QueryTicket> QueryEngine::submit_fused(
-    QuerySpec base, std::vector<FusedQuerySpec> specs,
-    std::shared_ptr<std::vector<FusedResult>> results) {
-  BLAZE_CHECK(!base.graph.empty(),
-              "submit_fused needs a catalog graph to fuse against");
-  BLAZE_CHECK(results != nullptr, "submit_fused needs a results sink");
-  base.run = [specs = std::move(specs),
-              results = std::move(results)](core::QueryContext& ctx) {
-    core::QueryStats batch;
-    *results = run_fused(ctx, *ctx.graph(), specs, &batch);
-    return batch;
-  };
-  return submit(std::move(base));
 }
 
 void QueryEngine::session_main(std::size_t slot) {
@@ -234,8 +213,7 @@ void QueryEngine::session_main(std::size_t slot) {
       std::unique_lock lock(mu_);
       work_cv_.wait(lock, [&] { return stop_ || !sched_.empty(); });
       if (sched_.empty()) return;  // stop_ set and nothing left to run
-      // Cross-tenant DRR picks the tenant; priority (FIFO within a
-      // level) picks the query inside it.
+      // Cross-tenant DRR picks the tenant; its oldest query runs.
       const auto id = sched_.pop();
       auto it = pending_.find(*id);
       entry = std::move(it->second);
@@ -265,32 +243,6 @@ void QueryEngine::execute(Entry& entry, core::QueryContext& ctx) {
   // In every path below the engine counters are updated BEFORE the ticket
   // turns terminal, so a client that returns from ticket->wait() and reads
   // stats() is guaranteed to see its own query counted.
-  if (entry.deadline_ns != 0 && start_ns > entry.deadline_ns) {
-    // Expired while queued: never run it — the client's budget is gone and
-    // the cycles belong to queries that can still meet theirs.
-    const double lat = elapsed_s();
-    // An expired query never executed: its whole life was admission wait.
-    prof::StallBreakdown stall;
-    stall.admission_wait_ns = start_ns - entry.submit_ns;
-    {
-      std::lock_guard slock(stats_mu_);
-      ++stats_.expired;
-      metrics_.expired->inc();
-      record_latency(lat);
-      stats_.stalls.merge(stall);
-      record_slow_locked(entry, lat, QueryState::kExpired, stall);
-    }
-    metrics_.admission_wait_ns->add(stall.admission_wait_ns);
-    entry.graph.reset();
-    entry.ticket->finish(
-        QueryState::kExpired, {},
-        std::make_exception_ptr(ServeError(
-            RejectKind::kDeadlineExpired,
-            "query '" + entry.spec.label + "' spent " +
-                std::to_string(lat) + "s queued, past its deadline")),
-        lat, stall);
-    return;
-  }
   entry.ticket->set_running();
   // This query's trace identity: the session thread adopts it, the
   // context re-stamps so EdgeMap (and the IO jobs it posts) inherit it,

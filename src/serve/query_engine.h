@@ -16,17 +16,14 @@
 //
 // Admission is explicit and typed, in the style of the io::IoError
 // taxonomy: a full queue raises ServeError{kOverloaded} (back off and
-// resubmit), a draining engine raises kShuttingDown, a tenant over its
-// admission quota raises kQuotaExceeded, and a query whose deadline
-// lapses while queued completes as kExpired with
-// ServeError{kDeadlineExpired} recorded on its ticket.
+// resubmit), a draining engine raises kShuttingDown, and a tenant over
+// its admission quota raises kQuotaExceeded.
 //
 // Multi-tenant scheduling: every query belongs to a tenant (the empty
 // name is the default tenant, so single-principal callers see the
 // original behaviour unchanged). Cross-tenant dispatch order is deficit
-// round-robin over registered weights (serve::TenantScheduler); priority
-// keeps its meaning *within* a tenant (higher first, FIFO within a
-// level) — a tenant cannot starve the ring by inflating its priorities.
+// round-robin over registered weights (serve::TenantScheduler); within a
+// tenant, queries run in submission order.
 //
 // Multi-graph serving: attach_catalog() points the engine at a
 // serve::GraphCatalog; a QuerySpec naming a catalog graph is resolved at
@@ -59,7 +56,6 @@
 #include "metrics/metrics.h"
 #include "metrics/sampler.h"
 #include "prof/stall.h"
-#include "serve/query_fusion.h"
 #include "serve/serve_error.h"
 #include "serve/tenant_sched.h"
 #include "trace/tracer.h"
@@ -74,8 +70,9 @@ namespace blaze::serve {
 /// Engine sizing knobs.
 struct EngineOptions {
   /// Concurrent query sessions (executor threads, each with its own
-  /// QueryContext). The paper's static IO buffer budget is divided across
-  /// them so one stalled query can never starve another's reads.
+  /// QueryContext); must be at least 1. The paper's static IO buffer
+  /// budget is divided evenly across them so one stalled query can never
+  /// starve another's reads.
   std::size_t max_inflight_queries = 4;
 
   /// Bounded submission queue depth; a submit beyond it is rejected with
@@ -85,10 +82,6 @@ struct EngineOptions {
   /// Compute workers per session's QueryContext; 0 = the Runtime config's
   /// compute_workers.
   std::size_t workers_per_query = 0;
-
-  /// Per-session IO buffer slice; 0 = Config::io_buffer_bytes divided
-  /// evenly across max_inflight_queries.
-  std::size_t io_buffer_bytes_per_query = 0;
 
   /// Queries whose submit-to-terminal latency reaches this many seconds
   /// are recorded in EngineStats::slow_queries (most recent
@@ -111,22 +104,17 @@ using QueryFn = std::function<core::QueryStats(core::QueryContext&)>;
 /// One query submission.
 struct QuerySpec {
   QueryFn run;
-  std::string label;      ///< for logs and per-query reporting
-  int priority = 0;       ///< higher runs earlier within the tenant;
-                          ///< FIFO within a level
-  double deadline_s = 0;  ///< from submission; 0 = none. A query still
-                          ///< queued past its deadline never runs.
-  std::string tenant;     ///< fair-queueing principal; "" = default tenant
-  std::string graph;      ///< catalog graph to resolve and pin; "" = none
-                          ///< (requires attach_catalog when set)
+  std::string label;   ///< for logs and per-query reporting
+  std::string tenant;  ///< fair-queueing principal; "" = default tenant
+  std::string graph;   ///< catalog graph to resolve and pin; "" = none
+                       ///< (requires attach_catalog when set)
 };
 
 enum class QueryState : std::uint8_t {
   kQueued,
   kRunning,
   kDone,
-  kFailed,   ///< run() threw; see error()
-  kExpired,  ///< deadline lapsed in the queue; error() holds the ServeError
+  kFailed,  ///< run() threw; see error()
 };
 
 inline const char* to_string(QueryState s) {
@@ -135,7 +123,6 @@ inline const char* to_string(QueryState s) {
     case QueryState::kRunning: return "running";
     case QueryState::kDone: return "done";
     case QueryState::kFailed: return "failed";
-    case QueryState::kExpired: return "expired";
   }
   return "unknown";
 }
@@ -160,7 +147,7 @@ class QueryTicket {
     return stats_;
   }
 
-  /// The failure, when state() is kFailed or kExpired.
+  /// The failure, when state() is kFailed.
   std::exception_ptr error() const {
     std::lock_guard lock(mu_);
     return error_;
@@ -175,7 +162,7 @@ class QueryTicket {
 
   /// Where this query's time went (prof::StallBreakdown: admission wait,
   /// IO starvation vs compute, buffer backpressure); meaningful once
-  /// terminal. Zeroes for expired queries (they never executed).
+  /// terminal.
   prof::StallBreakdown stall() const {
     std::lock_guard lock(mu_);
     return stall_;
@@ -188,8 +175,7 @@ class QueryTicket {
   explicit QueryTicket(std::string label) : label_(std::move(label)) {}
 
   bool terminal_locked() const {
-    return state_ == QueryState::kDone || state_ == QueryState::kFailed ||
-           state_ == QueryState::kExpired;
+    return state_ == QueryState::kDone || state_ == QueryState::kFailed;
   }
 
   void finish(QueryState s, core::QueryStats stats, std::exception_ptr err,
@@ -239,16 +225,14 @@ struct EngineStats {
   std::uint64_t quota_rejected = 0;  ///< the kQuotaExceeded subset
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
-  std::uint64_t expired = 0;
 
   /// Sum over completed queries' QueryStats — the PR-2 fault counters
   /// (retries, failed_requests, gave_up) aggregate across sessions here.
   core::QueryStats aggregate;
 
-  /// Sum of per-query stall breakdowns over executed terminal queries
-  /// (prof::StallBreakdown; expired queries contribute only admission
-  /// wait). stalls.io_fraction() is the engine-level "how IO-bound are
-  /// we" answer.
+  /// Sum of per-query stall breakdowns over completed queries
+  /// (prof::StallBreakdown). stalls.io_fraction() is the engine-level
+  /// "how IO-bound are we" answer.
   prof::StallBreakdown stalls;
 
   /// Submission-to-completion latency, microseconds, over terminal queries.
@@ -283,6 +267,8 @@ class GraphCatalog;
 
 class QueryEngine {
  public:
+  /// Throws std::invalid_argument when opts.max_inflight_queries is 0:
+  /// an engine without sessions would admit queries that never run.
   explicit QueryEngine(core::Config config, EngineOptions opts = {});
   ~QueryEngine();
 
@@ -296,15 +282,6 @@ class QueryEngine {
   /// (std::invalid_argument for unknown graphs or a missing catalog).
   /// The returned ticket tracks the query to a terminal state.
   std::shared_ptr<QueryTicket> submit(QuerySpec spec);
-
-  /// Admits `specs` as ONE fused admission unit against `base.graph`
-  /// (catalog required): the members run in lockstep over a single
-  /// unioned page stream (serve::run_fused), so K same-graph BFS cost
-  /// ~1x IO. `base.run` is ignored; `results` receives the per-member
-  /// outputs before the ticket turns terminal.
-  std::shared_ptr<QueryTicket> submit_fused(
-      QuerySpec base, std::vector<FusedQuerySpec> specs,
-      std::shared_ptr<std::vector<FusedResult>> results);
 
   /// Declares a tenant's fair-queueing weight and admission quota.
   /// Unknown tenants named in submissions are auto-registered with
@@ -362,8 +339,7 @@ class QueryEngine {
     QuerySpec spec;
     std::shared_ptr<QueryTicket> ticket;
     std::uint64_t submit_ns = 0;
-    std::uint64_t deadline_ns = 0;     ///< absolute; 0 = none
-    trace::QueryId query_id = 0;       ///< trace identity + slow-log join key
+    trace::QueryId query_id = 0;  ///< trace identity + slow-log join key
     /// Catalog pin resolved at admission: holds the graph alive across a
     /// concurrent close() until this query is terminal. Null for
     /// non-catalog queries.
@@ -380,7 +356,6 @@ class QueryEngine {
     metrics::Counter* quota_rejected = nullptr;
     metrics::Counter* completed = nullptr;
     metrics::Counter* failed = nullptr;
-    metrics::Counter* expired = nullptr;
     metrics::Histogram* latency_us = nullptr;
     // Stall-attribution axes (prof::StallBreakdown), cumulative ns.
     metrics::Counter* io_stall_ns = nullptr;

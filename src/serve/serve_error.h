@@ -3,9 +3,8 @@
 // Mirrors io::IoError's shape: a typed exception whose *kind* tells the
 // client how to react. Overload is the serving-layer analogue of a
 // transient device fault — the query was never admitted, so resubmitting
-// after backoff is safe and expected. Shutdown and an already-expired
-// deadline are permanent for the submitted query: resubmission cannot
-// help (the engine is going away, or the client's budget already ran out).
+// after backoff is safe and expected. Shutdown is permanent for the
+// submitted query: resubmission cannot help (the engine is going away).
 //
 // Header-only and dependency-free so callers can catch ServeError without
 // linking blaze_serve.
@@ -20,7 +19,6 @@ namespace blaze::serve {
 enum class RejectKind {
   kOverloaded,      ///< submission queue full: back off and resubmit
   kShuttingDown,    ///< engine draining: no new queries will ever be admitted
-  kDeadlineExpired, ///< the query's deadline passed before it could run
   kQuotaExceeded,   ///< the tenant's admission quota is full: this tenant
                     ///< must drain its own backlog first — resubmitting
                     ///< immediately would be rejected again, and other
@@ -31,15 +29,13 @@ inline const char* to_string(RejectKind kind) {
   switch (kind) {
     case RejectKind::kOverloaded: return "overloaded";
     case RejectKind::kShuttingDown: return "shutting-down";
-    case RejectKind::kDeadlineExpired: return "deadline-expired";
     case RejectKind::kQuotaExceeded: return "quota-exceeded";
   }
   return "unknown";
 }
 
 /// Typed rejection raised by QueryEngine::submit (kOverloaded,
-/// kShuttingDown) or recorded on a ticket whose deadline lapsed in the
-/// queue (kDeadlineExpired).
+/// kShuttingDown, kQuotaExceeded).
 class ServeError : public std::runtime_error {
  public:
   ServeError(RejectKind kind, const std::string& what)

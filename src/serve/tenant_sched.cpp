@@ -1,6 +1,5 @@
 #include "serve/tenant_sched.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/common.h"
@@ -23,13 +22,13 @@ void TenantScheduler::register_tenant(const std::string& name,
 }
 
 TenantScheduler::Push TenantScheduler::push(const std::string& tenant,
-                                            std::uint64_t id, int priority) {
+                                            std::uint64_t id) {
   Tenant& t = tenant_of(tenant);
   if (t.opts.max_queued != 0 && t.q.size() >= t.opts.max_queued) {
     ++t.quota_rejected;
     return Push::kQuota;
   }
-  t.q.push_back({id, priority});
+  t.q.push_back(id);
   ++t.enqueued;
   ++size_;
   if (!t.active) {
@@ -45,20 +44,12 @@ TenantScheduler::Push TenantScheduler::push(const std::string& tenant,
 
 std::optional<std::uint64_t> TenantScheduler::pop() {
   if (size_ == 0) return std::nullopt;
-  // Terminates: some tenant in the ring has work (size_ > 0), and each
-  // full rotation grows every active tenant's deficit by its (positive)
-  // weight, so a dispatchable deficit >= 1 is eventually reached.
+  // Terminates: every tenant in the ring has work (a tenant leaves it
+  // the moment its queue drains), and each full rotation grows every
+  // active tenant's deficit by its (positive) weight, so a dispatchable
+  // deficit >= 1 is eventually reached.
   for (;;) {
     Tenant& t = tenants_[ring_.front()];
-    if (t.q.empty()) {
-      // Drained during its residency: leave the ring and forfeit any
-      // banked deficit (classic DRR — an idle tenant must not hoard
-      // credit and burst past its share later).
-      t.active = false;
-      t.deficit = 0;
-      ring_.pop_front();
-      continue;
-    }
     if (t.deficit < 1.0) {
       t.deficit += t.opts.weight;
       if (t.deficit < 1.0) {
@@ -69,17 +60,14 @@ std::optional<std::uint64_t> TenantScheduler::pop() {
       }
     }
     t.deficit -= 1.0;
-    // Within the tenant: highest priority first, FIFO among equals
-    // (stable scan keeps the earliest of the best level).
-    auto best = t.q.begin();
-    for (auto it = std::next(t.q.begin()); it != t.q.end(); ++it) {
-      if (it->priority > best->priority) best = it;
-    }
-    const std::uint64_t id = best->id;
-    t.q.erase(best);
+    const std::uint64_t id = t.q.front();
+    t.q.pop_front();
     ++t.served;
     --size_;
     if (t.q.empty()) {
+      // Drained: leave the ring and forfeit any banked deficit (classic
+      // DRR — an idle tenant must not hoard credit and burst past its
+      // share later).
       t.active = false;
       t.deficit = 0;
       ring_.pop_front();
@@ -92,21 +80,6 @@ std::optional<std::uint64_t> TenantScheduler::pop() {
     }
     return id;
   }
-}
-
-std::optional<std::string> TenantScheduler::remove(std::uint64_t id) {
-  for (Tenant& t : tenants_) {
-    for (auto it = t.q.begin(); it != t.q.end(); ++it) {
-      if (it->id == id) {
-        t.q.erase(it);
-        --size_;
-        // Leave ring membership to pop(): an empty tenant at the ring
-        // head is skipped and unlinked there.
-        return t.name;
-      }
-    }
-  }
-  return std::nullopt;
 }
 
 std::vector<TenantStats> TenantScheduler::stats() const {

@@ -1,15 +1,14 @@
 // serve::TenantScheduler — per-tenant admission quotas + weighted fair
 // queueing (deficit round-robin) over the engine's submission queue.
 //
-// The single-tenant engine orders its queue by priority alone, which is
-// the right policy when every query belongs to the same principal. A
-// shared service cannot do that: one chatty tenant submitting at priority
-// 9 would starve everyone else forever. FlashShare's per-tenant SSD QoS
-// observation applies one layer up — fairness must be enforced where the
-// queue is, before the IO machinery ever sees the work.
+// One FIFO is the right policy when every query belongs to the same
+// principal. A shared service cannot do that: one chatty tenant's backlog
+// would delay everyone else's queries until it drained. FlashShare's
+// per-tenant SSD QoS observation applies one layer up — fairness must be
+// enforced where the queue is, before the IO machinery ever sees the work.
 //
-// The scheduler keeps one FIFO-per-priority queue per tenant and serves
-// tenants by deficit round-robin (Shreedhar & Varghese): each tenant
+// The scheduler keeps one FIFO queue per tenant and serves tenants by
+// deficit round-robin (Shreedhar & Varghese): each tenant
 // carries a deficit counter; when its turn comes the deficit grows by its
 // weight (the quantum), and the tenant may dispatch one query per unit of
 // deficit before the turn passes on. Over any backlogged interval each
@@ -18,10 +17,7 @@
 // probe) waits at most one round: O(sum of weights) dispatches, never
 // "until the heavy tenant's backlog drains".
 //
-// Priority + deadline keep their existing meaning *within* a tenant:
-// when a tenant's turn comes, its highest-priority query runs first
-// (FIFO among equals). Cross-tenant ordering is exclusively DRR — a
-// tenant cannot jump the ring by inflating its priorities.
+// When a tenant's turn comes, its oldest queued query runs.
 //
 // Quotas bound per-tenant *queued* work: a submit that would exceed
 // max_queued for its tenant is rejected with ServeError{kQuotaExceeded}
@@ -79,20 +75,14 @@ class TenantScheduler {
   /// callers never have to know this class exists.
   void register_tenant(const std::string& name, TenantOptions opts = {});
 
-  /// Enqueues item `id` for `tenant` at `priority`, or reports kQuota
-  /// when the tenant's max_queued is already reached (counted on the
-  /// tenant; nothing is enqueued).
-  Push push(const std::string& tenant, std::uint64_t id, int priority);
+  /// Enqueues item `id` for `tenant`, or reports kQuota when the
+  /// tenant's max_queued is already reached (counted on the tenant;
+  /// nothing is enqueued).
+  Push push(const std::string& tenant, std::uint64_t id);
 
-  /// Dispatches the next item per DRR over tenants, highest priority
-  /// first within the chosen tenant (FIFO among equals). nullopt when
-  /// every queue is empty.
+  /// Dispatches the next item per DRR over tenants, the oldest of the
+  /// chosen tenant's queue. nullopt when every queue is empty.
   std::optional<std::uint64_t> pop();
-
-  /// Removes one queued item by id (deadline sweeps / cancellation).
-  /// Returns the owning tenant's name, or nullopt if not found. Does not
-  /// count as served.
-  std::optional<std::string> remove(std::uint64_t id);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -107,14 +97,10 @@ class TenantScheduler {
   std::uint64_t max_round_dispatches() const;
 
  private:
-  struct Item {
-    std::uint64_t id = 0;
-    int priority = 0;
-  };
   struct Tenant {
     std::string name;
     TenantOptions opts;
-    std::deque<Item> q;
+    std::deque<std::uint64_t> q;
     double deficit = 0;
     bool active = false;  ///< linked into ring_
     std::uint64_t enqueued = 0;

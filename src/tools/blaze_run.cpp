@@ -457,6 +457,13 @@ int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
   const auto clients = static_cast<std::size_t>(opt.get_int("clients", 4));
   const auto per_client =
       static_cast<std::size_t>(opt.get_int("queries", 4));
+  const std::int64_t max_inflight =
+      opt.get_int("maxInflight", static_cast<std::int64_t>(clients));
+  if (max_inflight < 1) {
+    std::fprintf(stderr, "--maxInflight needs at least 1 session, got %lld\n",
+                 static_cast<long long>(max_inflight));
+    return 2;
+  }
   algorithms::PageRankOptions pr_opts;
   pr_opts.max_iterations =
       static_cast<std::uint32_t>(opt.get_int("maxIterations", 100));
@@ -492,8 +499,7 @@ int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
   }
 
   serve::EngineOptions eopts;
-  eopts.max_inflight_queries = static_cast<std::size_t>(
-      opt.get_int("maxInflight", static_cast<std::int64_t>(clients)));
+  eopts.max_inflight_queries = static_cast<std::size_t>(max_inflight);
   eopts.max_queue_depth = clients * per_client;
   eopts.slow_query_threshold_s =
       static_cast<double>(opt.get_int("slowQueryMs", 0)) / 1000.0;
@@ -619,8 +625,6 @@ int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
               static_cast<unsigned long long>(s.completed));
   std::printf("  %-18s %llu\n", "failed",
               static_cast<unsigned long long>(s.failed));
-  std::printf("  %-18s %llu\n", "expired",
-              static_cast<unsigned long long>(s.expired));
   std::printf("  %-18s %.3f s (%.2f queries/s)\n", "wall time", wall,
               wall > 0 ? static_cast<double>(s.completed) / wall : 0.0);
   std::printf("  %-18s p50 %.2f ms, p95 %.2f ms\n", "latency", s.p50_ms(),

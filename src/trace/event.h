@@ -50,8 +50,6 @@ enum class Name : std::uint8_t {
   kCatalogOpen,       ///< instant; a graph became resident
   kCatalogClose,      ///< instant; a graph left the catalog
   kCatalogRebalance,  ///< one budget rebalance; arg = resident graphs
-  // serve fused execution
-  kFusedRound,      ///< one fused lockstep iteration; arg = union pages
   // sched::AsyncRunner
   kSchedRound,      ///< one async priority round; arg = round index
   kSchedQueue,      ///< instant after a round; arg = queue occupancy
@@ -80,7 +78,6 @@ constexpr const char* to_string(Name n) {
     case Name::kCatalogOpen: return "catalog_open";
     case Name::kCatalogClose: return "catalog_close";
     case Name::kCatalogRebalance: return "catalog_rebalance";
-    case Name::kFusedRound: return "fused_round";
     case Name::kSchedRound: return "sched_round";
     case Name::kSchedQueue: return "sched_queue";
     case Name::kNumNames: break;
@@ -108,8 +105,7 @@ constexpr const char* category_of(Name n) {
     case Name::kQuotaReject:
     case Name::kCatalogOpen:
     case Name::kCatalogClose:
-    case Name::kCatalogRebalance:
-    case Name::kFusedRound: return "serve";
+    case Name::kCatalogRebalance: return "serve";
     case Name::kSchedRound:
     case Name::kSchedQueue: return "sched";
     case Name::kNumNames: break;

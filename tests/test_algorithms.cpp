@@ -169,6 +169,10 @@ TEST_P(AlgoTest, KcoreMatchesPeeling) {
     auto rt = make_runtime();
     auto result = kcore(rt, out_g, in_g);
     EXPECT_EQ(result.coreness, baseline::inmem::coreness(g, gt)) << name;
+    // coreness plus the residual-degree array, one u32 each per vertex.
+    EXPECT_EQ(result.algorithm_bytes(),
+              2 * g.num_vertices() * sizeof(std::uint32_t))
+        << name;
   }
 }
 

@@ -82,6 +82,7 @@ TEST(FileDevice, ThrowsOnMissingFile) {
 
 TEST(SimulatedSsd, DataPathMatchesBacking) {
   SimulatedSsd ssd("s", 4 * kPageSize, optane_p4800x());
+  EXPECT_EQ(ssd.name(), "s");
   ssd.set_no_wait(true);
   auto pat = pattern_bytes(4 * kPageSize, 4);
   std::copy(pat.begin(), pat.end(), ssd.raw().begin());
@@ -164,6 +165,7 @@ TEST(Raid0, MapsPagesRoundRobin) {
     kids.push_back(std::make_shared<MemDevice>("k", 8 * kPageSize));
   }
   Raid0Device raid(kids);
+  EXPECT_EQ(raid.name(), "raid0");
   EXPECT_EQ(raid.size(), 32 * kPageSize);
   auto [c0, o0] = raid.map(0);
   auto [c1, o1] = raid.map(kPageSize);
@@ -216,8 +218,11 @@ TEST(Raid0, AsyncChannelSplitsAcrossChildren) {
   std::vector<std::byte> buf(4 * kPageSize);
   ch->submit(AsyncRead{2 * kPageSize, static_cast<std::uint32_t>(buf.size()),
                        buf.data(), 5});
+  // One logical read in flight, however many child fragments it became.
+  EXPECT_EQ(ch->pending(), 1u);
   std::vector<std::uint64_t> done;
   ch->wait(1, done);
+  EXPECT_EQ(ch->pending(), 0u);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0], 5u);
   for (std::uint64_t j = 0; j < 4; ++j) {

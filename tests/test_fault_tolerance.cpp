@@ -30,7 +30,6 @@
 #include "io/io_error.h"
 #include "io/io_pipeline.h"
 #include "io/page_verify.h"
-#include "serve/query_fusion.h"
 #include "test_helpers.h"
 
 namespace blaze {
@@ -569,12 +568,6 @@ TEST(FaultTolerance, CorruptPageRaisesCorruptionOnEveryPath) {
                          {});
         },
         what + ", two-graph push");
-    // PageRank streams every page each round; BFS rides along.
-    std::vector<serve::FusedQuerySpec> specs(2);
-    specs[1].kind = serve::FusedQuerySpec::Kind::kPageRank;
-    expect_corruption_then_clean_bfs(
-        rt, g, [&] { serve::run_fused(rt.default_context(), bad, specs); },
-        what + ", fused");
 
     // FlashGraph owns its pools and page cache, so its engine is the one
     // that must stay usable: once its graph is whole again, the same

@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -230,7 +231,7 @@ TEST(Serve, AdmissionControlRejectsOverloadTyped) {
   EXPECT_EQ(stats.rejected, 2u);
 }
 
-TEST(Serve, PriorityRunsFirstAndDeadlinesExpireQueued) {
+TEST(Serve, QueuedQueriesRunInSubmissionOrder) {
   serve::EngineOptions opts;
   opts.max_inflight_queries = 1;
   opts.max_queue_depth = 8;
@@ -259,18 +260,12 @@ TEST(Serve, PriorityRunsFirstAndDeadlinesExpireQueued) {
 
   auto tb = engine.submit({blocker, "blocker"});
   while (!started) std::this_thread::yield();
-  serve::QuerySpec low{tagged("low"), "low"};
-  low.priority = 0;
-  serve::QuerySpec high{tagged("high"), "high"};
-  high.priority = 5;
-  serve::QuerySpec doomed{[&](core::QueryContext&) {
-                            return core::QueryStats{};
-                          },
-                          "doomed"};
-  doomed.deadline_s = 1e-9;  // expires while the blocker holds the session
-  auto tl = engine.submit(low);
-  auto th = engine.submit(high);
-  auto td = engine.submit(doomed);
+  // Both queue behind the blocker, which holds the only session.
+  auto tf = engine.submit({tagged("first"), "first"});
+  auto ts = engine.submit({tagged("second"), "second"});
+  EXPECT_EQ(tf->state(), serve::QueryState::kQueued);
+  EXPECT_EQ(ts->state(), serve::QueryState::kQueued);
+  EXPECT_EQ(tf->label(), "first");
   {
     std::lock_guard lock(mu);
     release = true;
@@ -279,19 +274,29 @@ TEST(Serve, PriorityRunsFirstAndDeadlinesExpireQueued) {
   engine.drain();
 
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "high");  // outran the earlier-submitted low priority
-  EXPECT_EQ(order[1], "low");
-  EXPECT_EQ(td->state(), serve::QueryState::kExpired);
-  ASSERT_NE(td->error(), nullptr);
-  try {
-    std::rethrow_exception(td->error());
-  } catch (const serve::ServeError& e) {
-    EXPECT_EQ(e.kind(), serve::RejectKind::kDeadlineExpired);
-  }
-  EXPECT_EQ(engine.stats().expired, 1u);
+  EXPECT_EQ(order[0], "first");
+  EXPECT_EQ(order[1], "second");
   EXPECT_EQ(tb->state(), serve::QueryState::kDone);
-  EXPECT_EQ(tl->state(), serve::QueryState::kDone);
-  EXPECT_EQ(th->state(), serve::QueryState::kDone);
+  EXPECT_EQ(tf->state(), serve::QueryState::kDone);
+  EXPECT_EQ(ts->state(), serve::QueryState::kDone);
+  EXPECT_EQ(engine.stats().completed, 3u);
+}
+
+TEST(Serve, QueryStateNames) {
+  // blaze-run's slow-query table prints these.
+  EXPECT_STREQ(serve::to_string(serve::QueryState::kQueued), "queued");
+  EXPECT_STREQ(serve::to_string(serve::QueryState::kRunning), "running");
+  EXPECT_STREQ(serve::to_string(serve::QueryState::kDone), "done");
+  EXPECT_STREQ(serve::to_string(serve::QueryState::kFailed), "failed");
+}
+
+TEST(Serve, ZeroSessionsIsRejected) {
+  // No session thread would ever run an admitted query, so every
+  // ticket->wait() would block forever: refuse to build such an engine.
+  serve::EngineOptions opts;
+  opts.max_inflight_queries = 0;
+  EXPECT_THROW(serve::QueryEngine(serve_test_config(), opts),
+               std::invalid_argument);
 }
 
 TEST(Serve, FailedQueryIsIsolatedAndReported) {

@@ -14,6 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "format/on_disk_graph.h"
+#include "graph/generators.h"
+#include "serve/graph_catalog.h"
 #include "serve/query_engine.h"
 #include "serve/tenant_sched.h"
 #include "test_helpers.h"
@@ -25,48 +28,37 @@ namespace {
 using serve::TenantOptions;
 using serve::TenantScheduler;
 
-TEST(TenantSched, SingleTenantIsPriorityFifo) {
-  // The degenerate case must reproduce the engine's original policy:
-  // highest priority first, FIFO within a level.
+TEST(TenantSched, SingleTenantIsFifo) {
+  // The degenerate case is one plain FIFO: ids pop in push order.
   TenantScheduler sched;
-  EXPECT_EQ(sched.push("", 1, 0), TenantScheduler::Push::kOk);
-  EXPECT_EQ(sched.push("", 2, 5), TenantScheduler::Push::kOk);
-  EXPECT_EQ(sched.push("", 3, 5), TenantScheduler::Push::kOk);
-  EXPECT_EQ(sched.push("", 4, 1), TenantScheduler::Push::kOk);
+  EXPECT_EQ(sched.push("", 3), TenantScheduler::Push::kOk);
+  EXPECT_EQ(sched.push("", 1), TenantScheduler::Push::kOk);
+  EXPECT_EQ(sched.push("", 4), TenantScheduler::Push::kOk);
+  EXPECT_EQ(sched.push("", 2), TenantScheduler::Push::kOk);
   EXPECT_EQ(sched.size(), 4u);
-  EXPECT_EQ(sched.pop(), 2u);
   EXPECT_EQ(sched.pop(), 3u);
-  EXPECT_EQ(sched.pop(), 4u);
   EXPECT_EQ(sched.pop(), 1u);
+  EXPECT_EQ(sched.pop(), 4u);
+  EXPECT_EQ(sched.pop(), 2u);
   EXPECT_FALSE(sched.pop().has_value());
   EXPECT_TRUE(sched.empty());
-}
-
-TEST(TenantSched, RemoveByIdSkipsServedAccounting) {
-  TenantScheduler sched;
-  sched.push("t", 7, 0);
-  sched.push("t", 8, 0);
-  EXPECT_EQ(sched.remove(7).value(), "t");
-  EXPECT_FALSE(sched.remove(99).has_value());
-  EXPECT_EQ(sched.size(), 1u);
-  EXPECT_EQ(sched.pop(), 8u);
   const auto stats = sched.stats();
   ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].enqueued, 2u);
-  EXPECT_EQ(stats[0].served, 1u);
+  EXPECT_EQ(stats[0].enqueued, 4u);
+  EXPECT_EQ(stats[0].served, 4u);
 }
 
 TEST(TenantSched, QuotaBoundsQueuedWorkPerTenant) {
   TenantScheduler sched;
   sched.register_tenant("small", {1.0, 2});
-  EXPECT_EQ(sched.push("small", 1, 0), TenantScheduler::Push::kOk);
-  EXPECT_EQ(sched.push("small", 2, 0), TenantScheduler::Push::kOk);
-  EXPECT_EQ(sched.push("small", 3, 0), TenantScheduler::Push::kQuota);
+  EXPECT_EQ(sched.push("small", 1), TenantScheduler::Push::kOk);
+  EXPECT_EQ(sched.push("small", 2), TenantScheduler::Push::kOk);
+  EXPECT_EQ(sched.push("small", 3), TenantScheduler::Push::kQuota);
   // Another tenant's capacity is untouched by the rejection.
-  EXPECT_EQ(sched.push("big", 4, 0), TenantScheduler::Push::kOk);
+  EXPECT_EQ(sched.push("big", 4), TenantScheduler::Push::kOk);
   // Draining one item frees one admission slot.
   EXPECT_TRUE(sched.pop().has_value());
-  EXPECT_EQ(sched.push("small", 5, 0), TenantScheduler::Push::kOk);
+  EXPECT_EQ(sched.push("small", 5), TenantScheduler::Push::kOk);
   const auto stats = sched.stats();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(stats[0].name, "small");
@@ -96,9 +88,9 @@ TEST(TenantSched, FairnessConvergesToWeightRatiosAcrossSeeds) {
       sched.register_tenant(names.back(), {weights.back(), 0});
     }
 
-    // Keep every tenant backlogged while serving: random interleaved
-    // arrivals with random priorities, topped up so no queue ever drains
-    // (DRR's share guarantee is over backlogged intervals).
+    // Keep every tenant backlogged while serving: arrivals topped up so
+    // no queue ever drains (DRR's share guarantee is over backlogged
+    // intervals).
     std::uint64_t next_id = 1;
     std::vector<std::size_t> queued(num_tenants, 0);
     std::vector<std::uint64_t> served(num_tenants, 0);
@@ -107,9 +99,7 @@ TEST(TenantSched, FairnessConvergesToWeightRatiosAcrossSeeds) {
       for (std::size_t t = 0; t < num_tenants; ++t) {
         while (queued[t] < 4) {
           const std::uint64_t id = next_id++;
-          ASSERT_EQ(sched.push(names[t], id,
-                               static_cast<int>(rng.next_below(3))),
-                    TenantScheduler::Push::kOk);
+          ASSERT_EQ(sched.push(names[t], id), TenantScheduler::Push::kOk);
           owner[id] = t;
           ++queued[t];
         }
@@ -159,7 +149,7 @@ TEST(TenantSched, StarvedProbeWaitsAtMostOneRound) {
       const std::string name = "heavy" + std::to_string(t);
       sched.register_tenant(name, {1.0 + rng.next_below(5), 0});
       for (int q = 0; q < 200; ++q) {
-        sched.push(name, next_id++, 9);  // high priority cannot jump the ring
+        sched.push(name, next_id++);
       }
     }
     // Burn a random prefix so the probe lands mid-round, not at a round
@@ -169,7 +159,7 @@ TEST(TenantSched, StarvedProbeWaitsAtMostOneRound) {
 
     sched.register_tenant("probe", {1.0, 0});
     const std::uint64_t probe_id = next_id++;
-    sched.push("probe", probe_id, 0);  // lowest priority, still bounded
+    sched.push("probe", probe_id);
     const std::uint64_t bound = sched.max_round_dispatches();
     std::uint64_t waited = 0;
     while (true) {
@@ -194,6 +184,11 @@ TEST(TenantQos, EngineRejectsOverQuotaTyped) {
   opts.workers_per_query = 1;
   serve::QueryEngine engine(qos_engine_config(), opts);
   engine.register_tenant("capped", {1.0, 2});
+  // The capped tenant's queries name a catalog graph: only the admitted
+  // ones may count as that graph's traffic.
+  serve::GraphCatalog cat(engine.runtime());
+  engine.attach_catalog(&cat);
+  cat.open("g", format::make_mem_graph(graph::generate_rmat(6, 4, 7)));
 
   std::mutex mu;
   std::condition_variable cv;
@@ -202,6 +197,7 @@ TEST(TenantQos, EngineRejectsOverQuotaTyped) {
   serve::QuerySpec blocker;
   blocker.label = "blocker";
   blocker.tenant = "capped";
+  blocker.graph = "g";
   blocker.run = [&](core::QueryContext&) {
     started = true;
     std::unique_lock lock(mu);
@@ -215,6 +211,7 @@ TEST(TenantQos, EngineRejectsOverQuotaTyped) {
   serve::QuerySpec q;
   q.run = quick;
   q.tenant = "capped";
+  q.graph = "g";
   q.label = "q1";
   auto t2 = engine.submit(q);
   q.label = "q2";
@@ -264,6 +261,11 @@ TEST(TenantQos, EngineRejectsOverQuotaTyped) {
     }
   }
   EXPECT_TRUE(saw_capped);
+  // The rejected q3 resolved the graph but never ran.
+  const auto rows = cat.snapshot();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].queries, 3u);
+  EXPECT_EQ(rows[0].recent_queries, 3u);
 }
 
 TEST(TenantQos, EngineServesWeightedSharesUnderBacklog) {

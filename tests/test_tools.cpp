@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <string>
 
+#include <sys/wait.h>
+
 namespace {
 
 /// Tool paths are provided by CMake.
@@ -127,10 +129,25 @@ TEST_F(ToolsTest, ServingModeAggregateTableMatchesQueryCount) {
   EXPECT_EQ(stat_row(out, "admitted"), 6) << out;
   EXPECT_EQ(stat_row(out, "completed"), 6) << out;
   EXPECT_EQ(stat_row(out, "failed"), 0) << out;
-  EXPECT_EQ(stat_row(out, "expired"), 0) << out;
   EXPECT_NE(out.find("latency"), std::string::npos) << out;
   EXPECT_NE(out.find("aggregate io"), std::string::npos) << out;
   EXPECT_NE(out.find("aggregate compute"), std::string::npos) << out;
+}
+
+TEST_F(ToolsTest, ServingModeRejectsMaxInflightBelowOne) {
+  // An engine without sessions admits queries that never run, so the
+  // clients would wait forever: a usage error (exit 2) must come first.
+  // Under `timeout`, a hang reads as exit 124.
+  for (const char* sessions : {"0", "-1"}) {
+    const int status =
+        run("timeout 20 " + std::string(BLAZE_RUN_PATH) +
+            " -query bfs -computeWorkers 2 --clients 2 --queries 1 "
+            "--maxInflight " +
+            sessions + " " + prefix_ + ".gr.index " + prefix_ + ".gr.adj.0");
+    ASSERT_TRUE(WIFEXITED(status)) << sessions;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << sessions << "\n" << output();
+    EXPECT_NE(output().find("--maxInflight"), std::string::npos) << output();
+  }
 }
 
 TEST_F(ToolsTest, ServingModeCatalogAndTenantTables) {

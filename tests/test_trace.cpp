@@ -3,6 +3,7 @@
 // with an independent minimal JSON reader, not the exporter's own code).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <memory>
@@ -13,6 +14,9 @@
 
 #include "algorithms/bfs.h"
 #include "core/runtime.h"
+#include "device/cached_device.h"
+#include "device/mem_device.h"
+#include "device/page_cache.h"
 #include "format/on_disk_graph.h"
 #include "graph/generators.h"
 #include "test_helpers.h"
@@ -328,7 +332,71 @@ TEST_F(TraceTest, RingOverflowCountsDrops) {
   EXPECT_TRUE(trace::collect().empty());
 }
 
+TEST_F(TraceTest, ResetDiscardsEventsStillInRings) {
+  trace::set_enabled(true);
+  trace::instant(trace::Name::kIteration, 1);
+  trace::instant(trace::Name::kIteration, 2);
+  // Never collected: both events are still in this thread's ring.
+  trace::reset();
+  EXPECT_TRUE(trace::collect().empty());
+}
+
 // ---- Span pairing and per-query trees -----------------------------------
+
+TEST_F(TraceTest, SpanTreeClosesSpansWhoseEndsTheRingDropped) {
+  trace::set_ring_capacity(4);
+  trace::set_enabled(true);
+  const trace::QueryId q = trace::next_query_id();
+  // A fresh thread gets a fresh 4-slot ring: two begins and two instants
+  // fill it, so both end markers are dropped.
+  std::thread emitter([q] {
+    trace::ScopedQuery scope(q);
+    trace::begin(trace::Name::kEdgeMap);
+    trace::begin(trace::Name::kScatter);
+    trace::instant(trace::Name::kIteration);
+    trace::instant(trace::Name::kIteration);
+    trace::end(trace::Name::kScatter);
+    trace::end(trace::Name::kEdgeMap);
+  });
+  emitter.join();
+  EXPECT_EQ(trace::dropped_events(), 2u);
+  const auto events = trace::collect();
+  ASSERT_EQ(events.size(), 4u);
+  std::uint64_t horizon = 0;
+  for (const auto& e : events) horizon = std::max(horizon, e.ts_ns);
+
+  const auto trees = trace::build_span_trees(events);
+  ASSERT_EQ(trees.size(), 1u);
+  EXPECT_EQ(trees[0].query, q);
+  EXPECT_EQ(trees[0].instants, 2u);
+  // Both open spans close at the thread's last timestamp, still nested.
+  ASSERT_EQ(trees[0].roots.size(), 1u);
+  const trace::SpanNode& root = trees[0].roots[0];
+  EXPECT_EQ(root.name, trace::Name::kEdgeMap);
+  EXPECT_EQ(root.end_ns, horizon);
+  ASSERT_EQ(root.children.size(), 1u);
+  EXPECT_EQ(root.children[0].name, trace::Name::kScatter);
+  EXPECT_EQ(root.children[0].end_ns, horizon);
+}
+
+TEST_F(TraceTest, SpanTreesComeBackInQueryOrder) {
+  trace::set_enabled(true);
+  const trace::QueryId first = trace::next_query_id();
+  const trace::QueryId second = trace::next_query_id();
+  // The later query emits first; the trees still sort by id.
+  for (const trace::QueryId q : {second, first}) {
+    trace::ScopedQuery scope(q);
+    trace::Span span(trace::Name::kSessionExecute);
+  }
+  const auto trees = trace::build_span_trees(trace::collect());
+  ASSERT_EQ(trees.size(), 2u);
+  EXPECT_EQ(trees[0].query, first);
+  EXPECT_EQ(trees[1].query, second);
+  for (const auto& t : trees) {
+    ASSERT_EQ(t.roots.size(), 1u);
+    EXPECT_EQ(t.roots[0].name, trace::Name::kSessionExecute);
+  }
+}
 
 TEST_F(TraceTest, EngineSpansPairAndNestPerThread) {
   trace::set_enabled(true);
@@ -548,6 +616,41 @@ TEST_F(TraceTest, ChromeExportDecodesPackedArgs) {
   EXPECT_TRUE(saw_sched);
   EXPECT_TRUE(saw_rates);
   EXPECT_TRUE(saw_cold);
+}
+
+TEST_F(TraceTest, ChromeExportAttributesCacheOutcomesToShards) {
+  device::PageCacheOptions opts;
+  opts.capacity_bytes = 64 * kPageSize;
+  opts.shards = 2;
+  opts.policy = device::EvictionPolicy::kLru;
+  auto pool = std::make_shared<device::ShardedPageCache>(opts);
+  device::CachedDevice dev(
+      std::make_shared<device::MemDevice>("m", 4 * kPageSize), pool);
+  trace::set_enabled(true);
+  std::vector<std::byte> page(kPageSize);
+  dev.read(0, page);  // miss: the device reads it and fills the pool
+  dev.read(0, page);  // hit
+  const std::string json =
+      trace::to_chrome_json(trace::collect(), trace::dropped_events());
+  JsonParser parser(json);
+  const JsonValue root = parser.parse();
+  ASSERT_TRUE(parser.ok) << "exporter produced invalid JSON";
+  std::map<std::string, double> shard_of;
+  for (const JsonValue& ev : root.object().at("traceEvents").array()) {
+    const JsonObject& o = ev.object();
+    const std::string& name = o.at("name").str();
+    if (name != "cache_miss" && name != "cache_hit") continue;
+    ASSERT_TRUE(o.contains("args")) << name;
+    const JsonObject& args = o.at("args").object();
+    EXPECT_EQ(args.at("pages").number(), 1.0) << name;
+    ASSERT_TRUE(args.contains("shard")) << name;
+    EXPECT_LT(args.at("shard").number(), 2.0) << name;
+    EXPECT_FALSE(shard_of.contains(name)) << "one " << name << " expected";
+    shard_of[name] = args.at("shard").number();
+  }
+  ASSERT_EQ(shard_of.size(), 2u) << json;
+  // One page, one shard: both outcomes name the same one.
+  EXPECT_EQ(shard_of["cache_miss"], shard_of["cache_hit"]);
 }
 
 TEST_F(TraceTest, ChromeExportClosesSpansDroppedByLossyRings) {
