@@ -134,8 +134,7 @@ void BM_PageFrontier(benchmark::State& state, bool dense) {
   }
   ThreadPool pool(3);
   for (auto _ : state) {
-    ConcurrentBitmap pages = core::page_frontier(
-        pool, g, frontier, [](vertex_t) { return true; });
+    ConcurrentBitmap pages = core::page_frontier(pool, g, frontier);
     benchmark::DoNotOptimize(pages.word(0));
   }
   state.SetItemsProcessed(

@@ -33,22 +33,4 @@ BfsResult bfs(core::QueryContext& qc, const format::OnDiskGraph& g,
 BfsResult bfs(core::Runtime& rt, const format::OnDiskGraph& g,
               vertex_t source);
 
-struct HybridBfsResult : BfsResult {
-  std::uint32_t pull_iterations = 0;  ///< rounds executed in pull mode
-};
-
-/// Direction-optimized BFS (extension): pushes on sparse frontiers and
-/// pulls over the transpose `gt` on dense ones (Ligra's optimization,
-/// which the paper's push-only engine forgoes). `threshold_div` is the
-/// |E|/x density switch point.
-HybridBfsResult bfs_hybrid(core::QueryContext& qc,
-                           const format::OnDiskGraph& g,
-                           const format::OnDiskGraph& gt, vertex_t source,
-                           std::uint64_t threshold_div = 20);
-
-/// Single-query convenience: runs on the Runtime's default context.
-HybridBfsResult bfs_hybrid(core::Runtime& rt, const format::OnDiskGraph& g,
-                           const format::OnDiskGraph& gt, vertex_t source,
-                           std::uint64_t threshold_div = 20);
-
 }  // namespace blaze::algorithms

@@ -80,8 +80,9 @@ class FlashGraphEngine {
 
     // Page frontier (the pages holding the frontier's adjacency).
     std::vector<std::uint64_t> need_io;
-    core::page_frontier(pool_, g_, frontier, [](vertex_t) { return true; })
-        .for_each([&](std::size_t p) { need_io.push_back(p); });
+    core::page_frontier(pool_, g_, frontier).for_each([&](std::size_t p) {
+      need_io.push_back(p);
+    });
 
     // ---- Phase A: IO + scatter into per-owner message queues -------------
     struct Message {

@@ -1,8 +1,7 @@
 // Process-wide EdgeMap counters for blaze::metrics.
 //
-// The core layer's telemetry story: every EdgeMap variant (push and pull
-// — they all funnel through edge_map.h / edge_map_pull.h) bumps one
-// shared set of owned registry handles, bound lazily on first use. The
+// The core layer's telemetry story: every EdgeMap call (edge_map.h) bumps
+// one shared set of owned registry handles, bound lazily on first use. The
 // sampler then turns them into the iteration-progress and scatter-volume
 // time series the serving dashboard plots next to the per-device bandwidth.
 //

@@ -95,12 +95,9 @@ inline std::vector<device::BlockDevice*> leaf_devices(
 /// (core/page_frontier.h) and returns per-device read batches, each tagged
 /// with its graph's position in `graphs` and its RAID-0 stripe: logical
 /// page p of a graph striped over D devices lives on device p % D as that
-/// device's page p / D. `filter(v)` additionally gates membership.
-template <typename Filter>
-std::vector<io::ReadBatch> page_frontier_batches(QueryContext& qc,
-                                                 GraphList graphs,
-                                                 const VertexSubset& subset,
-                                                 Filter&& filter) {
+/// device's page p / D.
+inline std::vector<io::ReadBatch> page_frontier_batches(
+    QueryContext& qc, GraphList graphs, const VertexSubset& subset) {
   std::vector<io::ReadBatch> batches;
   for (std::uint32_t s = 0; s < graphs.size(); ++s) {
     const format::OnDiskGraph& g = *graphs.begin()[s];
@@ -115,7 +112,7 @@ std::vector<io::ReadBatch> page_frontier_batches(QueryContext& qc,
       // OnDiskGraph::set_page_verifier).
       if (g.page_verifier()) b.verifier = g.page_verifier();
     }
-    page_frontier(qc.pool(), g, subset, filter).for_each([&](std::size_t p) {
+    page_frontier(qc.pool(), g, subset).for_each([&](std::size_t p) {
       batches[first_batch + p % width].pages.push_back(p / width);
     });
   }
@@ -228,8 +225,7 @@ VertexSubset edge_map(QueryContext& qc, GraphList graphs,
   if (frontier.empty()) return out;
 
   // ---- Step 1: vertex frontier -> page frontier of every graph -----------
-  auto batches = detail::page_frontier_batches(
-      qc, graphs, frontier, [](vertex_t) { return true; });
+  auto batches = detail::page_frontier_batches(qc, graphs, frontier);
 
   // ---- Step 2: hand the page frontier to the persistent IO pipeline ------
   io::IoBufferPool& io_pool = qc.io_pool();

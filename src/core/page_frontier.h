@@ -22,12 +22,10 @@
 namespace blaze::core {
 
 /// The pages of `g` holding the adjacency of a member `v` of `frontier`
-/// with degree(v) != 0 and `filter(v)`. `filter` runs at most once per
-/// member and page, and only on members with edges, until a page is found
-/// to be needed.
-template <typename Filter>
-ConcurrentBitmap page_frontier(ThreadPool& pool, const format::OnDiskGraph& g,
-                               const VertexSubset& frontier, Filter&& filter) {
+/// with degree(v) != 0.
+inline ConcurrentBitmap page_frontier(ThreadPool& pool,
+                                      const format::OnDiskGraph& g,
+                                      const VertexSubset& frontier) {
   BLAZE_CHECK(frontier.universe() == g.num_vertices(),
               "page_frontier: frontier and graph differ in vertex count");
   // Words one task builds: 1024 pages. A graph that small is done inline,
@@ -35,7 +33,7 @@ ConcurrentBitmap page_frontier(ThreadPool& pool, const format::OnDiskGraph& g,
   constexpr std::size_t kWordsPerTask = 16;
   const std::uint64_t pages = g.num_pages();
   ConcurrentBitmap bits(pages);
-  // A vertex of the range is needed: a member, with edges, passing filter.
+  // A vertex of the range is needed: a member with edges.
   auto any_needed = [&](format::PageVertexMap::Range r) {
     if (r.begin >= r.end) return false;
     const std::size_t first = r.begin >> 6, last = (r.end - 1) >> 6;
@@ -45,7 +43,7 @@ ConcurrentBitmap page_frontier(ThreadPool& pool, const format::OnDiskGraph& g,
       if (k == last) w &= ~0ULL >> (63 - ((r.end - 1) & 63));
       for (; w != 0; w &= w - 1) {
         const auto v = static_cast<vertex_t>((k << 6) + __builtin_ctzll(w));
-        if (g.degree(v) != 0 && filter(v)) return true;
+        if (g.degree(v) != 0) return true;
       }
     }
     return false;

@@ -1,7 +1,7 @@
 // The page-scan kernel (paper Sections IV-B and IV-C).
 //
-// Every EdgeMap path (push, pull, the FlashGraph baseline)
-// does one job on a fetched 4 kB adjacency page: find the page's active
+// Both EdgeMap paths (core::edge_map and the FlashGraph baseline) do one
+// job on a fetched 4 kB adjacency page: find the page's active
 // sources through the page-to-vertex map, then visit their edges. That job
 // is for_each_edge(), for every on-disk encoding. The vertex-range walk and
 // the byte-overlap clamp are written once; each encoding supplies only its
@@ -48,29 +48,17 @@ namespace detail {
                     "page " + std::to_string(logical_page) + ": " + what);
 }
 
-/// Calls edge_fn(args...); false means "stop the current list".
-template <typename EdgeFn, typename... Args>
-[[gnu::always_inline]] inline bool visit(EdgeFn& edge_fn, Args... args) {
-  if constexpr (std::is_void_v<std::invoke_result_t<EdgeFn&, Args...>>) {
-    edge_fn(args...);
-    return true;
-  } else {
-    return edge_fn(args...);
-  }
-}
-
 }  // namespace detail
 
 /// Visits the edges of every active source (`is_active(v)`) whose bytes lie
 /// in `page`, logical page `logical_page` of the adjacency region, of which
 /// the first `page_valid` bytes hold data (fewer than kPageSize only for a
 /// tail-clamped read). Weighted graphs call `edge_fn(src, dst, weight)`, the
-/// others `edge_fn(src, dst)`. `edge_fn` returns void to visit every edge,
-/// or bool, where false stops the current list (pull's early exit).
-/// Delta+varint lists that straddle into the page resume from its
-/// PageCarry, so pages decode independently and in any order. Returns the
-/// number of edges visited; throws io::IoError{kCorruption} on a corrupt
-/// page.
+/// others `edge_fn(src, dst)`; `edge_fn` returns void, and every edge of
+/// an active list is visited. Delta+varint lists that straddle into the
+/// page resume from its PageCarry, so pages decode independently and in
+/// any order. Returns the number of edges visited; throws
+/// io::IoError{kCorruption} on a corrupt page.
 template <typename Pred, typename EdgeFn>
 std::uint64_t for_each_edge(const GraphIndex& index,
                             const PageVertexMap& pvmap,
@@ -118,15 +106,13 @@ std::uint64_t for_each_edge(const GraphIndex& index,
           for (std::size_t k = 0; k < cnt; ++k, p += kRec) {
             vertex_t dst;
             std::memcpy(&dst, p, sizeof(dst));
-            bool more;
             if constexpr (decltype(weighted)::value) {
               float weight;
               std::memcpy(&weight, p + sizeof(dst), sizeof(weight));
-              more = detail::visit(edge_fn, v, checked(dst), weight);
+              edge_fn(v, checked(dst), weight);
             } else {
-              more = detail::visit(edge_fn, v, checked(dst));
+              edge_fn(v, checked(dst));
             }
-            if (!more) return k + 1;
           }
           return cnt;
         });
@@ -167,12 +153,16 @@ std::uint64_t for_each_edge(const GraphIndex& index,
             acc = 0;
             shift = 0;
             ++done;
-            if (!detail::visit(fn, v, prev)) break;
+            fn(v, prev);
           }
           return std::uint64_t{done - first};
         });
   };
 
+  static_assert(
+      !std::is_invocable_r_v<bool, EdgeFn&, vertex_t, vertex_t> &&
+          !std::is_invocable_r_v<bool, EdgeFn&, vertex_t, vertex_t, float>,
+      "edge callbacks return void: there is no early exit");
   // One dispatch per page on the encoding and record size.
   constexpr bool kTakesPair =
       std::is_invocable_v<EdgeFn&, vertex_t, vertex_t>;

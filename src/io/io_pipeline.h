@@ -4,7 +4,7 @@
 // (Figs 2, 4, 8); FlashGraph gets the same effect from persistent per-SSD
 // IO threads. Before this subsystem existed, every EdgeMap call spawned
 // fresh std::threads around io::run_reads and hand-rolled its own filled
-// queue — twice, once per traversal direction. IoPipeline centralizes that:
+// queue. IoPipeline centralizes that:
 //
 //   * Reader threads are created lazily (one per distinct device) and live
 //     as long as the owning core::Runtime. Each is fed read batches through
@@ -14,9 +14,9 @@
 //     graphs read in one pass (an out-graph and its transpose) — and
 //     returns a ReadHandle: a filled-buffer queue plus completion/error
 //     state and the batches' unified PipelineStats. Consumers drain it with
-//     ReadHandle::consume(), the one page-consumer loop (push and pull
-//     EdgeMap both use it), which maps every page back to its graph
-//     and logical page from the PageOrigin each batch stamps on its buffers.
+//     ReadHandle::consume(), the page-consumer loop of core::edge_map,
+//     which maps every page back to its graph and logical page from the
+//     PageOrigin each batch stamps on its buffers.
 //
 // Backpressure is explicit and observable: the buffer pool bounds memory,
 // max_inflight bounds per-device queue depth, and PipelineStats counts
@@ -155,7 +155,7 @@ class ReadHandle {
 
 /// Persistent per-device-slot reader threads plus the submit API.
 /// One instance lives inside core::Runtime; readers are shared by every
-/// EdgeMap variant (push, pull) run on that Runtime. Thread-safe
+/// EdgeMap call run on that Runtime. Thread-safe
 /// for submissions; each ReadHandle expects a single logical consumer side.
 class IoPipeline {
  public:

@@ -1,12 +1,9 @@
 // Unified cross-layer IO accounting (device -> io -> core).
 //
-// Before the IoPipeline refactor the engine kept three partial accountings:
-// io::ReadEngineStats (per read pass), device::IoStats (per device,
-// persistent) and core::QueryStats (per query). PipelineStats is the single
-// record threaded through all three layers: the read workers fill the io
-// fields, sample the device layer's busy clock around each batch, and
-// core::QueryStats extends this struct so every bench figure reads one
-// source of truth.
+// PipelineStats is the one record threaded through the device, io and core
+// layers: the read workers fill the io fields and sample the device layer's
+// busy clock around each batch, and core::QueryStats extends this struct,
+// so every bench figure reads one source of truth.
 #pragma once
 
 #include <algorithm>

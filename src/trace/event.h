@@ -36,8 +36,7 @@ enum class Name : std::uint8_t {
   kCacheHit,       ///< instant; arg = pages
   kCacheMiss,      ///< instant; arg = pages
   // core EdgeMap
-  kEdgeMap,      ///< one push-mode edge_map call
-  kEdgeMapPull,  ///< one pull-mode edge_map call
+  kEdgeMap,      ///< one edge_map call
   kScatter,      ///< one worker's scatter loop
   kGather,       ///< one worker's gather drain
   kIteration,    ///< instant at iteration boundary; arg = iteration index
@@ -67,7 +66,6 @@ constexpr const char* to_string(Name n) {
     case Name::kCacheHit: return "cache_hit";
     case Name::kCacheMiss: return "cache_miss";
     case Name::kEdgeMap: return "edge_map";
-    case Name::kEdgeMapPull: return "edge_map_pull";
     case Name::kScatter: return "scatter";
     case Name::kGather: return "gather";
     case Name::kIteration: return "iteration";
@@ -95,7 +93,6 @@ constexpr const char* category_of(Name n) {
     case Name::kCacheHit:
     case Name::kCacheMiss: return "device";
     case Name::kEdgeMap:
-    case Name::kEdgeMapPull:
     case Name::kScatter:
     case Name::kGather:
     case Name::kIteration: return "core";

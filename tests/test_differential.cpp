@@ -251,9 +251,7 @@ TEST_P(DifferentialTest, AlgorithmSuiteMatchesInMemoryOracles) {
 
 // Compressed-format differential: BFS, PageRank, and k-core run on the
 // delta+varint layout and on the flat layout of the same random graph;
-// both must match the in-memory oracle. BFS additionally runs
-// direction-optimized with a zero density threshold so every round pulls
-// through the fused dvarint decoder (the early-exit path).
+// both must match the in-memory oracle.
 TEST_P(DifferentialTest, DvarintMatchesFlatAndOracle) {
   Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 4241 + 71);
   graph::Csr g = random_graph(rng);
@@ -282,12 +280,6 @@ TEST_P(DifferentialTest, DvarintMatchesFlatAndOracle) {
     EXPECT_EQ(visited_of(algorithms::bfs(rt, out_g, source).parent),
               want_visited)
         << mode;
-
-    // threshold |E|/(|E|+1) == 0: every non-empty frontier pulls.
-    auto hybrid = algorithms::bfs_hybrid(rt, out_g, in_g, source,
-                                         g.num_edges() + 1);
-    EXPECT_EQ(visited_of(hybrid.parent), want_visited) << mode << "-hybrid";
-    EXPECT_GT(hybrid.pull_iterations, 0u) << mode << "-hybrid";
 
     EXPECT_EQ(algorithms::kcore(rt, out_g, in_g).coreness, want_core_oracle)
         << mode;

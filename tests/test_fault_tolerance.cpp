@@ -21,7 +21,6 @@
 #include "baselines/flashgraph.h"
 #include "baselines/inmem.h"
 #include "core/edge_map.h"
-#include "core/edge_map_pull.h"
 #include "core/runtime.h"
 #include "device/faulty_device.h"
 #include "device/mem_device.h"
@@ -289,43 +288,6 @@ TEST(FaultTolerance, EdgeMapPushFaultKeepsRuntimeReusable) {
   EXPECT_EQ(rt.io_pool().available(), rt.io_pool().num_buffers());
 }
 
-TEST(FaultTolerance, EdgeMapPullFaultKeepsRuntimeReusable) {
-  graph::Csr g = graph::generate_rmat(10, 8, 812);
-  graph::Csr gt = graph::transpose(g);
-  std::shared_ptr<FaultyDevice> faulty;
-  auto odg_t = faulty_graph(
-      gt, &faulty,
-      [](std::uint64_t off, std::uint64_t len) {
-        return off < 2 * kPageSize && off + len > kPageSize;
-      },
-      FaultMode::kPermanent);
-
-  Runtime rt(testutil::test_config());
-  const vertex_t n = g.num_vertices();
-  auto frontier = VertexSubset::all(n);
-  auto candidates = VertexSubset::all(n);
-  std::vector<std::uint32_t> acc(n, 0);
-  CountProgram prog{acc};
-  EXPECT_THROW(
-      core::edge_map_pull(rt, odg_t, frontier, candidates, prog, {}),
-      io::IoError);
-  EXPECT_GE(faulty->injected_failures(), 1u);
-
-  rt.io_pipeline().quiesce();
-  EXPECT_EQ(rt.io_pool().available(), rt.io_pool().num_buffers());
-
-  auto clean_t = format::make_mem_graph(gt);
-  std::vector<std::uint32_t> acc2(n, 0);
-  CountProgram prog2{acc2};
-  core::edge_map_pull(rt, clean_t, frontier, candidates, prog2, {});
-  // Pull gathers once per in-neighbor of d, i.e. per edge listed under d
-  // in the transpose — so the oracle is gt's out-degree, not its in-degree.
-  std::vector<std::uint32_t> want(n, 0);
-  for (vertex_t v = 0; v < n; ++v) want[v] = gt.degree(v);
-  EXPECT_EQ(acc2, want);
-  EXPECT_EQ(rt.io_pool().available(), rt.io_pool().num_buffers());
-}
-
 TEST(FaultTolerance, TransposeFaultInTwoGraphPassKeepsRuntimeReusable) {
   // One EdgeMap pass streams the graph and its transpose through one
   // handle; only the transpose's device fails. The healthy reader's
@@ -557,9 +519,6 @@ TEST(FaultTolerance, CorruptPageRaisesCorruptionOnEveryPath) {
     expect_corruption_then_clean_bfs(
         rt, g, [&] { core::edge_map(rt, bad, all, prog, {}); },
         what + ", push");
-    expect_corruption_then_clean_bfs(
-        rt, g, [&] { core::edge_map_pull(rt, bad, all, all, prog, {}); },
-        what + ", pull");
     // One pass over a clean graph and a corrupt transpose.
     expect_corruption_then_clean_bfs(
         rt, g,

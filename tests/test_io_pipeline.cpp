@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "core/edge_map.h"
-#include "core/edge_map_pull.h"
 #include "core/runtime.h"
 #include "device/cached_device.h"
 #include "device/mem_device.h"
@@ -199,39 +198,6 @@ TEST(IoPipeline, MultiDeviceEdgeMapUsesOneReaderPerDevice) {
   EXPECT_EQ(acc, want);
   EXPECT_GT(stats.pages_read, 0u);
   EXPECT_GT(stats.bytes_read, 0u);
-}
-
-TEST(IoPipeline, PullOverCachedTransposeHitsOnSecondPass) {
-  // Pull-mode EdgeMap over a cached transpose: the first pull warms the
-  // cache, the second is served from it with the same result.
-  graph::Csr g = graph::generate_rmat(11, 8, 99);
-  graph::Csr gt = graph::transpose(g);
-  auto inner = format::make_mem_graph(gt);
-  auto cached = std::make_shared<device::CachedDevice>(
-      inner.device_ptr(), 1u << 22, device::EvictionPolicy::kLru);
-  format::OnDiskGraph odg_t(inner.index(), cached);
-
-  Runtime rt(testutil::test_config());
-  const vertex_t n = g.num_vertices();
-  auto frontier = VertexSubset::all(n);
-  auto candidates = VertexSubset::all(n);
-
-  std::vector<std::uint32_t> acc1(n, 0);
-  CountProgram prog1{acc1};
-  core::edge_map_pull(rt, odg_t, frontier, candidates, prog1, {});
-  std::vector<std::uint32_t> want(n, 0);
-  for (vertex_t d : g.edges()) ++want[d];
-  EXPECT_EQ(acc1, want);
-
-  const std::uint64_t misses_after_warm = cached->cache_counters().misses;
-  EXPECT_GT(misses_after_warm, 0u);
-  std::vector<std::uint32_t> acc2(n, 0);
-  CountProgram prog2{acc2};
-  core::edge_map_pull(rt, odg_t, frontier, candidates, prog2, {});
-  // Fully warmed.
-  EXPECT_EQ(cached->cache_counters().misses, misses_after_warm);
-  EXPECT_GT(cached->cache_counters().hits, 0u);
-  EXPECT_EQ(acc1, acc2);
 }
 
 TEST(IoPipeline, UnifiedStatsThreadDeviceBusyTime) {

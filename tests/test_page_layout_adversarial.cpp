@@ -2,7 +2,6 @@
 // patterns constructed to hit every page-boundary case exactly.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <set>
@@ -116,37 +115,6 @@ TEST(PageLayoutAdversarial, TrailingZeroDegreeVertices) {
   std::vector<std::uint32_t> degrees(100, 13);
   degrees.resize(300, 0);  // 200 sinks after the last stored byte
   expect_exact_cover(degrees);
-}
-
-/// A bool callback that returns false mid-list stops that list only: the
-/// kernel visits exactly the list's prefix, then carries on with the next
-/// vertex, and counts what it visited.
-TEST(PageLayoutAdversarial, EarlyExitVisitsExactlyThePrefix) {
-  constexpr std::uint32_t kStopAfter = 10;
-  std::vector<std::uint32_t> degrees{100, 5, 3 * kPerPage + 17};
-  degrees.resize(400, 0);  // distinct targets (v * 31 + k) % n for v = 0
-  graph::Csr g = from_degrees(degrees);
-  for (auto encoding :
-       {AdjacencyEncoding::kFlat, AdjacencyEncoding::kDeltaVarint}) {
-    auto odg = make_mem_graph(g, 1, encoding);
-    std::vector<std::byte> page(kPageSize);
-    odg.device().read(0, page);
-    std::map<vertex_t, std::vector<vertex_t>> got;
-    const std::uint64_t visited = for_each_edge(
-        odg.index(), odg.page_map(), 0, page.data(), kPageSize,
-        [](vertex_t v) { return v < 2; },
-        [&](vertex_t s, vertex_t d) {
-          got[s].push_back(d);
-          return got[s].size() < kStopAfter;
-        });
-    auto nb0 = g.neighbors(0);  // build_csr sorts, as dvarint does
-    EXPECT_EQ(got[0],
-              std::vector<vertex_t>(nb0.begin(), nb0.begin() + kStopAfter));
-    auto nb1 = g.neighbors(1);
-    EXPECT_EQ(got[1], std::vector<vertex_t>(nb1.begin(), nb1.end()));
-    EXPECT_EQ(got.count(2), 0u);  // inactive
-    EXPECT_EQ(visited, kStopAfter + 5);
-  }
 }
 
 TEST(PageLayoutAdversarial, DvarintSmallLists) {
@@ -293,61 +261,62 @@ std::vector<std::uint32_t> page_frontier_degrees() {
 }
 constexpr vertex_t kHub = 152;
 
-using FilterFn = std::function<bool(vertex_t)>;
-
 /// The pages the per-member definition gives: the union of page_range(v)
-/// over members with edges that pass the filter.
+/// over members with edges.
 std::vector<std::uint64_t> union_of_page_ranges(const OnDiskGraph& odg,
-                                                const core::VertexSubset& f,
-                                                const FilterFn& filter) {
+                                                const core::VertexSubset& f) {
   std::set<std::uint64_t> pages;
   f.for_each([&](vertex_t v) {
-    if (odg.degree(v) == 0 || !filter(v)) return;
+    if (odg.degree(v) == 0) return;
     const auto [first, last] = odg.page_range(v);
     for (std::uint64_t p = first; p <= last; ++p) pages.insert(p);
   });
   return {pages.begin(), pages.end()};
 }
 
+/// The members of `f` that `keep` accepts.
+core::VertexSubset members_where(const core::VertexSubset& f,
+                                 const std::function<bool(vertex_t)>& keep) {
+  core::VertexSubset out(f.universe());
+  f.for_each([&](vertex_t v) {
+    if (keep(v)) out.add(v);
+  });
+  return out;
+}
+
 struct FrontierCase {
   std::string name;
   core::VertexSubset frontier;
-  FilterFn filter;
 };
 
 std::vector<FrontierCase> frontier_cases(vertex_t n) {
-  const FilterFn pass = [](vertex_t) { return true; };
   std::vector<FrontierCase> cases;
-  cases.push_back({"empty", core::VertexSubset(n), pass});
-  cases.push_back({"single hub", core::VertexSubset::single(n, kHub), pass});
-  cases.push_back(
-      {"single zero-degree", core::VertexSubset::single(n, 5), pass});
+  cases.push_back({"empty", core::VertexSubset(n)});
+  cases.push_back({"single hub", core::VertexSubset::single(n, kHub)});
+  cases.push_back({"single zero-degree", core::VertexSubset::single(n, 5)});
   core::VertexSubset sparse(n);
   for (vertex_t v = 3; v < n; v += 211) sparse.add(v);
   sparse.add(n - 1);  // trailing zero-degree vertex
-  cases.push_back({"sparse", std::move(sparse), pass});
+  cases.push_back({"sparse", std::move(sparse)});
   core::VertexSubset dense(n);
   Xoshiro256 rng(11);
   for (vertex_t v = 0; v < n; ++v) {
     if (rng.next_below(2) == 0) dense.add(v);
   }
-  cases.push_back({"dense", dense.clone(), pass});
-  cases.push_back({"all", core::VertexSubset::all(n), pass});
-  cases.push_back({"all, filter rejects v % 3 == 0",
-                   core::VertexSubset::all(n),
-                   [](vertex_t v) { return v % 3 != 0; }});
-  cases.push_back({"dense, filter rejects the hub and v % 5 == 0",
-                   std::move(dense),
-                   [](vertex_t v) { return v != kHub && v % 5 != 0; }});
-  cases.push_back({"all, filter rejects every member",
-                   core::VertexSubset::all(n),
-                   [](vertex_t) { return false; }});
+  cases.push_back({"dense", dense.clone()});
+  cases.push_back({"all", core::VertexSubset::all(n)});
+  cases.push_back({"all without v % 3 == 0",
+                   members_where(core::VertexSubset::all(n),
+                                 [](vertex_t v) { return v % 3 != 0; })});
+  cases.push_back(
+      {"dense without the hub and v % 5 == 0",
+       members_where(dense,
+                     [](vertex_t v) { return v != kHub && v % 5 != 0; })});
   return cases;
 }
 
 /// The page-frontier pass equals the union of its members' page ranges on
-/// every encoding's byte layout, for every frontier shape, and asks the
-/// filter only about members with edges.
+/// every encoding's byte layout, for every frontier shape.
 TEST(PageFrontier, EqualsUnionOfMemberPageRanges) {
   graph::Csr g = from_degrees(page_frontier_degrees());
   const vertex_t n = g.num_vertices();
@@ -375,21 +344,13 @@ TEST(PageFrontier, EqualsUnionOfMemberPageRanges) {
   ThreadPool pool(3);
   for (const Layout& l : layouts) {
     for (const FrontierCase& c : frontier_cases(n)) {
-      std::atomic<bool> asked_non_member{false};
-      ConcurrentBitmap bits = core::page_frontier(
-          pool, l.odg, c.frontier, [&](vertex_t v) {
-            if (!c.frontier.contains(v) || l.odg.degree(v) == 0) {
-              asked_non_member.store(true);
-            }
-            return c.filter(v);
-          });
+      ConcurrentBitmap bits = core::page_frontier(pool, l.odg, c.frontier);
       ASSERT_EQ(bits.size(), l.odg.num_pages()) << l.name;
       std::vector<std::uint64_t> got;
       bits.for_each([&](std::size_t p) { got.push_back(p); });
-      EXPECT_EQ(got, union_of_page_ranges(l.odg, c.frontier, c.filter))
+      EXPECT_EQ(got, union_of_page_ranges(l.odg, c.frontier))
           << l.name << ", " << c.name;
       EXPECT_EQ(bits.count(), got.size()) << l.name << ", " << c.name;
-      EXPECT_FALSE(asked_non_member.load()) << l.name << ", " << c.name;
     }
   }
 }
@@ -406,12 +367,11 @@ TEST(PageFrontier, StripedBatchesSplitTheSamePages) {
   core::Runtime rt(testutil::test_config());
   for (const FrontierCase& c : frontier_cases(n)) {
     auto batches = core::detail::page_frontier_batches(
-        rt.default_context(), {&striped_flat, &striped_dvarint}, c.frontier,
-        c.filter);
+        rt.default_context(), {&striped_flat, &striped_dvarint}, c.frontier);
     ASSERT_EQ(batches.size(), 6u) << c.name;
     for (std::uint32_t s = 0; s < 2; ++s) {
       const OnDiskGraph& odg = s == 0 ? striped_flat : striped_dvarint;
-      const auto want = union_of_page_ranges(odg, c.frontier, c.filter);
+      const auto want = union_of_page_ranges(odg, c.frontier);
       for (std::uint32_t d = 0; d < 3; ++d) {
         const io::ReadBatch& b = batches[s * 3 + d];
         EXPECT_EQ(b.origin.source, s);

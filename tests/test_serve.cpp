@@ -127,42 +127,6 @@ TEST(Serve, ConcurrentQueriesMatchSequential) {
   EXPECT_GE(stats.p95_ms(), stats.p50_ms());
 }
 
-TEST(Serve, ConcurrentHybridPullMatchesSequential) {
-  // The pull path binds per-query candidate/frontier state too; run the
-  // direction-optimized BFS concurrently and compare against sequential.
-  // Dense power-law graph: mid-BFS frontiers exceed |E|/20, so the hybrid
-  // reliably switches to pull (same shape as the direction tests).
-  graph::Csr g = graph::generate_rmat(11, 16, 901);
-  graph::Csr gt = graph::transpose(g);
-  auto out_g = format::make_mem_graph(g);
-  auto in_g = format::make_mem_graph(gt);
-
-  core::Runtime rt(serve_test_config());
-  auto seq = algorithms::bfs_hybrid(rt, out_g, in_g, 0);
-  const auto seq_depth = tree_depths(seq.parent, 0);
-  EXPECT_GT(seq.pull_iterations, 0u);  // the dense rounds actually pulled
-
-  serve::EngineOptions opts;
-  opts.max_inflight_queries = 2;
-  opts.workers_per_query = 2;
-  serve::QueryEngine engine(serve_test_config(), opts);
-  std::vector<algorithms::HybridBfsResult> results(2);
-  std::vector<std::shared_ptr<serve::QueryTicket>> tickets;
-  for (int i = 0; i < 2; ++i) {
-    tickets.push_back(engine.submit(
-        {[&, i](core::QueryContext& qc) {
-           results[i] = algorithms::bfs_hybrid(qc, out_g, in_g, 0);
-           return results[i].stats;
-         },
-         "bfs-hybrid"}));
-  }
-  for (auto& t : tickets) t->wait();
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(tickets[i]->state(), serve::QueryState::kDone);
-    EXPECT_EQ(tree_depths(results[i].parent, 0), seq_depth);
-  }
-}
-
 TEST(Serve, AdmissionControlRejectsOverloadTyped) {
   serve::EngineOptions opts;
   opts.max_inflight_queries = 1;
