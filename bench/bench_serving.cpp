@@ -49,10 +49,10 @@
 //   BLAZE_BENCH_OPENLOOP_INFLIGHT concurrent sessions (default 4)
 //
 // The open-loop pass also emits one "serving_apportion" A/B row (gated by
-// check_bench_baseline.py --profile): the same skewed two-graph workload
-// under Config::catalog_apportion = recent vs mrc with budgets enforced
-// as namespace admission caps, reporting each mode's post-rebalance
-// aggregate hit rate. Knobs:
+// check_bench_baseline.py --openloop): the same skewed two-graph workload
+// with the catalog's budgets enforced as namespace admission caps vs one
+// uncapped shared pool (Config::catalog_enforce_budgets on vs off),
+// reporting each leg's post-rebalance aggregate hit rate. Knobs:
 //   BLAZE_BENCH_APPORTION         0 skips the A/B row (default 1)
 //   BLAZE_BENCH_APPORTION_WARM    warm queries per graph (default 2)
 //   BLAZE_BENCH_APPORTION_QUERIES measured queries per graph (default 3)
@@ -156,15 +156,14 @@ std::vector<std::string> split_list(const std::string& s) {
   return out;
 }
 
-/// One leg of the catalog-apportioning A/B: the skewed two-graph workload
-/// (a hot graph that fits in a generous share of the pool next to a
-/// larger graph whose scans never will) under one apportioning mode, with
-/// the declared budgets physically enforced as namespace admission caps.
-/// Equal per-graph query counts make the legacy `recent` heuristic split
-/// the pool 50/50 — starving the hot graph to bankroll scans the cache
-/// cannot help — while `mrc` reads the knee off the hot graph's profiled
-/// miss-ratio curve and funds it fully. Returns the measured-phase
-/// aggregate pool hit rate (post-rebalance counter delta).
+/// One leg of the catalog cache-cap A/B: the skewed two-graph workload (a
+/// hot graph that fits in its share of the pool next to a larger graph
+/// whose scans never will), with the catalog's use-weighted budgets either
+/// enforced as namespace admission caps or left advisory. Equal per-graph
+/// query counts split the pool 50/50. Capped, the scan graph stops
+/// retaining pages at its half, so its scans cannot evict the hot graph's
+/// share; shared, they compete for the whole pool. Returns the
+/// measured-phase aggregate pool hit rate (post-rebalance counter delta).
 struct ApportionLeg {
   double hit_rate = 0.0;
   std::uint64_t hot_budget = 0;
@@ -172,22 +171,20 @@ struct ApportionLeg {
   bool ok = false;
 };
 
-ApportionLeg run_apportion_leg(core::CatalogApportion mode,
-                               std::size_t warm_queries,
+ApportionLeg run_apportion_leg(bool enforce, std::size_t warm_queries,
                                std::size_t measured_queries) {
   const auto profile = bench_optane();
   auto hot_base = format::make_simulated_graph(dataset("r2").csr, profile);
   auto scan_base = format::make_simulated_graph(dataset("r3").csr, profile);
-  // 1.5x the hot graph: room for all of it plus change, but only if the
-  // apportioner refuses to bankroll the big graph's scans.
+  // 1.5x the hot graph: its 50/50 share holds 3/4 of it, and only the
+  // caps keep the big graph's scans out of that share.
   const std::uint64_t cache_bytes = hot_base.input_bytes() * 3 / 2;
 
   serve::EngineOptions opts;
   opts.max_inflight_queries = 1;  // closed loop, deterministic access order
   auto cfg = bench_config(hot_base);
   cfg.cache_bytes = cache_bytes;
-  cfg.catalog_apportion = mode;
-  cfg.catalog_enforce_budgets = true;
+  cfg.catalog_enforce_budgets = enforce;
   serve::QueryEngine engine(cfg, opts);
   serve::GraphCatalog catalog(engine.runtime());
   catalog.open("hot", std::move(hot_base));
@@ -219,9 +216,8 @@ ApportionLeg run_apportion_leg(core::CatalogApportion mode,
     }
   };
 
-  // Warm: give both heuristics the same traffic history (equal counts)
-  // and, in mrc mode, the profiler its curves. Then rebalance — this is
-  // where the modes diverge — and measure the pool counter delta.
+  // Warm: give both legs the same traffic history (equal counts), then
+  // rebalance and measure the pool counter delta.
   run_queries(warm_queries);
   catalog.rebalance();
   ApportionLeg leg;
@@ -238,34 +234,28 @@ ApportionLeg run_apportion_leg(core::CatalogApportion mode,
   return leg;
 }
 
-/// Catalog-apportioning A/B row: `recent` vs `mrc` on the same seeded
-/// skewed workload. The check_bench_baseline.py --profile gate pins
-/// hit_mrc >= hit_recent (minus configured slack).
+/// Catalog cache-cap A/B row: enforced caps vs one shared pool on the
+/// same seeded skewed workload. The check_bench_baseline.py --openloop
+/// gate pins hit_capped >= hit_shared (minus configured slack).
 int run_apportion_ab() {
   const auto warm = static_cast<std::size_t>(
       env_long("BLAZE_BENCH_APPORTION_WARM", 2));
   const auto measured = static_cast<std::size_t>(
       env_long("BLAZE_BENCH_APPORTION_QUERIES", 3));
-  const auto recent =
-      run_apportion_leg(core::CatalogApportion::kRecent, warm, measured);
-  const auto mrc =
-      run_apportion_leg(core::CatalogApportion::kMrc, warm, measured);
+  const auto capped = run_apportion_leg(true, warm, measured);
+  const auto shared = run_apportion_leg(false, warm, measured);
   std::printf(
       "{\"bench\":\"serving_apportion\",\"hot\":\"r2\",\"scan\":\"r3\","
       "\"warm_per_graph\":%zu,\"measured_per_graph\":%zu,"
-      "\"hot_budget_recent_mib\":%.1f,\"hot_budget_mrc_mib\":%.1f,"
-      "\"scan_budget_recent_mib\":%.1f,\"scan_budget_mrc_mib\":%.1f,"
-      "\"hit_recent\":%.4f,\"hit_mrc\":%.4f,\"mrc_wins\":%s,"
+      "\"hot_budget_mib\":%.1f,\"scan_budget_mib\":%.1f,"
+      "\"hit_capped\":%.4f,\"hit_shared\":%.4f,\"capped_wins\":%s,"
       "\"results_match\":%s}\n",
-      warm, measured,
-      static_cast<double>(recent.hot_budget) / (1 << 20),
-      static_cast<double>(mrc.hot_budget) / (1 << 20),
-      static_cast<double>(recent.scan_budget) / (1 << 20),
-      static_cast<double>(mrc.scan_budget) / (1 << 20), recent.hit_rate,
-      mrc.hit_rate, mrc.hit_rate >= recent.hit_rate ? "true" : "false",
-      recent.ok && mrc.ok ? "true" : "false");
+      warm, measured, static_cast<double>(capped.hot_budget) / (1 << 20),
+      static_cast<double>(capped.scan_budget) / (1 << 20), capped.hit_rate,
+      shared.hit_rate, capped.hit_rate >= shared.hit_rate ? "true" : "false",
+      capped.ok && shared.ok ? "true" : "false");
   std::fflush(stdout);
-  return recent.ok && mrc.ok ? 0 : 1;
+  return capped.ok && shared.ok ? 0 : 1;
 }
 
 /// Open-loop catalog serving: seeded Poisson arrivals over two resident

@@ -437,11 +437,12 @@ def check_async(baseline, path):
 
 
 def check_apportion(baseline, path):
-    """Gates the bench_serving open-loop catalog-apportioning A/B row:
-    on the skewed two-graph workload, catalog_apportion=mrc must deliver
-    an aggregate hit rate at least min_mrc_gain above =recent, and both
-    legs must reproduce their references and keep the budget-sum
-    invariant (the row's ok bit folds those in)."""
+    """Gates the bench_serving open-loop catalog cache-cap A/B row:
+    on the skewed two-graph workload, the catalog's budgets enforced as
+    namespace admission caps must deliver an aggregate hit rate at least
+    min_cap_gain above one uncapped shared pool, and both legs must
+    reproduce their references and keep the budget-sum invariant (the
+    row's ok bit folds those in)."""
     failures = []
     section = baseline.get("serving_apportion")
     if not section:
@@ -451,28 +452,28 @@ def check_apportion(baseline, path):
         print("MISSING  serving_apportion: row not in open-loop output")
         failures.append("serving_apportion row missing")
         return failures
-    min_gain = float(section.get("min_mrc_gain", 0.0))
+    min_gain = float(section.get("min_cap_gain", 0.0))
     for row in rows:
         label = f"apportion {row.get('hot')}+{row.get('scan')}"
-        hit_r = float(row.get("hit_recent", 0.0))
-        hit_m = float(row.get("hit_mrc", 0.0))
-        gain = hit_m - hit_r
+        hit_s = float(row.get("hit_shared", 0.0))
+        hit_c = float(row.get("hit_capped", 0.0))
+        gain = hit_c - hit_s
         ok = True
         if not row.get("results_match", False):
             failures.append(f"{label}: results_match is false")
             ok = False
         if gain < min_gain:
             failures.append(
-                f"{label}: mrc gain {gain:+.4f} < floor {min_gain:g}"
-                f" (mrc {hit_m:.4f} vs recent {hit_r:.4f})"
+                f"{label}: capped gain {gain:+.4f} < floor {min_gain:g}"
+                f" (capped {hit_c:.4f} vs shared {hit_s:.4f})"
             )
             ok = False
         print(
-            f"{'OK' if ok else 'FAIL':7s}  {label}: hit mrc {hit_m:.4f}"
-            f" vs recent {hit_r:.4f} (gain {gain:+.4f},"
-            f" floor {min_gain:g}); hot budget"
-            f" {float(row.get('hot_budget_recent_mib', 0.0)):.1f} ->"
-            f" {float(row.get('hot_budget_mrc_mib', 0.0)):.1f} MiB"
+            f"{'OK' if ok else 'FAIL':7s}  {label}: hit capped {hit_c:.4f}"
+            f" vs shared {hit_s:.4f} (gain {gain:+.4f},"
+            f" floor {min_gain:g}); budgets hot"
+            f" {float(row.get('hot_budget_mib', 0.0)):.1f} / scan"
+            f" {float(row.get('scan_budget_mib', 0.0)):.1f} MiB"
         )
     return failures
 

@@ -21,14 +21,6 @@ namespace blaze::core {
 /// stays BSP.
 enum class ExecutionMode { kBsp, kAsync };
 
-/// How serve::GraphCatalog splits the shared cache budget across resident
-/// graphs. kRecent is the legacy traffic heuristic (weight 1 +
-/// recent_queries, largest-remainder division); kMrc allocates by greedy
-/// marginal gain over each graph's profiled miss-ratio curve
-/// (prof::apportion_by_mrc), falling back to the recent split until the
-/// profiler has seen traffic.
-enum class CatalogApportion { kRecent, kMrc };
-
 struct Config {
   /// Total computation workers (scatter + gather). IO threads (one per
   /// device) are additional, as in the artifact's `-computeWorkers 16`
@@ -101,15 +93,11 @@ struct Config {
   /// Per-namespace SHARDS sample budget (tracked keys) when profiling.
   std::size_t profile_sample_budget = 4096;
 
-  /// Cache-apportioning rule for serve::GraphCatalog (--catalog-apportion).
-  /// kMrc implies the profiler even when profile_enabled is false.
-  CatalogApportion catalog_apportion = CatalogApportion::kRecent;
-
   /// When true, the catalog pushes its per-graph cache budgets into the
   /// pool as admission caps (ShardedPageCache::set_namespace_cap), giving
   /// the declared budgets physical teeth: a graph at its cap stops
   /// retaining new pages instead of evicting its neighbors'. Off by
-  /// default (PR 9 behavior: budgets are advisory).
+  /// default: every graph's pages then compete in one shared pool.
   bool catalog_enforce_budgets = false;
 
   std::size_t scatter_threads() const {

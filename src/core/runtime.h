@@ -83,16 +83,11 @@ class Runtime {
     return page_cache_;
   }
 
-  /// The workload profiler, lazily built when profiling is requested —
-  /// profile_enabled, or catalog_apportion == kMrc (the apportioner needs
-  /// curves) — and attached to the shared pool's access stream. Returns
-  /// nullptr when profiling is off AND the apportioner doesn't need it, or
-  /// when there is no pool to observe.
+  /// The workload profiler, lazily built when profile_enabled is set and
+  /// attached to the shared pool's access stream. Returns nullptr when
+  /// profiling is off or there is no pool to observe.
   prof::WorkloadProfiler* profiler() {
-    const bool wanted =
-        config_.profile_enabled ||
-        config_.catalog_apportion == CatalogApportion::kMrc;
-    if (!profiler_ && wanted) {
+    if (!profiler_ && config_.profile_enabled) {
       const auto& pool = page_cache();
       if (!pool) return nullptr;
       prof::ProfilerOptions opts;

@@ -1,10 +1,5 @@
 #include "prof/profiler.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "util/common.h"
-
 namespace blaze::prof {
 
 WorkloadProfiler::WorkloadProfiler(ProfilerOptions opts) : opts_(opts) {}
@@ -90,11 +85,6 @@ void WorkloadProfiler::bind_namespace(std::uint64_t ns_base,
       [s] { return static_cast<double>(s->accesses()); }));
 }
 
-MissRatioCurve WorkloadProfiler::curve_of(std::uint64_t ns_base) const {
-  if (const ReuseSampler* s = sampler_of(ns_base)) return s->curve();
-  return {};
-}
-
 std::uint64_t WorkloadProfiler::accesses_of(std::uint64_t ns_base) const {
   if (const ReuseSampler* s = sampler_of(ns_base)) return s->accesses();
   return 0;
@@ -113,77 +103,6 @@ std::vector<NamespaceCurve> WorkloadProfiler::curves() const {
       c.name = names_[ns];
     }
     out.push_back(std::move(c));
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> apportion_by_mrc(
-    const std::vector<MrcShareInput>& entries, std::uint64_t total_bytes,
-    std::uint64_t chunk_bytes) {
-  const std::size_t n = entries.size();
-  std::vector<std::uint64_t> out(n, 0);
-  if (n == 0 || total_bytes == 0) return out;
-  chunk_bytes = std::max<std::uint64_t>(chunk_bytes, kPageSize);
-
-  // Keep-warm floors first (clipped to the budget in input order — the
-  // catalog sizes floors well under budget/n, so clipping is theoretical).
-  std::uint64_t left = total_bytes;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t f = std::min(entries[i].floor_bytes, left);
-    out[i] = f;
-    left -= f;
-  }
-
-  // Greedy marginal gain, one chunk at a time: give the next chunk to the
-  // entry whose weighted miss-ratio drop over that chunk is largest.
-  while (left > 0) {
-    const std::uint64_t chunk = std::min(chunk_bytes, left);
-    double best_gain = 0.0;
-    std::size_t best = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (entries[i].curve.empty()) continue;
-      const double mr_cur =
-          entries[i].curve.miss_ratio_at(out[i] / kPageSize);
-      const double mr_next =
-          entries[i].curve.miss_ratio_at((out[i] + chunk) / kPageSize);
-      const double gain =
-          std::max(0.0, entries[i].weight * (mr_cur - mr_next));
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = i;
-      }
-    }
-    if (best == n) break;  // every curve is flat from here on
-    out[best] += chunk;
-    left -= chunk;
-  }
-
-  // Curves exhausted (or absent): split the rest by traffic weight with
-  // largest-remainder rounding — byte-exact, and it degenerates to the
-  // legacy `recent` division when no entry has a usable curve.
-  if (left > 0) {
-    double wsum = 0.0;
-    for (const auto& e : entries) wsum += std::max(0.0, e.weight);
-    std::vector<std::pair<double, std::size_t>> rema;
-    rema.reserve(n);
-    std::uint64_t given = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double w = wsum > 0.0 ? std::max(0.0, entries[i].weight) / wsum
-                                  : 1.0 / static_cast<double>(n);
-      const double exact = w * static_cast<double>(left);
-      const auto fl = static_cast<std::uint64_t>(exact);
-      out[i] += fl;
-      given += fl;
-      rema.emplace_back(exact - static_cast<double>(fl), i);
-    }
-    std::stable_sort(rema.begin(), rema.end(), [](const auto& a,
-                                                  const auto& b) {
-      return a.first > b.first;
-    });
-    std::uint64_t rest = left - given;
-    for (std::size_t r = 0; rest > 0; r = (r + 1) % n, --rest) {
-      ++out[rema[r].second];
-    }
   }
   return out;
 }

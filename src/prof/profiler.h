@@ -1,8 +1,7 @@
 // prof::WorkloadProfiler — the profiling front end: routes the page-cache
 // access stream into per-namespace ReuseSamplers, snapshots miss-ratio
-// curves, exports them through the metric registry, and turns curves into
-// cache apportionments (the greedy marginal-gain allocator GraphCatalog
-// uses in `Config::catalog_apportion = mrc` mode).
+// curves, and exports them through the metric registry and blaze-run's
+// --profile report.
 //
 // Wiring: WorkloadProfiler implements device::CacheAccessObserver and is
 // installed on the shared ShardedPageCache by Runtime::profiler() — the
@@ -67,9 +66,6 @@ class WorkloadProfiler final : public device::CacheAccessObserver {
   void bind_namespace(std::uint64_t ns_base, const std::string& name,
                       bool bind_metrics);
 
-  /// Curve snapshot for one namespace; empty curve when never accessed.
-  MissRatioCurve curve_of(std::uint64_t ns_base) const;
-
   /// All namespaces with samplers, ascending namespace id.
   std::vector<NamespaceCurve> curves() const;
 
@@ -95,28 +91,5 @@ class WorkloadProfiler final : public device::CacheAccessObserver {
   std::weak_ptr<device::ShardedPageCache> pool_;
   metrics::BindingSet metrics_bindings_;
 };
-
-/// Input for the MRC-driven apportioner: one catalog entry's curve (may be
-/// empty — a graph that has not been accessed yet), its traffic weight
-/// (same 1 + recent_queries weight the legacy heuristic uses, so an idle
-/// graph cannot starve an active one purely on curve shape), and a
-/// keep-warm floor.
-struct MrcShareInput {
-  MissRatioCurve curve;
-  double weight = 1.0;
-  std::uint64_t floor_bytes = 0;
-};
-
-/// Splits `total_bytes` across the entries by greedy marginal gain: floors
-/// first, then chunk-by-chunk to whichever entry's weighted miss-ratio
-/// drop per chunk is largest — the standard MRC-partitioning greedy that
-/// is optimal for convex curves. Entries with empty curves compete with a
-/// flat curve (zero marginal gain); when every gain is zero the remainder
-/// falls back to weight-proportional largest-remainder division, which
-/// reproduces the legacy `recent` split. The result sums to total_bytes
-/// exactly.
-std::vector<std::uint64_t> apportion_by_mrc(
-    const std::vector<MrcShareInput>& entries, std::uint64_t total_bytes,
-    std::uint64_t chunk_bytes);
 
 }  // namespace blaze::prof

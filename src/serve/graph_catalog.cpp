@@ -114,7 +114,6 @@ void GraphCatalog::close(const std::string& name) {
     // drops its handle, then the next open/close/rebalance reaps it.
     e->closing = true;
     e->cache_budget = 0;
-    e->arena_budget = 0;
     std::erase_if(entries_, [](const Entry& en) {
       return en.closing && en.graph.use_count() == 1;
     });
@@ -160,7 +159,7 @@ void GraphCatalog::rebalance_locked() {
   // enough to answer its first query without a cold start, while a hot
   // graph's share grows with its traffic. Largest-remainder (Hamilton)
   // distributes the integer remainder bytes, so the shares sum EXACTLY
-  // to the budget — the invariant the catalog tests pin.
+  // to cache_bytes — the invariant the catalog tests pin.
   std::vector<Entry*> open;
   for (Entry& e : entries_) {
     if (!e.closing) open.push_back(&e);
@@ -171,80 +170,28 @@ void GraphCatalog::rebalance_locked() {
     total_weight += 1.0 + static_cast<double>(e->recent);
   }
   const core::Config& cfg = rt_->config();
-  auto apportion = [&](std::uint64_t budget,
-                       std::uint64_t Entry::* field) {
-    std::uint64_t assigned = 0;
-    std::vector<std::pair<double, Entry*>> remainders;
-    remainders.reserve(open.size());
-    for (Entry* e : open) {
-      const double w = 1.0 + static_cast<double>(e->recent);
-      const double exact =
-          static_cast<double>(budget) * (w / total_weight);
-      const auto floor_bytes = static_cast<std::uint64_t>(exact);
-      e->*field = floor_bytes;
-      assigned += floor_bytes;
-      remainders.emplace_back(exact - static_cast<double>(floor_bytes), e);
-    }
-    // Hand the leftover bytes to the largest fractional remainders,
-    // open-order ties stable so the result is deterministic.
-    std::stable_sort(remainders.begin(), remainders.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first > b.first;
-                     });
-    std::uint64_t leftover = budget - assigned;
-    for (auto& [frac, e] : remainders) {
-      if (leftover == 0) break;
-      e->*field += 1;
-      --leftover;
-    }
-  };
-  // Arena bytes always split by traffic weight: the miss-ratio curves
-  // model page re-reference, which says nothing about bin/IO arenas.
-  apportion(cfg.bin_space_bytes + cfg.io_buffer_bytes, &Entry::arena_budget);
-
-  // Cache bytes: MRC-driven when configured AND curves exist, else the
-  // recent-weight split. apportion_by_mrc degrades to weight-proportional
-  // largest-remainder while every curve is still empty (cold start), so
-  // flipping the knob before traffic arrives reproduces kRecent exactly.
-  prof::WorkloadProfiler* profiler =
-      cfg.catalog_apportion == core::CatalogApportion::kMrc
-          ? rt_->profiler()
-          : nullptr;
-  std::uint32_t predicted_pm = trace::kCatalogNoRate;
-  if (profiler != nullptr) {
-    // One chunk is the greedy step AND the per-graph keep-warm floor (the
-    // MRC analogue of the +1 weight above).
-    const std::uint64_t chunk = std::max<std::uint64_t>(
-        cfg.cache_bytes / 64, 64ull * kPageSize);
-    std::vector<prof::MrcShareInput> inputs;
-    inputs.reserve(open.size());
-    for (const Entry* e : open) {
-      prof::MrcShareInput in;
-      if (e->cached) in.curve = profiler->curve_of(e->cached->namespace_base());
-      in.weight = 1.0 + static_cast<double>(e->recent);
-      in.floor_bytes = chunk;
-      inputs.push_back(std::move(in));
-    }
-    const std::vector<std::uint64_t> shares =
-        prof::apportion_by_mrc(inputs, cfg.cache_bytes, chunk);
-    double hit_mass = 0, access_mass = 0;
-    for (std::size_t i = 0; i < open.size(); ++i) {
-      open[i]->cache_budget = shares[i];
-      if (inputs[i].curve.empty()) continue;
-      // Predicted aggregate hit rate under the NEW budgets, weighted by
-      // each graph's observed access volume.
-      const auto acc = static_cast<double>(inputs[i].curve.accesses);
-      const double miss =
-          inputs[i].curve.miss_ratio_at(shares[i] / kPageSize);
-      hit_mass += acc * (1.0 - miss);
-      access_mass += acc;
-    }
-    if (access_mass > 0) {
-      predicted_pm = static_cast<std::uint32_t>(
-          std::min(1000.0, 1000.0 * hit_mass / access_mass));
-    }
-  } else {
-    apportion(cfg.cache_bytes, &Entry::cache_budget);
+  std::uint64_t assigned = 0;
+  std::vector<std::pair<double, Entry*>> remainders;
+  remainders.reserve(open.size());
+  for (Entry* e : open) {
+    const double w = 1.0 + static_cast<double>(e->recent);
+    const double exact =
+        static_cast<double>(cfg.cache_bytes) * (w / total_weight);
+    e->cache_budget = static_cast<std::uint64_t>(exact);
+    assigned += e->cache_budget;
+    remainders.emplace_back(exact - static_cast<double>(e->cache_budget), e);
+  }
+  // Hand the leftover bytes to the largest fractional remainders,
+  // open-order ties stable so the result is deterministic.
+  std::stable_sort(remainders.begin(), remainders.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  std::uint64_t leftover = cfg.cache_bytes - assigned;
+  for (auto& [frac, e] : remainders) {
+    if (leftover == 0) break;
+    e->cache_budget += 1;
+    --leftover;
   }
 
   // Realized pool hit rate over the window since the previous rebalance —
@@ -276,9 +223,8 @@ void GraphCatalog::rebalance_locked() {
     }
   }
 
-  trace::instant(
-      trace::Name::kCatalogRebalance,
-      trace::catalog_rebalance_arg(open.size(), predicted_pm, realized_pm));
+  trace::instant(trace::Name::kCatalogRebalance,
+                 trace::catalog_rebalance_arg(open.size(), realized_pm));
 }
 
 void GraphCatalog::rebalance() {
@@ -319,13 +265,6 @@ std::uint64_t GraphCatalog::total_cache_budget() const {
   return total;
 }
 
-std::uint64_t GraphCatalog::total_arena_budget() const {
-  std::lock_guard lock(mu_);
-  std::uint64_t total = 0;
-  for (const Entry& e : entries_) total += e.arena_budget;
-  return total;
-}
-
 std::vector<CatalogEntryInfo> GraphCatalog::snapshot() const {
   // Realized occupancy first (pool walk takes shard locks; keep it
   // outside mu_).
@@ -338,7 +277,6 @@ std::vector<CatalogEntryInfo> GraphCatalog::snapshot() const {
     CatalogEntryInfo info;
     info.name = e.name;
     info.cache_budget_bytes = e.cache_budget;
-    info.arena_budget_bytes = e.arena_budget;
     info.queries = e.queries;
     info.recent_queries = e.recent;
     info.metadata_bytes = e.graph ? e.graph->metadata_bytes() : 0;

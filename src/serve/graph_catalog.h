@@ -20,15 +20,13 @@
 //
 // Budget semantics: the per-graph figures are *declared* budgets — the
 // catalog's statement of how the pool should split, which blaze-run
-// surfaces and tests pin with the sum invariant. Physical enforcement is
-// statistical: every graph's pages compete in the same S3-FIFO shards,
-// whose scan resistance keeps one graph's full-scan traffic from flushing
-// another graph's hot set (DESIGN.md §11 discusses the gap between the
-// declared and the realized split; namespace_usage() measures the
-// realized one). Arena budget (bins + IO buffers) is apportioned with the
-// same weights and reported alongside — sessions size their arenas from
-// the engine config, so this figure is advisory capacity planning, not a
-// hard partition.
+// surfaces and tests pin with the sum invariant. By default they are not
+// enforced: every graph's pages compete in the same S3-FIFO shards, whose
+// scan resistance only partly shields one graph's hot set from another
+// graph's scans (DESIGN.md §11 discusses the gap between the declared and
+// the realized split; namespace_usage() measures the realized one). With
+// Config::catalog_enforce_budgets each budget becomes its namespace's
+// admission cap in the pool, which shields it fully.
 //
 // Thread-safe: open/close/lookup/rebalance may race with each other and
 // with queries resolving handles.
@@ -50,7 +48,6 @@ namespace blaze::serve {
 struct CatalogEntryInfo {
   std::string name;
   std::uint64_t cache_budget_bytes = 0;  ///< declared share of cache_bytes
-  std::uint64_t arena_budget_bytes = 0;  ///< declared share of arena budget
   std::uint64_t resident_bytes = 0;      ///< realized pool occupancy
   std::uint64_t queries = 0;             ///< note_query() lifetime count
   std::uint64_t recent_queries = 0;      ///< since the last rebalance
@@ -64,8 +61,7 @@ struct CatalogEntryInfo {
 
 class GraphCatalog {
  public:
-  /// The catalog budgets `rt.config().cache_bytes` (cache) and
-  /// `bin_space_bytes + io_buffer_bytes` (arena) across its residents,
+  /// The catalog budgets `rt.config().cache_bytes` across its residents,
   /// and wraps every opened graph's device through `rt.page_cache()`.
   explicit GraphCatalog(core::Runtime& rt);
   ~GraphCatalog();
@@ -105,7 +101,7 @@ class GraphCatalog {
   /// Recomputes the per-graph budgets from current use weights: each
   /// resident graph gets share (1 + recent_queries) / sum over residents,
   /// materialized by largest-remainder apportionment so the shares sum
-  /// EXACTLY to the budgets being split. Resets the recent counters —
+  /// EXACTLY to cache_bytes. Resets the recent counters —
   /// calling this periodically is the "idle" trigger: a graph nobody
   /// queried since the last call decays to the floor share.
   void rebalance();
@@ -121,7 +117,6 @@ class GraphCatalog {
   /// == 0 when the catalog is empty (nothing to spend on). The catalog
   /// tests assert this invariant after every lifecycle step.
   std::uint64_t total_cache_budget() const;
-  std::uint64_t total_arena_budget() const;
 
   /// Snapshot of every resident (and still-closing) entry, open order.
   std::vector<CatalogEntryInfo> snapshot() const;
@@ -142,19 +137,14 @@ class GraphCatalog {
     /// pool / no device).
     std::shared_ptr<device::CachedDevice> cached;
     std::uint64_t cache_budget = 0;
-    std::uint64_t arena_budget = 0;
     std::uint64_t queries = 0;
     std::uint64_t recent = 0;  ///< queries since last rebalance
     bool closing = false;
   };
 
-  /// Recomputes the per-entry budgets. Cache bytes go by the configured
-  /// rule — kRecent: largest-remainder over use weights; kMrc: greedy
-  /// marginal gain over the profiler's per-graph miss-ratio curves
-  /// (prof::apportion_by_mrc), falling back to the recent split until
-  /// curves exist. Arena bytes always use the recent split (curves say
-  /// nothing about bin/IO arenas). Emits one kCatalogRebalance instant
-  /// whose packed arg carries graphs + predicted/realized hit per-mille
+  /// Recomputes the per-entry cache budgets by largest remainder over
+  /// use weights. Emits one kCatalogRebalance instant whose packed arg
+  /// carries graphs + realized hit per-mille
   /// (trace::catalog_rebalance_arg), and pushes namespace admission caps
   /// when Config::catalog_enforce_budgets. Caller holds mu_.
   void rebalance_locked();

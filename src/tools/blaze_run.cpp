@@ -678,12 +678,10 @@ int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
   if (catalog) {
     std::printf("  catalog (%zu resident graphs)\n", catalog->size());
     for (const auto& row : catalog->snapshot()) {
-      std::printf("    %-14s budget %7.1f MiB cache + %6.1f MiB arena, "
-                  "resident %7.1f MiB, %llu queries, hit %5.1f%% "
-                  "(%llu ghost)%s\n",
+      std::printf("    %-14s budget %7.1f MiB cache, resident %7.1f MiB, "
+                  "%llu queries, hit %5.1f%% (%llu ghost)%s\n",
                   row.name.c_str(),
                   static_cast<double>(row.cache_budget_bytes) / (1 << 20),
-                  static_cast<double>(row.arena_budget_bytes) / (1 << 20),
                   static_cast<double>(row.resident_bytes) / (1 << 20),
                   static_cast<unsigned long long>(row.queries),
                   100.0 * row.cache.hit_rate(),
@@ -727,7 +725,19 @@ int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
 int main(int argc, char** argv) {
   using namespace blaze;
   Options opt(argc, argv, {"sync", "live", "catalog-enforce"});
-  if (opt.positional().size() != 2) {
+  // A misspelt or retired flag is a usage error, not a silent default.
+  const std::string unknown = opt.unknown_flag(
+      {"binCount", "binSpace", "binningRatio", "cache-policy",
+       "cache-shards", "cacheMB", "catalog", "catalog-enforce", "clients",
+       "computeWorkers", "epsilon", "format", "inAdjFilenames",
+       "inIndexFilename", "live", "maxInflight", "maxIterations",
+       "metrics-out", "metrics-port", "metricsSampleMs", "mode", "profile",
+       "profile-budget", "queries", "query", "slowQueryMs", "startNode",
+       "stats-json", "sync", "tenants", "trace"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag: %s\n", unknown.c_str());
+  }
+  if (!unknown.empty() || opt.positional().size() != 2) {
     std::fprintf(
         stderr,
         "usage: blaze-run -query bfs|pr|wcc|spmv|bc|sssp|kcore [options] "
@@ -748,6 +758,7 @@ int main(int argc, char** argv) {
         "run BSP\n"
         "  --epsilon E         convergence threshold: PageRank-delta "
         "activation/termination (default 1e-2)\n"
+        "  -maxIterations N    PageRank iteration cap (default 100)\n"
         "  --cacheMB N         shared page-cache pool budget in MiB "
         "(0 = off, the default)\n"
         "  --cache-policy P    pool eviction policy: s3fifo (default), "
@@ -762,9 +773,6 @@ int main(int argc, char** argv) {
         "clients spread round-robin (bfs/pr/sssp only)\n"
         "  --tenants SPEC      serving mode: weighted-fair tenants, "
         "'name:weight[:quota],...'; clients map to tenants round-robin\n"
-        "  --catalog-apportion recent|mrc  cache-budget split rule for "
-        "--catalog serving: traffic weights (default) or profiled "
-        "miss-ratio curves (greedy marginal gain)\n"
         "  --catalog-enforce   push the catalog's per-graph budgets into "
         "the pool as admission caps (default: advisory)\n"
         "  --profile FILE      workload-profiler JSON report at exit: "
@@ -903,21 +911,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Workload profiler + MRC-apportioning knobs (blaze::prof).
+  // Workload profiler (blaze::prof) and catalog budget enforcement.
   const std::string profile_path = opt.get_string("profile", "");
   cfg.profile_enabled = !profile_path.empty();
   cfg.profile_sample_budget = static_cast<std::size_t>(
       opt.get_int("profile-budget", 4096));
-  const std::string apportion_name =
-      opt.get_string("catalog-apportion", "recent");
-  if (apportion_name == "mrc") {
-    cfg.catalog_apportion = core::CatalogApportion::kMrc;
-  } else if (apportion_name != "recent") {
-    std::fprintf(stderr,
-                 "unknown --catalog-apportion %s (want recent|mrc)\n",
-                 apportion_name.c_str());
-    return 2;
-  }
   cfg.catalog_enforce_budgets = opt.get_bool("catalog-enforce", false);
 
   // Telemetry flags. Any of them flips Config::metrics_enabled (the sticky

@@ -58,23 +58,19 @@ void append_rec(std::string& out, const Rec& r, std::uint64_t t0_ns) {
       n = std::snprintf(buf, sizeof(buf), ",\"args\":{\"round\":%" PRIu64 "}",
                         r.arg);
     } else if (r.name == Name::kCatalogRebalance) {
-      // Packed rebalance instants (see trace::catalog_rebalance_arg).
-      // Absent rates (kCatalogNoRate) are omitted, not emitted as the
+      // Packed rebalance instants (see trace::catalog_rebalance_arg). An
+      // absent rate (kCatalogNoRate) is omitted, not emitted as the
       // sentinel value.
       const std::uint32_t graphs = catalog_arg_graphs(r.arg);
-      const std::uint32_t pred = catalog_arg_predicted_pm(r.arg);
       const std::uint32_t real = catalog_arg_realized_pm(r.arg);
-      n = std::snprintf(buf, sizeof(buf), ",\"args\":{\"graphs\":%u", graphs);
-      out.append(buf, static_cast<std::size_t>(n));
-      if (pred != kCatalogNoRate) {
-        n = std::snprintf(buf, sizeof(buf), ",\"predicted_hit_pm\":%u", pred);
-        out.append(buf, static_cast<std::size_t>(n));
-      }
       if (real != kCatalogNoRate) {
-        n = std::snprintf(buf, sizeof(buf), ",\"realized_hit_pm\":%u", real);
-        out.append(buf, static_cast<std::size_t>(n));
+        n = std::snprintf(buf, sizeof(buf),
+                          ",\"args\":{\"graphs\":%u,\"realized_hit_pm\":%u}",
+                          graphs, real);
+      } else {
+        n = std::snprintf(buf, sizeof(buf), ",\"args\":{\"graphs\":%u}",
+                          graphs);
       }
-      n = std::snprintf(buf, sizeof(buf), "}");
     } else {
       n = std::snprintf(buf, sizeof(buf), ",\"args\":{\"arg\":%" PRIu64 "}",
                         r.arg);

@@ -128,28 +128,21 @@ constexpr std::uint32_t cache_arg_shard_plus_1(std::uint64_t arg) {
 }
 
 /// Arg packing for kCatalogRebalance: low 16 bits = resident graph count,
-/// bits 16..31 = predicted aggregate hit rate under the NEW budgets
-/// (per-mille, from the profiled miss-ratio curves), bits 32..47 =
-/// realized pool hit rate over the window since the previous rebalance
-/// (per-mille). kCatalogNoRate marks an absent rate — no curves yet, or
-/// the first window. chrome_export decodes this into {"graphs": N,
-/// "predicted_hit_pm": P, "realized_hit_pm": R}, omitting absent rates.
+/// bits 16..31 = realized pool hit rate over the window since the
+/// previous rebalance (per-mille). kCatalogNoRate marks an absent rate —
+/// no cache, or no access in the window. chrome_export decodes this into
+/// {"graphs": N, "realized_hit_pm": R}, omitting an absent rate.
 constexpr std::uint32_t kCatalogNoRate = 0xffff;
 constexpr std::uint64_t catalog_rebalance_arg(std::uint64_t graphs,
-                                              std::uint32_t predicted_pm,
                                               std::uint32_t realized_pm) {
   return (graphs & 0xffffull) |
-         (static_cast<std::uint64_t>(predicted_pm & 0xffffu) << 16) |
-         (static_cast<std::uint64_t>(realized_pm & 0xffffu) << 32);
+         (static_cast<std::uint64_t>(realized_pm & 0xffffu) << 16);
 }
 constexpr std::uint32_t catalog_arg_graphs(std::uint64_t arg) {
   return static_cast<std::uint32_t>(arg & 0xffffull);
 }
-constexpr std::uint32_t catalog_arg_predicted_pm(std::uint64_t arg) {
-  return static_cast<std::uint32_t>((arg >> 16) & 0xffffull);
-}
 constexpr std::uint32_t catalog_arg_realized_pm(std::uint64_t arg) {
-  return static_cast<std::uint32_t>((arg >> 32) & 0xffffull);
+  return static_cast<std::uint32_t>((arg >> 16) & 0xffffull);
 }
 
 struct Event {

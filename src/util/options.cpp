@@ -64,4 +64,11 @@ bool Options::get_bool(const std::string& name, bool def) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
+std::string Options::unknown_flag(const std::set<std::string>& known) const {
+  for (const auto& [name, value] : flags_) {
+    if (known.count(name) == 0) return name;
+  }
+  return {};
+}
+
 }  // namespace blaze

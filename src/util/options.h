@@ -33,6 +33,10 @@ class Options {
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 
+  /// First given flag (in name order) that `known` does not list, or ""
+  /// when every flag is known.
+  std::string unknown_flag(const std::set<std::string>& known) const;
+
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;

@@ -2,9 +2,11 @@
 // budget-sum invariant through every open/close/rebalance step, handle
 // pinning across close (in-flight queries survive a concurrent close of
 // a different graph — and of their own), realized per-namespace pool
-// occupancy, and one cache counter set seen alike by every reader.
+// occupancy and its admission caps when budgets are enforced, and one
+// cache counter set seen alike by every reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
@@ -34,18 +36,11 @@ core::Config catalog_test_config() {
 }
 
 /// The invariant every lifecycle step must preserve: declared per-graph
-/// budgets sum EXACTLY to the configured budgets while anything is
-/// resident, and to zero when nothing is.
+/// budgets sum EXACTLY to cache_bytes while anything is resident, and to
+/// zero when nothing is.
 void expect_budget_invariant(const serve::GraphCatalog& cat,
                              const core::Config& cfg) {
-  if (cat.size() == 0) {
-    EXPECT_EQ(cat.total_cache_budget(), 0u);
-    EXPECT_EQ(cat.total_arena_budget(), 0u);
-  } else {
-    EXPECT_EQ(cat.total_cache_budget(), cfg.cache_bytes);
-    EXPECT_EQ(cat.total_arena_budget(),
-              cfg.bin_space_bytes + cfg.io_buffer_bytes);
-  }
+  EXPECT_EQ(cat.total_cache_budget(), cat.size() == 0 ? 0 : cfg.cache_bytes);
 }
 
 TEST(Catalog, OpenCloseLifecycleKeepsBudgetSumExact) {
@@ -263,43 +258,62 @@ TEST(Catalog, NamespaceUsageMeasuresRealizedOccupancy) {
   engine.drain();
 }
 
-TEST(Catalog, MrcApportioningKeepsBudgetSumExact) {
-  // catalog_apportion = mrc must preserve the byte-exact budget invariant
-  // even on a cold start (no traffic -> every curve empty -> the allocator
-  // falls back to the weight split) and after real traffic shaped the
-  // curves. With enforcement on, declared budgets become pool admission
-  // caps, so the realized occupancy must respect them too.
+TEST(Catalog, EnforcedBudgetsCapOccupancyAfterRebalance) {
+  // With enforcement on, each declared budget is its graph's admission cap
+  // in the pool. Traffic on "hot" alone, then a rebalance, gives it about
+  // 4/5 of the pool and "cold" the rest; then both graphs run BFS, each
+  // touching more pages than either cap. Every graph's realized occupancy
+  // must stay within its budget, plus set_namespace_cap's round-up of
+  // under one page per shard, and the budgets must still sum exactly.
   core::Config cfg = catalog_test_config();
-  cfg.catalog_apportion = core::CatalogApportion::kMrc;
   cfg.catalog_enforce_budgets = true;
   serve::QueryEngine engine(cfg);
   serve::GraphCatalog cat(engine.runtime());
   engine.attach_catalog(&cat);
 
-  graph::Csr g = graph::generate_rmat(9, 8, 701);
-  cat.open("a", format::make_mem_graph(g));
-  cat.open("b", format::make_mem_graph(g));
+  // 2^12 vertices x 64 edges x 4 B: 256 pages of adjacency per graph,
+  // against a 256-page pool.
+  graph::Csr g = graph::generate_rmat(12, 64, 704);
+  cat.open("hot", format::make_mem_graph(g));
+  cat.open("cold", format::make_mem_graph(g));
   expect_budget_invariant(cat, cfg);
-  cat.rebalance();  // cold: empty curves, fallback path
-  expect_budget_invariant(cat, cfg);
-  ASSERT_NE(engine.runtime().profiler(), nullptr);  // kMrc implies it
 
-  serve::QuerySpec spec;
-  spec.label = "bfs-a";
-  spec.graph = "a";
-  spec.run = [](core::QueryContext& qc) {
-    return algorithms::bfs(qc, *qc.graph(), 0).stats;
+  auto bfs_on = [&](const std::string& graph) {
+    serve::QuerySpec spec;
+    spec.label = "bfs-" + graph;
+    spec.graph = graph;
+    spec.run = [](core::QueryContext& qc) {
+      return algorithms::bfs(qc, *qc.graph(), 0).stats;
+    };
+    auto t = engine.submit(spec);
+    t->wait();
+    ASSERT_EQ(t->state(), serve::QueryState::kDone) << graph;
   };
-  auto t = engine.submit(spec);
-  t->wait();
-  ASSERT_EQ(t->state(), serve::QueryState::kDone);
-
-  cat.rebalance();  // warm: curve-driven path
+  for (int i = 0; i < 3; ++i) bfs_on("hot");
+  cat.rebalance();  // weights 1+3 vs 1+0
   expect_budget_invariant(cat, cfg);
-  // The only graph with traffic (and the only non-empty curve) must not
-  // end up with less cache than the idle one.
-  EXPECT_GE(cat.cache_budget_of("a"), cat.cache_budget_of("b"));
+  EXPECT_GT(cat.cache_budget_of("hot"), 3 * cat.cache_budget_of("cold"));
+  bfs_on("cold");
+  bfs_on("hot");
   engine.drain();
+
+  const auto& pool = engine.runtime().page_cache();
+  ASSERT_NE(pool, nullptr);
+  const std::uint64_t shards = pool->shard_count();
+  std::size_t checked = 0;
+  for (const auto& u : cat.namespace_usage()) {
+    const std::string name = u.name.substr(u.name.find('/') + 1);
+    const std::uint64_t cap_pages =
+        std::max<std::uint64_t>(1, cat.cache_budget_of(name) / kPageSize);
+    const std::uint64_t bound = (cap_pages + shards - 1) / shards * shards;
+    EXPECT_GT(u.resident_pages, 0u) << name;
+    EXPECT_LE(u.resident_pages, bound) << name;
+    // The cap binds: the graph read more pages than it may keep.
+    EXPECT_GT(u.cache.misses, bound) << name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2u);
+  expect_budget_invariant(cat, cfg);
 }
 
 // ------------------------------------------------ counter reconciliation

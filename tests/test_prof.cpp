@@ -1,15 +1,14 @@
 // blaze::prof: SHARDS reuse-distance sampling vs an exact LRU stack
 // oracle on seeded synthetic traces (uniform, Zipf, sequential scan),
-// the sampling-rate-adaptation path, the MRC-driven apportioner, stall
-// attribution, the pool access-observer wiring, and namespace admission
-// caps (catalog budget enforcement).
+// the sampling-rate-adaptation path, stall attribution, the pool
+// access-observer wiring, and namespace admission caps (catalog budget
+// enforcement).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "core/config.h"
@@ -266,73 +265,6 @@ TEST(MissRatioCurve, InterpolatesAndClamps) {
   EXPECT_DOUBLE_EQ(empty.miss_ratio_at(64), 1.0);
 }
 
-// ---- apportion_by_mrc ----------------------------------------------------
-
-constexpr std::uint64_t kMiB = 1ull << 20;
-
-std::uint64_t sum_of(const std::vector<std::uint64_t>& v) {
-  return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
-}
-
-TEST(ApportionByMrc, EmptyCurvesFallBackToWeightSplit) {
-  std::vector<MrcShareInput> in(2);
-  in[0].weight = 1.0;
-  in[1].weight = 3.0;
-  const auto out = apportion_by_mrc(in, 64 * kMiB, kMiB);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(sum_of(out), 64 * kMiB);
-  EXPECT_EQ(out[0], 16 * kMiB);
-  EXPECT_EQ(out[1], 48 * kMiB);
-}
-
-TEST(ApportionByMrc, SteepCurveBeatsFlatScan) {
-  // A: hot 64-page loop with shuffled re-references (LRU-friendly: miss
-  // ratio collapses once the loop fits). B: pure sequential scan (flat
-  // curve, nothing to gain). A must win the contested bytes.
-  ReuseSamplerOptions exact;
-  exact.exact = true;
-  ReuseSampler a(exact), b(exact);
-  Xoshiro256 rng(3);
-  for (int rep = 0; rep < 200; ++rep) {
-    for (std::uint64_t k = 0; k < 64; ++k) a.record(rng.next_below(64));
-  }
-  for (std::uint64_t k = 0; k < 20000; ++k) b.record(k);
-  std::vector<MrcShareInput> in(2);
-  in[0].curve = a.curve();
-  in[1].curve = b.curve();
-  const std::uint64_t total = 512 * kPageSize;
-  const auto out = apportion_by_mrc(in, total, 16 * kPageSize);
-  EXPECT_EQ(sum_of(out), total);
-  EXPECT_GT(out[0], out[1]);
-  EXPECT_GE(out[0], 64 * kPageSize);  // at least the loop's working set
-}
-
-TEST(ApportionByMrc, FloorsAreRespected) {
-  std::vector<MrcShareInput> in(3);
-  for (auto& i : in) i.floor_bytes = 2 * kMiB;
-  ReuseSamplerOptions exact;
-  exact.exact = true;
-  ReuseSampler hot(exact);
-  for (int rep = 0; rep < 100; ++rep) {
-    for (std::uint64_t k = 0; k < 32; ++k) hot.record(k);
-  }
-  in[0].curve = hot.curve();
-  const auto out = apportion_by_mrc(in, 32 * kMiB, kMiB);
-  EXPECT_EQ(sum_of(out), 32 * kMiB);
-  for (const std::uint64_t share : out) EXPECT_GE(share, 2 * kMiB);
-}
-
-TEST(ApportionByMrc, SumInvariantUnderAwkwardTotals) {
-  // Totals that do not divide by the chunk, floors that exceed the total.
-  std::vector<MrcShareInput> in(3);
-  in[0].floor_bytes = 10 * kMiB;
-  in[1].floor_bytes = 10 * kMiB;
-  in[2].floor_bytes = 10 * kMiB;
-  const std::uint64_t total = 17 * kMiB + 4096 + 17;
-  const auto out = apportion_by_mrc(in, total, kMiB);
-  EXPECT_EQ(sum_of(out), total);
-}
-
 // ---- StallBreakdown ------------------------------------------------------
 
 TEST(StallBreakdown, FoldConvertsWorkerNsToWallShare) {
@@ -398,13 +330,13 @@ TEST(WorkloadProfiler, ObservesPoolAccessesPerNamespace) {
   touch_page(*pool, ns_b + 0);
   EXPECT_EQ(prof.accesses_of(ns_a), 24u);
   EXPECT_EQ(prof.accesses_of(ns_b), 1u);
-  const MissRatioCurve curve = prof.curve_of(ns_a);
-  ASSERT_FALSE(curve.empty());
-  // 8-page loop: everything hits once the cache holds 8 pages.
-  EXPECT_LT(curve.miss_ratio_at(8), 0.5);
   prof.bind_namespace(ns_a, "graph/a", /*bind_metrics=*/false);
   const auto curves = prof.curves();
   ASSERT_EQ(curves.size(), 2u);
+  EXPECT_EQ(curves[0].ns_base, ns_a);
+  ASSERT_FALSE(curves[0].curve.empty());
+  // 8-page loop: everything hits once the cache holds 8 pages.
+  EXPECT_LT(curves[0].curve.miss_ratio_at(8), 0.5);
   EXPECT_EQ(curves[0].name, "graph/a");
   EXPECT_TRUE(curves[1].name.empty());
   prof.detach();
@@ -423,11 +355,6 @@ TEST(WorkloadProfiler, RuntimeBuildsProfilerOnlyWhenWanted) {
   core::Runtime rt_on(on);
   ASSERT_NE(rt_on.profiler(), nullptr);
   EXPECT_EQ(rt_on.page_cache()->access_observer(), rt_on.profiler());
-
-  core::Config mrc = off;
-  mrc.catalog_apportion = core::CatalogApportion::kMrc;
-  core::Runtime rt_mrc(mrc);
-  EXPECT_NE(rt_mrc.profiler(), nullptr);
 
   core::Config nopool;
   nopool.profile_enabled = true;  // wants one, but there is no pool

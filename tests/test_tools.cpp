@@ -361,6 +361,27 @@ TEST_F(ToolsTest, UnknownModeRejected) {
   EXPECT_NE(output().find("--mode"), std::string::npos) << output();
 }
 
+TEST_F(ToolsTest, UnknownFlagRejected) {
+  // A retired flag and a typo must not run with the defaults: exit 2,
+  // naming the flag.
+  const struct {
+    const char* args;
+    const char* name;
+  } cases[] = {{"--catalog-apportion mrc", "catalog-apportion"},
+               {"-computeWorker 8", "computeWorker"}};
+  for (const auto& c : cases) {
+    const int status = run(std::string(BLAZE_RUN_PATH) + " -query bfs " +
+                           c.args + " " + prefix_ + ".gr.index " + prefix_ +
+                           ".gr.adj.0");
+    ASSERT_TRUE(WIFEXITED(status)) << c.args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << c.args << "\n" << output();
+    EXPECT_NE(output().find(std::string("unknown flag: ") + c.name + "\n"),
+              std::string::npos)
+        << output();
+    EXPECT_EQ(output().find("reached"), std::string::npos) << output();
+  }
+}
+
 TEST_F(ToolsTest, WeightedGraphRejectsDvarintTranscode) {
   // Same rule blaze-gen enforces at write time: weighted 8-byte records
   // are flat-only, so asking blaze-run to transcode must fail cleanly

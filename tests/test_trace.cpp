@@ -560,29 +560,29 @@ TEST_F(TraceTest, ChromeExportSatisfiesSchema) {
 }
 
 TEST_F(TraceTest, CatalogRebalanceArgPacksAndUnpacks) {
-  const std::uint64_t arg = trace::catalog_rebalance_arg(3, 850, 912);
+  const std::uint64_t arg = trace::catalog_rebalance_arg(3, 912);
   EXPECT_EQ(trace::catalog_arg_graphs(arg), 3u);
-  EXPECT_EQ(trace::catalog_arg_predicted_pm(arg), 850u);
   EXPECT_EQ(trace::catalog_arg_realized_pm(arg), 912u);
   // Field isolation at the extremes.
-  const std::uint64_t max = trace::catalog_rebalance_arg(
-      0xffff, trace::kCatalogNoRate, trace::kCatalogNoRate);
+  const std::uint64_t max =
+      trace::catalog_rebalance_arg(0xffff, trace::kCatalogNoRate);
   EXPECT_EQ(trace::catalog_arg_graphs(max), 0xffffu);
-  EXPECT_EQ(trace::catalog_arg_predicted_pm(max), trace::kCatalogNoRate);
   EXPECT_EQ(trace::catalog_arg_realized_pm(max), trace::kCatalogNoRate);
+  EXPECT_EQ(trace::catalog_arg_realized_pm(
+                trace::catalog_rebalance_arg(0xffff, 0)),
+            0u);
 }
 
 TEST_F(TraceTest, ChromeExportDecodesPackedArgs) {
   // kSchedRound and kCatalogRebalance instants carry packed args; the
-  // exporter must unpack them into named fields (and omit absent rates)
+  // exporter must unpack them into named fields (and omit an absent rate)
   // instead of dumping the raw integer.
   trace::set_enabled(true);
   trace::instant(trace::Name::kSchedRound, 7);
   trace::instant(trace::Name::kCatalogRebalance,
-                 trace::catalog_rebalance_arg(3, 850, 912));
+                 trace::catalog_rebalance_arg(3, 912));
   trace::instant(trace::Name::kCatalogRebalance,
-                 trace::catalog_rebalance_arg(2, trace::kCatalogNoRate,
-                                              trace::kCatalogNoRate));
+                 trace::catalog_rebalance_arg(2, trace::kCatalogNoRate));
   const std::string json =
       trace::to_chrome_json(trace::collect(), trace::dropped_events());
   JsonParser parser(json);
@@ -601,13 +601,11 @@ TEST_F(TraceTest, ChromeExportDecodesPackedArgs) {
       ASSERT_TRUE(o.contains("args"));
       const JsonObject& args = o.at("args").object();
       if (args.at("graphs").number() == 3.0) {
-        EXPECT_EQ(args.at("predicted_hit_pm").number(), 850.0);
         EXPECT_EQ(args.at("realized_hit_pm").number(), 912.0);
         saw_rates = true;
       } else {
-        // Cold-start rebalance: sentinel rates must be omitted entirely.
+        // Cold-start rebalance: the sentinel rate must be omitted.
         EXPECT_EQ(args.at("graphs").number(), 2.0);
-        EXPECT_FALSE(args.contains("predicted_hit_pm"));
         EXPECT_FALSE(args.contains("realized_hit_pm"));
         saw_cold = true;
       }
