@@ -52,7 +52,7 @@
 // check_bench_baseline.py --openloop): the same skewed two-graph workload
 // with the catalog's budgets enforced as namespace admission caps vs one
 // uncapped shared pool (Config::catalog_enforce_budgets on vs off),
-// reporting each leg's post-rebalance aggregate hit rate. Knobs:
+// reporting each leg's measured-phase aggregate hit rate. Knobs:
 //   BLAZE_BENCH_APPORTION         0 skips the A/B row (default 1)
 //   BLAZE_BENCH_APPORTION_WARM    warm queries per graph (default 2)
 //   BLAZE_BENCH_APPORTION_QUERIES measured queries per graph (default 3)
@@ -158,12 +158,12 @@ std::vector<std::string> split_list(const std::string& s) {
 
 /// One leg of the catalog cache-cap A/B: the skewed two-graph workload (a
 /// hot graph that fits in its share of the pool next to a larger graph
-/// whose scans never will), with the catalog's use-weighted budgets either
-/// enforced as namespace admission caps or left advisory. Equal per-graph
-/// query counts split the pool 50/50. Capped, the scan graph stops
+/// whose scans never will), with the catalog's equal budgets either
+/// enforced as namespace admission caps or left advisory. The two graphs
+/// split the pool 50/50. Capped, the scan graph stops
 /// retaining pages at its half, so its scans cannot evict the hot graph's
 /// share; shared, they compete for the whole pool. Returns the
-/// measured-phase aggregate pool hit rate (post-rebalance counter delta).
+/// measured-phase aggregate pool hit rate (post-warm counter delta).
 struct ApportionLeg {
   double hit_rate = 0.0;
   std::uint64_t hot_budget = 0;
@@ -216,10 +216,9 @@ ApportionLeg run_apportion_leg(bool enforce, std::size_t warm_queries,
     }
   };
 
-  // Warm: give both legs the same traffic history (equal counts), then
-  // rebalance and measure the pool counter delta.
+  // Warm: give both legs the same traffic history, then measure the pool
+  // counter delta.
   run_queries(warm_queries);
-  catalog.rebalance();
   ApportionLeg leg;
   leg.hot_budget = catalog.cache_budget_of("hot");
   leg.scan_budget = catalog.cache_budget_of("scan");

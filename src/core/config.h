@@ -93,11 +93,13 @@ struct Config {
   /// Per-namespace SHARDS sample budget (tracked keys) when profiling.
   std::size_t profile_sample_budget = 4096;
 
-  /// When true, the catalog pushes its per-graph cache budgets into the
-  /// pool as admission caps (ShardedPageCache::set_namespace_cap), giving
-  /// the declared budgets physical teeth: a graph at its cap stops
-  /// retaining new pages instead of evicting its neighbors'. Off by
-  /// default: every graph's pages then compete in one shared pool.
+  /// When true, the catalog pushes its equal per-graph cache budgets into
+  /// the pool as admission caps (ShardedPageCache::set_namespace_cap): a
+  /// graph at its cap stops retaining new pages instead of evicting its
+  /// neighbors'. Off by default: every graph's pages then compete in one
+  /// shared pool. Neither wins everywhere: caps keep a big graph's scans
+  /// out of a small graph's share, but a share its graph cannot fill
+  /// sits idle (EXPERIMENTS.md, catalog cache caps).
   bool catalog_enforce_budgets = false;
 
   std::size_t scatter_threads() const {

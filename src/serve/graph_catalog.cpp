@@ -1,6 +1,5 @@
 #include "serve/graph_catalog.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -9,27 +8,29 @@
 #include "trace/tracer.h"
 
 namespace blaze::serve {
+namespace {
+
+std::invalid_argument already_resident(const std::string& name) {
+  return std::invalid_argument("catalog: graph '" + name +
+                               "' is already resident");
+}
+
+std::invalid_argument not_resident(const std::string& name) {
+  return std::invalid_argument("catalog: graph '" + name +
+                               "' is not resident");
+}
+
+}  // namespace
 
 GraphCatalog::GraphCatalog(core::Runtime& rt) : rt_(&rt) {
-  // Per-graph declared-budget gauges. Registered before any caller can
-  // hold mu_ through a registry snapshot (metrics.h lock rules): the
-  // callback takes mu_, so the catalog itself never calls the registry
-  // while holding mu_.
+  // Resident-graph gauge. Registered before any caller can hold mu_
+  // through a registry snapshot (metrics.h lock rules): the callback takes
+  // mu_, so the catalog itself never calls the registry while holding mu_.
   if (metrics::enabled()) {
-    metrics::Registry& reg = metrics::Registry::instance();
-    metrics_bindings_.add(reg.callback(
+    metrics_bindings_.add(metrics::Registry::instance().callback(
         "blaze_catalog_graphs", {}, metrics::Kind::kGauge, [this] {
           std::lock_guard lock(mu_);
-          std::size_t open = 0;
-          for (const Entry& e : entries_) open += e.closing ? 0 : 1;
-          return static_cast<double>(open);
-        }));
-    metrics_bindings_.add(reg.callback(
-        "blaze_catalog_budget_bytes", {}, metrics::Kind::kGauge, [this] {
-          std::lock_guard lock(mu_);
-          std::uint64_t total = 0;
-          for (const Entry& e : entries_) total += e.cache_budget;
-          return static_cast<double>(total);
+          return static_cast<double>(entries_.size());
         }));
   }
 }
@@ -38,7 +39,7 @@ GraphCatalog::~GraphCatalog() { metrics_bindings_.clear(); }
 
 GraphCatalog::Entry* GraphCatalog::find_locked(const std::string& name) {
   for (Entry& e : entries_) {
-    if (!e.closing && e.name == name) return &e;
+    if (e.name == name) return &e;
   }
   return nullptr;
 }
@@ -46,12 +47,15 @@ GraphCatalog::Entry* GraphCatalog::find_locked(const std::string& name) {
 const GraphCatalog::Entry* GraphCatalog::find_locked(
     const std::string& name) const {
   for (const Entry& e : entries_) {
-    if (!e.closing && e.name == name) return &e;
+    if (e.name == name) return &e;
   }
   return nullptr;
 }
 
 void GraphCatalog::open(const std::string& name, format::OnDiskGraph g) {
+  // Reject a resident name before wrapping: the wrap registers a pool
+  // namespace, which nothing unregisters.
+  if (contains(name)) throw already_resident(name);
   // Wrap the adjacency device through the shared pool under a per-graph
   // namespace, outside mu_ (register_device takes the pool's own lock).
   std::shared_ptr<const format::OnDiskGraph> resident;
@@ -77,20 +81,14 @@ void GraphCatalog::open(const std::string& name, format::OnDiskGraph g) {
   }
   {
     std::lock_guard lock(mu_);
-    if (find_locked(name) != nullptr) {
-      throw std::invalid_argument("catalog: graph '" + name +
-                                  "' is already resident");
-    }
-    // Reap closed entries whose last query handle has dropped.
-    std::erase_if(entries_, [](const Entry& e) {
-      return e.closing && e.graph.use_count() == 1;
-    });
+    // A concurrent open of the same name may have won the race.
+    if (find_locked(name) != nullptr) throw already_resident(name);
     Entry e;
     e.name = name;
     e.graph = std::move(resident);
     e.cached = std::move(wrapped);
     entries_.push_back(std::move(e));
-    rebalance_locked();
+    split_budget_locked();
   }
   trace::instant(trace::Name::kCatalogOpen, 0);
 }
@@ -105,19 +103,15 @@ void GraphCatalog::close(const std::string& name) {
   {
     std::lock_guard lock(mu_);
     Entry* e = find_locked(name);
-    if (e == nullptr) {
-      throw std::invalid_argument("catalog: graph '" + name +
-                                  "' is not resident");
+    if (e == nullptr) throw not_resident(name);
+    // In-flight queries pin the graph, and with it the cached device,
+    // through their own handles. Its residual pages age out uncapped.
+    const auto& pool = rt_->page_cache();
+    if (rt_->config().catalog_enforce_budgets && pool && e->cached) {
+      pool->set_namespace_cap(e->cached->namespace_base(), 0);
     }
-    // Unlist now; the freed budget moves to the survivors immediately.
-    // The entry itself lingers (budget 0) until every in-flight query
-    // drops its handle, then the next open/close/rebalance reaps it.
-    e->closing = true;
-    e->cache_budget = 0;
-    std::erase_if(entries_, [](const Entry& en) {
-      return en.closing && en.graph.use_count() == 1;
-    });
-    rebalance_locked();
+    entries_.erase(entries_.begin() + (e - entries_.data()));
+    split_budget_locked();
   }
   trace::instant(trace::Name::kCatalogClose, 0);
 }
@@ -126,10 +120,7 @@ std::shared_ptr<const format::OnDiskGraph> GraphCatalog::lookup(
     const std::string& name) const {
   std::lock_guard lock(mu_);
   const Entry* e = find_locked(name);
-  if (e == nullptr) {
-    throw std::invalid_argument("catalog: graph '" + name +
-                                "' is not resident");
-  }
+  if (e == nullptr) throw not_resident(name);
   return e->graph;
 }
 
@@ -140,121 +131,40 @@ bool GraphCatalog::contains(const std::string& name) const {
 
 std::size_t GraphCatalog::size() const {
   std::lock_guard lock(mu_);
-  std::size_t n = 0;
-  for (const Entry& e : entries_) n += e.closing ? 0 : 1;
-  return n;
+  return entries_.size();
 }
 
 void GraphCatalog::note_query(const std::string& name) {
   std::lock_guard lock(mu_);
-  if (Entry* e = find_locked(name)) {
-    ++e->queries;
-    ++e->recent;
-  }
+  if (Entry* e = find_locked(name)) ++e->queries;
 }
 
-void GraphCatalog::rebalance_locked() {
-  // Use-weighted largest-remainder apportionment. Every open graph gets
-  // weight 1 + recent_queries: the +1 floor keeps an idle graph warm
-  // enough to answer its first query without a cold start, while a hot
-  // graph's share grows with its traffic. Largest-remainder (Hamilton)
-  // distributes the integer remainder bytes, so the shares sum EXACTLY
-  // to cache_bytes — the invariant the catalog tests pin.
-  std::vector<Entry*> open;
-  for (Entry& e : entries_) {
-    if (!e.closing) open.push_back(&e);
-  }
-  if (open.empty()) return;
-  double total_weight = 0;
-  for (const Entry* e : open) {
-    total_weight += 1.0 + static_cast<double>(e->recent);
-  }
+void GraphCatalog::split_budget_locked() {
+  // Equal shares; the first cache_bytes % n graphs in open order take one
+  // byte more, so the shares sum EXACTLY to cache_bytes — the invariant
+  // the catalog tests pin.
   const core::Config& cfg = rt_->config();
-  std::uint64_t assigned = 0;
-  std::vector<std::pair<double, Entry*>> remainders;
-  remainders.reserve(open.size());
-  for (Entry* e : open) {
-    const double w = 1.0 + static_cast<double>(e->recent);
-    const double exact =
-        static_cast<double>(cfg.cache_bytes) * (w / total_weight);
-    e->cache_budget = static_cast<std::uint64_t>(exact);
-    assigned += e->cache_budget;
-    remainders.emplace_back(exact - static_cast<double>(e->cache_budget), e);
+  const std::uint64_t n = entries_.size();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    entries_[i].cache_budget =
+        cfg.cache_bytes / n + (i < cfg.cache_bytes % n ? 1 : 0);
   }
-  // Hand the leftover bytes to the largest fractional remainders,
-  // open-order ties stable so the result is deterministic.
-  std::stable_sort(remainders.begin(), remainders.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first > b.first;
-                   });
-  std::uint64_t leftover = cfg.cache_bytes - assigned;
-  for (auto& [frac, e] : remainders) {
-    if (leftover == 0) break;
-    e->cache_budget += 1;
-    --leftover;
-  }
-
-  // Realized pool hit rate over the window since the previous rebalance —
-  // what the last apportionment actually bought. cache_counters() reads
-  // relaxed atomics under the pool's registration lock, no shard locks, so
-  // holding mu_ here is fine.
-  std::uint32_t realized_pm = trace::kCatalogNoRate;
-  const auto& pool = rt_->page_cache();
-  if (pool) {
-    const device::CacheCounters pc = pool->cache_counters();
-    const std::uint64_t dh = pc.hits - last_pool_hits_;
-    const std::uint64_t dm = pc.misses - last_pool_misses_;
-    if (dh + dm > 0) {
-      realized_pm = static_cast<std::uint32_t>(
-          (1000ull * dh) / (dh + dm));
-    }
-    last_pool_hits_ = pc.hits;
-    last_pool_misses_ = pc.misses;
-  }
-
   // Give the declared budgets physical teeth when asked: push them into
-  // the pool as per-namespace admission caps. Closing entries get their
-  // cap removed — they are draining, and their residual pages age out.
+  // the pool as per-namespace admission caps.
+  const auto& pool = rt_->page_cache();
   if (cfg.catalog_enforce_budgets && pool) {
     for (const Entry& e : entries_) {
-      if (!e.cached) continue;
-      pool->set_namespace_cap(e.cached->namespace_base(),
-                              e.closing ? 0 : e.cache_budget);
+      if (e.cached) {
+        pool->set_namespace_cap(e.cached->namespace_base(), e.cache_budget);
+      }
     }
   }
-
-  trace::instant(trace::Name::kCatalogRebalance,
-                 trace::catalog_rebalance_arg(open.size(), realized_pm));
-}
-
-void GraphCatalog::rebalance() {
-  std::lock_guard lock(mu_);
-  std::erase_if(entries_, [](const Entry& e) {
-    return e.closing && e.graph.use_count() == 1;
-  });
-  rebalance_locked();
-  for (Entry& e : entries_) e.recent = 0;
-}
-
-std::size_t GraphCatalog::evict_idle() {
-  std::vector<std::string> idle;
-  {
-    std::lock_guard lock(mu_);
-    for (const Entry& e : entries_) {
-      if (!e.closing && e.recent == 0) idle.push_back(e.name);
-    }
-  }
-  for (const std::string& name : idle) close(name);
-  return idle.size();
 }
 
 std::uint64_t GraphCatalog::cache_budget_of(const std::string& name) const {
   std::lock_guard lock(mu_);
   const Entry* e = find_locked(name);
-  if (e == nullptr) {
-    throw std::invalid_argument("catalog: graph '" + name +
-                                "' is not resident");
-  }
+  if (e == nullptr) throw not_resident(name);
   return e->cache_budget;
 }
 
@@ -278,9 +188,6 @@ std::vector<CatalogEntryInfo> GraphCatalog::snapshot() const {
     info.name = e.name;
     info.cache_budget_bytes = e.cache_budget;
     info.queries = e.queries;
-    info.recent_queries = e.recent;
-    info.metadata_bytes = e.graph ? e.graph->metadata_bytes() : 0;
-    info.closing = e.closing;
     for (const auto& u : usage) {
       if (e.cached && u.base == e.cached->namespace_base()) {
         info.resident_bytes = u.resident_bytes();

@@ -197,7 +197,7 @@ std::shared_ptr<QueryTicket> QueryEngine::submit(QuerySpec spec) {
     tm.admitted->inc();
   }
   work_cv_.notify_one();
-  // Only admitted queries weigh in the catalog's cache split.
+  // Only admitted queries count in the catalog's per-graph tally.
   if (cat != nullptr) cat->note_query(graph_name);
   return ticket;
 }

@@ -679,14 +679,13 @@ int run_serving(const blaze::core::Config& cfg, const blaze::Options& opt,
     std::printf("  catalog (%zu resident graphs)\n", catalog->size());
     for (const auto& row : catalog->snapshot()) {
       std::printf("    %-14s budget %7.1f MiB cache, resident %7.1f MiB, "
-                  "%llu queries, hit %5.1f%% (%llu ghost)%s\n",
+                  "%llu queries, hit %5.1f%% (%llu ghost)\n",
                   row.name.c_str(),
                   static_cast<double>(row.cache_budget_bytes) / (1 << 20),
                   static_cast<double>(row.resident_bytes) / (1 << 20),
                   static_cast<unsigned long long>(row.queries),
                   100.0 * row.cache.hit_rate(),
-                  static_cast<unsigned long long>(row.cache.ghost_hits),
-                  row.closing ? " (closing)" : "");
+                  static_cast<unsigned long long>(row.cache.ghost_hits));
     }
   } else if (pool) {
     // No catalog: still break the pool occupancy down by namespace (one
@@ -773,8 +772,10 @@ int main(int argc, char** argv) {
         "clients spread round-robin (bfs/pr/sssp only)\n"
         "  --tenants SPEC      serving mode: weighted-fair tenants, "
         "'name:weight[:quota],...'; clients map to tenants round-robin\n"
-        "  --catalog-enforce   push the catalog's per-graph budgets into "
-        "the pool as admission caps (default: advisory)\n"
+        "  --catalog-enforce   push the catalog's equal per-graph budgets "
+        "into the pool as admission caps (default: one shared pool); caps "
+        "help when the pool is small against a big graph's scans, and cost "
+        "when a small graph leaves part of its share idle\n"
         "  --profile FILE      workload-profiler JSON report at exit: "
         "per-namespace miss-ratio curves, the stall breakdown, and "
         "per-device read-latency percentiles\n"

@@ -57,20 +57,6 @@ void append_rec(std::string& out, const Rec& r, std::uint64_t t0_ns) {
     } else if (r.name == Name::kSchedRound) {
       n = std::snprintf(buf, sizeof(buf), ",\"args\":{\"round\":%" PRIu64 "}",
                         r.arg);
-    } else if (r.name == Name::kCatalogRebalance) {
-      // Packed rebalance instants (see trace::catalog_rebalance_arg). An
-      // absent rate (kCatalogNoRate) is omitted, not emitted as the
-      // sentinel value.
-      const std::uint32_t graphs = catalog_arg_graphs(r.arg);
-      const std::uint32_t real = catalog_arg_realized_pm(r.arg);
-      if (real != kCatalogNoRate) {
-        n = std::snprintf(buf, sizeof(buf),
-                          ",\"args\":{\"graphs\":%u,\"realized_hit_pm\":%u}",
-                          graphs, real);
-      } else {
-        n = std::snprintf(buf, sizeof(buf), ",\"args\":{\"graphs\":%u}",
-                          graphs);
-      }
     } else {
       n = std::snprintf(buf, sizeof(buf), ",\"args\":{\"arg\":%" PRIu64 "}",
                         r.arg);

@@ -46,9 +46,8 @@ enum class Name : std::uint8_t {
   kEngineDrain,     ///< QueryEngine::drain()
   kQuotaReject,     ///< instant; a tenant hit its admission quota
   // serve::GraphCatalog
-  kCatalogOpen,       ///< instant; a graph became resident
-  kCatalogClose,      ///< instant; a graph left the catalog
-  kCatalogRebalance,  ///< one budget rebalance; arg = resident graphs
+  kCatalogOpen,   ///< instant; a graph became resident
+  kCatalogClose,  ///< instant; a graph left the catalog
   // sched::AsyncRunner
   kSchedRound,      ///< one async priority round; arg = round index
   kSchedQueue,      ///< instant after a round; arg = queue occupancy
@@ -75,7 +74,6 @@ constexpr const char* to_string(Name n) {
     case Name::kQuotaReject: return "quota_reject";
     case Name::kCatalogOpen: return "catalog_open";
     case Name::kCatalogClose: return "catalog_close";
-    case Name::kCatalogRebalance: return "catalog_rebalance";
     case Name::kSchedRound: return "sched_round";
     case Name::kSchedQueue: return "sched_queue";
     case Name::kNumNames: break;
@@ -101,8 +99,7 @@ constexpr const char* category_of(Name n) {
     case Name::kEngineDrain:
     case Name::kQuotaReject:
     case Name::kCatalogOpen:
-    case Name::kCatalogClose:
-    case Name::kCatalogRebalance: return "serve";
+    case Name::kCatalogClose: return "serve";
     case Name::kSchedRound:
     case Name::kSchedQueue: return "sched";
     case Name::kNumNames: break;
@@ -125,24 +122,6 @@ constexpr std::uint64_t cache_arg_pages(std::uint64_t arg) {
 /// Returns shard index + 1; 0 means "unattributed".
 constexpr std::uint32_t cache_arg_shard_plus_1(std::uint64_t arg) {
   return static_cast<std::uint32_t>(arg >> 32);
-}
-
-/// Arg packing for kCatalogRebalance: low 16 bits = resident graph count,
-/// bits 16..31 = realized pool hit rate over the window since the
-/// previous rebalance (per-mille). kCatalogNoRate marks an absent rate —
-/// no cache, or no access in the window. chrome_export decodes this into
-/// {"graphs": N, "realized_hit_pm": R}, omitting an absent rate.
-constexpr std::uint32_t kCatalogNoRate = 0xffff;
-constexpr std::uint64_t catalog_rebalance_arg(std::uint64_t graphs,
-                                              std::uint32_t realized_pm) {
-  return (graphs & 0xffffull) |
-         (static_cast<std::uint64_t>(realized_pm & 0xffffu) << 16);
-}
-constexpr std::uint32_t catalog_arg_graphs(std::uint64_t arg) {
-  return static_cast<std::uint32_t>(arg & 0xffffull);
-}
-constexpr std::uint32_t catalog_arg_realized_pm(std::uint64_t arg) {
-  return static_cast<std::uint32_t>((arg >> 16) & 0xffffull);
 }
 
 struct Event {

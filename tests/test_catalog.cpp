@@ -1,9 +1,9 @@
-// serve::GraphCatalog tests: resident-graph lifecycle, the exact
-// budget-sum invariant through every open/close/rebalance step, handle
-// pinning across close (in-flight queries survive a concurrent close of
-// a different graph — and of their own), realized per-namespace pool
-// occupancy and its admission caps when budgets are enforced, and one
-// cache counter set seen alike by every reader.
+// serve::GraphCatalog tests: resident-graph lifecycle, the exact equal
+// budget split through every open/close step, handle pinning across close
+// (in-flight queries survive a concurrent close of a different graph — and
+// of their own), realized per-namespace pool occupancy and its admission
+// caps when budgets are enforced, and one cache counter set seen alike by
+// every reader.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,19 +60,33 @@ TEST(Catalog, OpenCloseLifecycleKeepsBudgetSumExact) {
   cat.open("c", format::make_mem_graph(g));
   EXPECT_EQ(cat.size(), 3u);
   expect_budget_invariant(cat, cfg);
-  // Equal (zero-traffic) weights: every share within a byte of the rest.
-  const auto ba = cat.cache_budget_of("a");
-  const auto bb = cat.cache_budget_of("b");
-  const auto bc = cat.cache_budget_of("c");
-  EXPECT_LE(std::max({ba, bb, bc}) - std::min({ba, bb, bc}), 1u);
+  // Equal shares; the remainder byte goes to the first graph opened.
+  ASSERT_EQ(cfg.cache_bytes % 3, 1u);
+  EXPECT_EQ(cat.cache_budget_of("a"), cfg.cache_bytes / 3 + 1);
+  EXPECT_EQ(cat.cache_budget_of("b"), cfg.cache_bytes / 3);
+  EXPECT_EQ(cat.cache_budget_of("c"), cfg.cache_bytes / 3);
 
-  // Duplicate and unknown names are typed errors, not silent misfiles.
+  // Duplicate and unknown names are typed errors, not silent misfiles. A
+  // rejected duplicate registers no pool namespace.
+  const std::size_t namespaces = cat.namespace_usage().size();
+  ASSERT_EQ(namespaces, 3u);
   EXPECT_THROW(cat.open("a", format::make_mem_graph(g)),
                std::invalid_argument);
+  EXPECT_EQ(cat.namespace_usage().size(), namespaces);
   EXPECT_THROW(cat.close("nope"), std::invalid_argument);
   EXPECT_THROW(cat.lookup("nope"), std::invalid_argument);
   EXPECT_THROW(cat.cache_budget_of("nope"), std::invalid_argument);
   expect_budget_invariant(cat, cfg);
+
+  // Queries are tallied per graph; a name that raced a close is ignored.
+  cat.note_query("c");
+  cat.note_query("c");
+  cat.note_query("unknown-name-raced-a-close");  // never throws
+  const auto rows = cat.snapshot();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].queries, 0u);
+  EXPECT_EQ(rows[2].name, "c");
+  EXPECT_EQ(rows[2].queries, 2u);
 
   cat.close("b");
   EXPECT_FALSE(cat.contains("b"));
@@ -89,50 +103,6 @@ TEST(Catalog, OpenCloseLifecycleKeepsBudgetSumExact) {
   cat.close("c");
   EXPECT_EQ(cat.size(), 0u);
   expect_budget_invariant(cat, cfg);
-}
-
-TEST(Catalog, RebalanceFollowsTrafficAndIdleSweepEvicts) {
-  const core::Config cfg = catalog_test_config();
-  core::Runtime rt(cfg);
-  serve::GraphCatalog cat(rt);
-  graph::Csr g = graph::generate_rmat(8, 8, 701);
-  cat.open("hot", format::make_mem_graph(g));
-  cat.open("cold", format::make_mem_graph(g));
-
-  for (int i = 0; i < 30; ++i) cat.note_query("hot");
-  cat.note_query("unknown-name-raced-a-close");  // ignored, never throws
-  cat.rebalance();
-  expect_budget_invariant(cat, cfg);
-  // Weights 1+30 vs 1+0: the hot graph owns the overwhelming share.
-  EXPECT_GT(cat.cache_budget_of("hot"), 10 * cat.cache_budget_of("cold"));
-
-  // rebalance() reset the recent counters; with no traffic since, another
-  // rebalance returns to the equal split.
-  cat.rebalance();
-  expect_budget_invariant(cat, cfg);
-  const auto hot = cat.cache_budget_of("hot");
-  const auto cold = cat.cache_budget_of("cold");
-  EXPECT_LE(std::max(hot, cold) - std::min(hot, cold), 1u);
-
-  // Idle sweep: only the graph with traffic since the last rebalance
-  // survives.
-  cat.note_query("hot");
-  EXPECT_EQ(cat.evict_idle(), 1u);
-  EXPECT_TRUE(cat.contains("hot"));
-  EXPECT_FALSE(cat.contains("cold"));
-  expect_budget_invariant(cat, cfg);
-
-  const auto rows = cat.snapshot();
-  bool saw_hot = false;
-  for (const auto& row : rows) {
-    if (row.name == "hot" && !row.closing) {
-      saw_hot = true;
-      EXPECT_EQ(row.cache_budget_bytes, cfg.cache_bytes);
-      EXPECT_GT(row.queries, 0u);
-      EXPECT_GT(row.metadata_bytes, 0u);
-    }
-  }
-  EXPECT_TRUE(saw_hot);
 }
 
 TEST(Catalog, CloseNeverYanksStorageFromInFlightQueries) {
@@ -181,15 +151,8 @@ TEST(Catalog, CloseNeverYanksStorageFromInFlightQueries) {
   EXPECT_EQ(cat.size(), 0u);
   expect_budget_invariant(cat, cfg);
   EXPECT_THROW(cat.lookup("victim"), std::invalid_argument);
-  // The closing entry is still listed in the snapshot, budget zero, until
-  // the in-flight query drops its pin.
-  bool victim_closing = false;
-  for (const auto& row : cat.snapshot()) {
-    if (row.name == "victim") {
-      victim_closing = row.closing && row.cache_budget_bytes == 0;
-    }
-  }
-  EXPECT_TRUE(victim_closing);
+  // Both entries are gone at once; the query's handle alone pins "victim".
+  EXPECT_TRUE(cat.snapshot().empty());
 
   {
     std::lock_guard lock(mu);
@@ -198,10 +161,6 @@ TEST(Catalog, CloseNeverYanksStorageFromInFlightQueries) {
   cv.notify_all();
   ticket->wait();
   EXPECT_EQ(ticket->state(), serve::QueryState::kDone);
-
-  // With the pin dropped, the next lifecycle step reaps the entry.
-  cat.rebalance();
-  EXPECT_TRUE(cat.snapshot().empty());
 
   // Submitting against a closed name is the typed lookup failure.
   serve::QuerySpec stale;
@@ -258,13 +217,12 @@ TEST(Catalog, NamespaceUsageMeasuresRealizedOccupancy) {
   engine.drain();
 }
 
-TEST(Catalog, EnforcedBudgetsCapOccupancyAfterRebalance) {
-  // With enforcement on, each declared budget is its graph's admission cap
-  // in the pool. Traffic on "hot" alone, then a rebalance, gives it about
-  // 4/5 of the pool and "cold" the rest; then both graphs run BFS, each
-  // touching more pages than either cap. Every graph's realized occupancy
-  // must stay within its budget, plus set_namespace_cap's round-up of
-  // under one page per shard, and the budgets must still sum exactly.
+TEST(Catalog, EnforcedEqualBudgetsCapOccupancy) {
+  // With enforcement on, each equal budget is its graph's admission cap in
+  // the pool. Both graphs run BFS, each touching more pages than its cap.
+  // Every graph's realized occupancy must stay within its budget, plus
+  // set_namespace_cap's round-up of under one page per shard, and the
+  // budgets must still sum exactly.
   core::Config cfg = catalog_test_config();
   cfg.catalog_enforce_budgets = true;
   serve::QueryEngine engine(cfg);
@@ -274,9 +232,10 @@ TEST(Catalog, EnforcedBudgetsCapOccupancyAfterRebalance) {
   // 2^12 vertices x 64 edges x 4 B: 256 pages of adjacency per graph,
   // against a 256-page pool.
   graph::Csr g = graph::generate_rmat(12, 64, 704);
-  cat.open("hot", format::make_mem_graph(g));
-  cat.open("cold", format::make_mem_graph(g));
+  cat.open("left", format::make_mem_graph(g));
+  cat.open("right", format::make_mem_graph(g));
   expect_budget_invariant(cat, cfg);
+  EXPECT_EQ(cat.cache_budget_of("left"), cfg.cache_bytes / 2);
 
   auto bfs_on = [&](const std::string& graph) {
     serve::QuerySpec spec;
@@ -289,23 +248,24 @@ TEST(Catalog, EnforcedBudgetsCapOccupancyAfterRebalance) {
     t->wait();
     ASSERT_EQ(t->state(), serve::QueryState::kDone) << graph;
   };
-  for (int i = 0; i < 3; ++i) bfs_on("hot");
-  cat.rebalance();  // weights 1+3 vs 1+0
-  expect_budget_invariant(cat, cfg);
-  EXPECT_GT(cat.cache_budget_of("hot"), 3 * cat.cache_budget_of("cold"));
-  bfs_on("cold");
-  bfs_on("hot");
-  engine.drain();
+  for (int i = 0; i < 2; ++i) {
+    bfs_on("left");
+    bfs_on("right");
+  }
 
   const auto& pool = engine.runtime().page_cache();
   ASSERT_NE(pool, nullptr);
   const std::uint64_t shards = pool->shard_count();
+  // A cap in pages, rounded up to a whole page per shard.
+  auto page_bound = [shards](std::uint64_t budget) {
+    const std::uint64_t cap_pages =
+        std::max<std::uint64_t>(1, budget / kPageSize);
+    return (cap_pages + shards - 1) / shards * shards;
+  };
   std::size_t checked = 0;
   for (const auto& u : cat.namespace_usage()) {
     const std::string name = u.name.substr(u.name.find('/') + 1);
-    const std::uint64_t cap_pages =
-        std::max<std::uint64_t>(1, cat.cache_budget_of(name) / kPageSize);
-    const std::uint64_t bound = (cap_pages + shards - 1) / shards * shards;
+    const std::uint64_t bound = page_bound(cat.cache_budget_of(name));
     EXPECT_GT(u.resident_pages, 0u) << name;
     EXPECT_LE(u.resident_pages, bound) << name;
     // The cap binds: the graph read more pages than it may keep.
@@ -314,6 +274,20 @@ TEST(Catalog, EnforcedBudgetsCapOccupancyAfterRebalance) {
   }
   EXPECT_EQ(checked, 2u);
   expect_budget_invariant(cat, cfg);
+
+  // Closing "right" lifts its cap and hands "left" the whole pool as its
+  // new cap, so "left" grows past its old half.
+  const std::uint64_t half_bound = page_bound(cfg.cache_bytes / 2);
+  cat.close("right");
+  EXPECT_EQ(cat.cache_budget_of("left"), cfg.cache_bytes);
+  bfs_on("left");
+  bfs_on("left");
+  engine.drain();
+  for (const auto& u : cat.namespace_usage()) {
+    if (u.name == "graph/left") {
+      EXPECT_GT(u.resident_pages, half_bound);
+    }
+  }
 }
 
 // ------------------------------------------------ counter reconciliation
@@ -360,16 +334,25 @@ TEST(CatalogReconciliation, EveryReaderSeesThePoolCounters) {
     return engine.submit(spec);
   };
   std::vector<std::shared_ptr<serve::QueryTicket>> tickets;
+  // The one catalog gauge: resident graphs, summed over every scrape row.
+  auto scraped_graphs = [] {
+    double graphs = 0;
+    for (const auto& r : metrics::Registry::instance().snapshot()) {
+      if (r.name == "blaze_catalog_graphs") graphs += r.value;
+    }
+    return graphs;
+  };
   for (int i = 0; i < 3; ++i) {
     tickets.push_back(bfs_on("kept"));
     tickets.push_back(bfs_on("closed"));
   }
+  EXPECT_EQ(scraped_graphs(), 2.0);
   cat.close("closed");  // its admitted queries keep running on the handle
+  EXPECT_EQ(scraped_graphs(), 1.0);
   for (int i = 0; i < 3; ++i) tickets.push_back(bfs_on("kept"));
   for (auto& t : tickets) t->wait();
   for (auto& t : tickets) ASSERT_EQ(t->state(), serve::QueryState::kDone);
   engine.drain();
-  cat.rebalance();  // reaps the closed entry; its namespace block remains
 
   const device::CacheCounters total = pool->cache_counters();
   EXPECT_GT(total.hits, 0u);

@@ -173,6 +173,55 @@ TEST_F(ToolsTest, ServingModeCatalogAndTenantTables) {
   EXPECT_NE(out.find("\n    side ", catalog), std::string::npos) << out;
 }
 
+TEST_F(ToolsTest, ServingModeCatalogSplitsCacheMBEqually) {
+  // "main" is the small fixture; "side" has 2^15 vertices x 16 edges, 2 MiB
+  // of adjacency, twice its 1 MiB share of --cacheMB 2. Shared, "side"
+  // fills what "main" leaves idle; capped, it keeps its share.
+  const std::string big = "/tmp/blaze_tools_catalog_big";
+  ASSERT_EQ(run(std::string(BLAZE_GEN_PATH) +
+                " -type rmat -scale 15 -edgeFactor 16 -seed 7 " + big),
+            0)
+      << output();
+  for (const bool enforce : {false, true}) {
+    ASSERT_EQ(run(std::string(BLAZE_RUN_PATH) +
+                  " -query bfs -computeWorkers 2 --clients 2 --queries 2 "
+                  "--cacheMB 2 " +
+                  (enforce ? "--catalog-enforce " : "") + "--catalog side=" +
+                  big + ".gr.index," + big + ".gr.adj.0 " + prefix_ +
+                  ".gr.index " + prefix_ + ".gr.adj.0"),
+              0)
+        << output();
+    const std::string out = output();
+    EXPECT_EQ(stat_row(out, "failed"), 0) << out;
+    const std::size_t catalog = out.find("catalog (2 resident graphs)");
+    ASSERT_NE(catalog, std::string::npos) << out;
+    double budget_sum = 0;
+    for (const char* name : {"main", "side"}) {
+      const std::size_t row = out.find(std::string("\n    ") + name + " ",
+                                       catalog);
+      ASSERT_NE(row, std::string::npos) << name << "\n" << out;
+      double budget = -1, resident = -1;
+      ASSERT_EQ(std::sscanf(out.c_str() + row,
+                            " %*s budget %lf MiB cache, resident %lf MiB",
+                            &budget, &resident),
+                2)
+          << out;
+      budget_sum += budget;
+      EXPECT_GT(resident, 0.0) << name << "\n" << out;
+      // Capped, a graph keeps no more than its share (at the table's
+      // 0.1 MiB print resolution).
+      if (enforce) {
+        EXPECT_LE(resident, budget) << name << "\n" << out;
+      }
+    }
+    EXPECT_DOUBLE_EQ(budget_sum, 2.0) << out;
+  }
+  for (const char* suffix :
+       {".gr.index", ".gr.adj.0", ".tgr.index", ".tgr.adj.0"}) {
+    std::remove((big + suffix).c_str());
+  }
+}
+
 TEST_F(ToolsTest, TraceFlagWritesChromeJson) {
   const std::string trace = "/tmp/blaze_tools_trace.json";
   std::remove(trace.c_str());

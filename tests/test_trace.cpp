@@ -559,61 +559,27 @@ TEST_F(TraceTest, ChromeExportSatisfiesSchema) {
   }
 }
 
-TEST_F(TraceTest, CatalogRebalanceArgPacksAndUnpacks) {
-  const std::uint64_t arg = trace::catalog_rebalance_arg(3, 912);
-  EXPECT_EQ(trace::catalog_arg_graphs(arg), 3u);
-  EXPECT_EQ(trace::catalog_arg_realized_pm(arg), 912u);
-  // Field isolation at the extremes.
-  const std::uint64_t max =
-      trace::catalog_rebalance_arg(0xffff, trace::kCatalogNoRate);
-  EXPECT_EQ(trace::catalog_arg_graphs(max), 0xffffu);
-  EXPECT_EQ(trace::catalog_arg_realized_pm(max), trace::kCatalogNoRate);
-  EXPECT_EQ(trace::catalog_arg_realized_pm(
-                trace::catalog_rebalance_arg(0xffff, 0)),
-            0u);
-}
-
 TEST_F(TraceTest, ChromeExportDecodesPackedArgs) {
-  // kSchedRound and kCatalogRebalance instants carry packed args; the
-  // exporter must unpack them into named fields (and omit an absent rate)
+  // kSchedRound instants carry the round index; the exporter must name it
   // instead of dumping the raw integer.
   trace::set_enabled(true);
   trace::instant(trace::Name::kSchedRound, 7);
-  trace::instant(trace::Name::kCatalogRebalance,
-                 trace::catalog_rebalance_arg(3, 912));
-  trace::instant(trace::Name::kCatalogRebalance,
-                 trace::catalog_rebalance_arg(2, trace::kCatalogNoRate));
   const std::string json =
       trace::to_chrome_json(trace::collect(), trace::dropped_events());
   JsonParser parser(json);
   const JsonValue root = parser.parse();
   ASSERT_TRUE(parser.ok) << "exporter produced invalid JSON";
-  bool saw_sched = false, saw_rates = false, saw_cold = false;
+  bool saw_sched = false;
   for (const JsonValue& ev : root.object().at("traceEvents").array()) {
     const JsonObject& o = ev.object();
     if (o.at("ph").str() == "M") continue;
-    const std::string& name = o.at("name").str();
-    if (name == "sched_round") {
+    if (o.at("name").str() == "sched_round") {
       ASSERT_TRUE(o.contains("args"));
       EXPECT_EQ(o.at("args").object().at("round").number(), 7.0);
       saw_sched = true;
-    } else if (name == "catalog_rebalance") {
-      ASSERT_TRUE(o.contains("args"));
-      const JsonObject& args = o.at("args").object();
-      if (args.at("graphs").number() == 3.0) {
-        EXPECT_EQ(args.at("realized_hit_pm").number(), 912.0);
-        saw_rates = true;
-      } else {
-        // Cold-start rebalance: the sentinel rate must be omitted.
-        EXPECT_EQ(args.at("graphs").number(), 2.0);
-        EXPECT_FALSE(args.contains("realized_hit_pm"));
-        saw_cold = true;
-      }
     }
   }
   EXPECT_TRUE(saw_sched);
-  EXPECT_TRUE(saw_rates);
-  EXPECT_TRUE(saw_cold);
 }
 
 TEST_F(TraceTest, ChromeExportAttributesCacheOutcomesToShards) {
